@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import random
 import time
+from collections import defaultdict
 from dataclasses import dataclass
 from itertools import product as iproduct
 from math import comb
@@ -334,26 +335,6 @@ def criterion_upper_profile() -> CheckOutcome:
 # -- criterion 11 ----------------------------------------------------------------
 
 
-def _survives_random_morphisms(ident, monoid, trials, rng):
-    table = monoid.mult_table()
-    m = len(monoid.elements)
-    letters = sorted(set(ident.lhs) | set(ident.rhs))
-    columns = {
-        ch: np.fromiter(
-            (rng.randrange(m) for _ in range(trials)), dtype=np.int32, count=trials
-        )
-        for ch in letters
-    }
-
-    def fold(word):
-        acc = columns[word[0]]
-        for ch in word[1:]:
-            acc = table[acc, columns[ch]]
-        return acc
-
-    return bool((fold(ident.lhs) == fold(ident.rhs)).all())
-
-
 def criterion_transfer(trials: int = 10_000, seed: int = 1111) -> CheckOutcome:
     idents = corpus()
     dc3 = family("doubleCatalan", 3)
@@ -371,7 +352,10 @@ def criterion_transfer(trials: int = 10_000, seed: int = 1111) -> CheckOutcome:
     rng = random.Random(seed)
     for ident in passing:
         for target in (owg3, g3, lossy3):
-            if not _survives_random_morphisms(ident, target, trials, rng):
+            result = brute_force_identity(
+                ident, target, sample=trials, seed=rng.getrandbits(32)
+            )
+            if not isinstance(result, BruteForceHolds):
                 violations += 1
     return _outcome(
         "gossip-transfer",
@@ -408,6 +392,77 @@ def criterion_inclusions() -> CheckOutcome:
             )
     detail = "chains verified for n=2..4" + ("; " + "; ".join(notes) if notes else "")
     return _outcome("inclusion-chain", ok, detail)
+
+
+# -- criterion 13 ----------------------------------------------------------------
+
+
+def criterion_transfer_n4(trials: int = 10_000, seed: int = 1313) -> CheckOutcome:
+    """Simon 3-congruent identities hold in the reflexive monoid R_4, which
+    generates J_3, so they hold in its submonoid oneWayGossip(4)."""
+    start = time.perf_counter()
+    owg4 = family("oneWayGossip", 4)
+    idents = [i for i in corpus() if simon_equivalent(i.lhs, i.rhs, 3)]
+    from_corpus = len(idents)
+    # every such corpus identity is w=w, so add the non-trivial pairs over {x, y}
+    classes = defaultdict(list)
+    for w in words_up_to("xy", 6):
+        classes[subword_set(w, 3)].append(w)
+    idents += [
+        Identity(w, v) for group in classes.values() for w in group for v in group if w < v
+    ]
+    rng = random.Random(seed)
+    violations = sum(
+        not isinstance(
+            brute_force_identity(ident, owg4, sample=trials, seed=rng.getrandbits(32)),
+            BruteForceHolds,
+        )
+        for ident in idents
+    )
+    elapsed = time.perf_counter() - start
+    ok = violations == 0 and elapsed < 60.0
+    return _outcome(
+        "gossip-transfer-n4",
+        ok,
+        f"{len(idents)} Simon 3-congruent identities ({from_corpus} trivial ones from "
+        f"the corpus, {len(idents) - from_corpus} non-trivial over {{x, y}} with sides "
+        f"of length at most 6) survived {trials} random morphisms into the "
+        f"{len(owg4)}-element one-way gossip monoid; {violations} violations, "
+        f"{elapsed:.1f}s (limit 60s)",
+    )
+
+
+# -- criterion 14 ----------------------------------------------------------------
+
+
+def criterion_table_products() -> CheckOutcome:
+    """Multiplication tables built from Cayley rows against one matrix product
+    per entry."""
+    cases = [
+        (name, n, None)
+        for name in ("catalanU", "doubleCatalan", "gossip", "oneWayGossip")
+        for n in range(1, 4)
+    ]
+    cases += [
+        ("catalanU", 6, None), ("doubleCatalan", 4, None), ("gossip", 4, None),
+        ("gossip_S", 3, MINPLUS01INF),
+    ]
+    mismatched = []
+    for name, n, S in cases:
+        M = family(name, n, S)
+        by_products = np.array(
+            [[M.index_of(multiply(a, b)) for b in M.elements] for a in M.elements],
+            dtype=np.int32,
+        )
+        if not np.array_equal(M.mult_table(), by_products):
+            mismatched.append(f"{name}({n})")
+    return _outcome(
+        "table-vs-products",
+        not mismatched,
+        f"{len(cases)} generated families, tables equal to entry-by-entry products"
+        if not mismatched
+        else f"tables differ from the products for {mismatched}",
+    )
 
 
 # -- module-level law suites --------------------------------------------------------
@@ -579,6 +634,7 @@ def suite_closure_counts() -> list:
         criterion_presentation(),
         criterion_upper_profile(),
         criterion_inclusions(),
+        criterion_table_products(),
     ]
 
 
@@ -592,7 +648,7 @@ def suite_checker_equivalence() -> list:
 
 
 def suite_transfer_properties() -> list:
-    return [criterion_transfer()]
+    return [criterion_transfer(), criterion_transfer_n4()]
 
 
 SUITES = {

@@ -45,7 +45,7 @@ def _default_seed() -> int:
     try:
         return int(raw)
     except ValueError:
-        return 0
+        raise ValueError(f"{SEED_ENV} must be an integer, got {raw!r}") from None
 
 
 def _emit(text: str, output):
@@ -58,7 +58,6 @@ def _emit(text: str, output):
 
 def _add_common(parser):
     parser.add_argument("--seed", type=int, default=None, help="RNG seed (default: $SGIDENT_SEED or 0)")
-    parser.add_argument("--jobs", type=int, default=1, help="worker bound (execution is scheduling independent)")
     parser.add_argument("--output", default=None, help="write the result to a file instead of stdout")
 
 
@@ -124,9 +123,8 @@ def _cmd_check(args) -> int:
         args.monoid, ident, args.n, S,
         seed=seed, budget=args.budget, verify_samples=args.verify_samples,
     )
-    payload = report.to_dict(stable=args.stable_output)
-    payload["jobs"] = args.jobs
     if args.format == "json":
+        payload = report.to_dict(stable=args.stable_output)
         _emit(json.dumps(payload, indent=2, sort_keys=True), args.output)
     else:
         lines = [

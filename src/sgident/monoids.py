@@ -14,7 +14,7 @@ import math
 import random
 from collections import deque
 from dataclasses import dataclass
-from itertools import product as iproduct
+from itertools import product as iproduct, repeat
 from typing import Optional
 
 import numpy as np
@@ -41,9 +41,12 @@ def catalan_number(n: int) -> int:
 class ClosureResult:
     """An enumerated finite monoid of matrices.
 
-    ``elements[0]`` is the identity matrix for generated closures.  Families
-    produced by direct enumeration rather than generation carry no witness
-    words and no Cayley rows.
+    ``elements[0]`` is the identity matrix for generated closures, and
+    ``cayley_right[i][g]`` is the index of ``elements[i]`` times generator
+    ``g``; :meth:`mult_table` builds the full table from these rows.  Families
+    produced by direct enumeration rather than generation, and a closure cut
+    off by its element cap, carry no Cayley rows, so their table takes one
+    matrix product per entry.
     """
 
     def __init__(
@@ -86,13 +89,29 @@ class ClosureResult:
         return " ".join(self.generator_labels[g] for g in word)
 
     def mult_table(self) -> np.ndarray:
-        """Full element-by-element multiplication table (indices)."""
+        """Full element-by-element multiplication table (indices), built once.
+
+        With Cayley rows, column 0 is the identity and column ``j`` is one
+        gather through the rows: element ``j`` was discovered as
+        ``elements[p] * g``, where ``p``'s witness word is ``j``'s without its
+        last generator ``g``, so ``a * elements[j] = (a * elements[p]) * g``
+        for every ``a``, and ``p < j``.  Without Cayley rows every entry is
+        one matrix product.
+        """
         if self._table is None:
             m = len(self.elements)
             table = np.empty((m, m), dtype=np.int32)
-            for i, a in enumerate(self.elements):
-                for j, b in enumerate(self.elements):
-                    table[i, j] = self._index[multiply(a, b)]
+            if self.cayley_right is None:
+                for i, a in enumerate(self.elements):
+                    for j, b in enumerate(self.elements):
+                        table[i, j] = self._index[multiply(a, b)]
+            else:
+                cayley = np.asarray(self.cayley_right, dtype=np.int32)
+                index_of_word = {word: i for i, word in enumerate(self.witness_words)}
+                table[:, 0] = np.arange(m, dtype=np.int32)
+                for j in range(1, m):
+                    word = self.witness_words[j]
+                    table[:, j] = cayley[table[:, index_of_word[word[:-1]]], word[-1]]
             self._table = table
         return self._table
 
@@ -455,9 +474,6 @@ class BruteForceFails:
     matrices: dict  # letter -> SMatrix
 
 
-BruteForceResult = object
-
-
 def _fold_word(table: np.ndarray, word: str, columns: dict) -> np.ndarray:
     acc = columns[word[0]]
     for ch in word[1:]:
@@ -479,11 +495,13 @@ def brute_force_identity(
     first counterexample in canonical order, else Holds.
 
     Canonical order: letters sorted, each ranging over element indices, the
-    leftmost letter most significant.
+    leftmost letter most significant.  Sampled assignments are drawn one
+    trial after another, one ``randrange`` per letter in sorted order, and
+    the first failing trial is returned.  Both modes fold the words through
+    ``M.mult_table()``, ``chunk`` assignments at a time.
     """
     letters = sorted(set(ident.lhs) | set(ident.rhs))
     m = len(M.elements)
-    table = None
     if sample is None:
         total = m ** len(letters)
         if total > assignment_cap:
@@ -491,54 +509,38 @@ def brute_force_identity(
                 f"{total} assignments exceed the cap {assignment_cap}; "
                 "pass sample=... for a randomized check"
             )
-        table = M.mult_table()
         radix = [m ** (len(letters) - 1 - k) for k in range(len(letters))]
-        checked = 0
-        for start in range(0, total, chunk):
-            stop = min(start + chunk, total)
+    else:
+        total = sample
+        rng = random.Random(seed)
+    table = M.mult_table()
+    checked = 0
+    for start in range(0, total, chunk):
+        stop = min(start + chunk, total)
+        if sample is None:
             flat = np.arange(start, stop, dtype=np.int64)
             columns = {
                 ch: ((flat // radix[k]) % m).astype(np.int32)
                 for k, ch in enumerate(letters)
             }
-            lhs = _fold_word(table, ident.lhs, columns)
-            rhs = _fold_word(table, ident.rhs, columns)
-            diff = lhs != rhs
-            checked += stop - start
-            if diff.any():
-                first = int(np.argmax(diff))
-                assignment = {
-                    ch: int(columns[ch][first]) for ch in letters
-                }
-                matrices = {ch: M.elements[i] for ch, i in assignment.items()}
-                return BruteForceFails(assignment, matrices)
-        return BruteForceHolds(checked)
-
-    # sampled mode: memoize pair products instead of materializing the full table
-    rng = random.Random(seed)
-    pair_cache: dict = {}
-
-    def times(i: int, j: int) -> int:
-        key = (i, j)
-        found = pair_cache.get(key)
-        if found is None:
-            found = M.index_of(multiply(M.elements[i], M.elements[j]))
-            pair_cache[key] = found
-        return found
-
-    for _ in range(sample):
-        assignment = {ch: rng.randrange(m) for ch in letters}
-
-        def image(word):
-            acc = assignment[word[0]]
-            for ch in word[1:]:
-                acc = times(acc, assignment[ch])
-            return acc
-
-        if image(ident.lhs) != image(ident.rhs):
+        else:
+            size = (stop - start) * len(letters)
+            draws = np.fromiter(
+                map(rng.randrange, repeat(m, size)), dtype=np.int32, count=size
+            )
+            columns = {ch: draws[k :: len(letters)] for k, ch in enumerate(letters)}
+        lhs = _fold_word(table, ident.lhs, columns)
+        rhs = _fold_word(table, ident.rhs, columns)
+        diff = lhs != rhs
+        checked += stop - start
+        if diff.any():
+            first = int(np.argmax(diff))
+            assignment = {
+                ch: int(columns[ch][first]) for ch in letters
+            }
             matrices = {ch: M.elements[i] for ch, i in assignment.items()}
             return BruteForceFails(assignment, matrices)
-    return BruteForceHolds(sample)
+    return BruteForceHolds(checked)
 
 
 # -- structural reports --------------------------------------------------------------------

@@ -268,9 +268,6 @@ class SemiringDescriptor:
             self._embed_cache[m] = wrapped
         return wrapped
 
-    def classify_monogenic(self) -> Monogenic:
-        return self.monogenic
-
     # -- carrier access -------------------------------------------------------
 
     @property
@@ -281,9 +278,6 @@ class SemiringDescriptor:
         if not self.is_finite:
             raise UnsupportedStructureError(f"{self.name} has an infinite carrier")
         return [self._wrap(p) for p in self.carrier.values]
-
-    def carrier_size(self) -> Optional[int]:
-        return len(self.carrier.values) if self.is_finite else None
 
     def sample_value(self, rng: random.Random) -> Val:
         if self.is_finite:

@@ -58,6 +58,14 @@ def test_criterion_12_inclusion_chain():
     _report(12, acceptance.criterion_inclusions())
 
 
+def test_criterion_13_gossip_transfer_n4():
+    _report(13, acceptance.criterion_transfer_n4())
+
+
+def test_criterion_14_table_vs_products():
+    _report(14, acceptance.criterion_table_products())
+
+
 def test_law_suites_hold():
     for outcome in acceptance.suite_semiring_axioms() + acceptance.suite_word_oracles():
         status = "PASS" if outcome.ok else "FAIL"

@@ -61,10 +61,24 @@ def test_usage_errors_exit_two(capsys):
     assert run_cli(capsys, "check", "--monoid", "u", "--n", "3", "--semiring", "nope", "x=x")[0] == 2
     assert run_cli(capsys, "check", "--monoid", "u", "--n", "3", "--semiring", "bool", "x==")[0] == 2
     assert run_cli(capsys, "nonsense")[0] == 2
+    assert run_cli(capsys, "verify", "word-oracles", "--jobs", "2")[0] == 2
     code, _, err = run_cli(
         capsys, "closure", "--family", "gossip", "--n", "4", "--element-cap", "10"
     )
     assert code == 2 and "cap" in err
+
+
+def test_non_integer_seed_from_the_environment_exits_two(capsys, monkeypatch):
+    monkeypatch.setenv("SGIDENT_SEED", "abc")
+    code, out, err = run_cli(
+        capsys, "check", "--monoid", "u", "--n", "3", "--semiring", "bool", "abab=abba"
+    )
+    assert code == 2 and out == "" and "SGIDENT_SEED" in err
+    monkeypatch.setenv("SGIDENT_SEED", "5")
+    code, out, _ = run_cli(
+        capsys, "check", "--monoid", "u", "--n", "3", "--semiring", "bool", "abab=abba"
+    )
+    assert code == 0 and json.loads(out)["seed"] == 5
 
 
 def test_witness_output(capsys):

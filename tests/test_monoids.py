@@ -92,6 +92,26 @@ def test_cayley_table_is_consistent():
             assert result.elements[result.cayley_right[i][gi]] == multiply(element, g)
 
 
+# the generated closures take the Cayley-row path, reflexiveBool the product path
+TABLE_CASES = {
+    **{
+        f"{name}({n})": (lambda name=name, n=n: family(name, n))
+        for name in ("catalanU", "doubleCatalan", "gossip", "oneWayGossip")
+        for n in (1, 2, 3)
+    },
+    "gossip_S(3)": lambda: family("gossip_S", 3, MINPLUS01INF),
+    "closure of the identity": lambda: bfs_closure([identity_matrix(3, BOOL)]),
+    "reflexiveBool(2)": lambda: family("reflexiveBool", 2),
+}
+
+
+@pytest.mark.parametrize("case", sorted(TABLE_CASES))
+def test_mult_table_equals_entry_by_entry_products(case):
+    M = TABLE_CASES[case]()
+    by_products = [[M.index_of(multiply(a, b)) for b in M.elements] for a in M.elements]
+    assert M.mult_table().tolist() == by_products
+
+
 def test_closure_cap_carries_a_partial_result():
     gens = [one_way_call(i, j, 4) for i in range(1, 5) for j in range(1, 5) if i != j]
     with pytest.raises(ClosureCapExceeded) as err:
@@ -205,6 +225,8 @@ def test_brute_force_budget_gate():
         Identity.parse("abc=cba"), big, sample=500, seed=3
     )
     assert isinstance(sampled, BruteForceFails)
+    # pinned: a change to the seeded assignment stream shows here
+    assert sampled.assignment == {"a": 60, "b": 8, "c": 1}
 
 
 def test_structural_checks_on_gossip():
