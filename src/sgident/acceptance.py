@@ -11,7 +11,7 @@ import random
 import time
 from collections import defaultdict
 from dataclasses import dataclass
-from itertools import product as iproduct
+from itertools import islice, product as iproduct
 from math import comb
 
 import numpy as np
@@ -44,6 +44,14 @@ from .monoids import (
     enumerate_unitriangular,
     enumerate_upper_triangular,
     family,
+)
+from .polynomials import (
+    Equivalent,
+    NotEquivalent,
+    Variable,
+    build_f_canonical,
+    evaluate,
+    functionally_equivalent,
 )
 from .semirings import (
     BOOL,
@@ -465,6 +473,99 @@ def criterion_table_products() -> CheckOutcome:
     )
 
 
+# -- criterion 15 ----------------------------------------------------------------
+
+
+class _InOrder:
+    """The payloads of p at the assignments of ``universe`` in the canonical
+    order (first variable slowest), each found by ``evaluate`` at the
+    assignment's values of p's own variables.  The list grows only as far as
+    a comparison has needed it."""
+
+    def __init__(self, p, S, universe: list):
+        self.payloads = []
+        self._source = self._generate(p, S, universe)
+
+    @staticmethod
+    def _generate(p, S, universe):
+        own = p.variables()
+        where = [universe.index(v) for v in own]
+        at = {}
+        for values in iproduct(S.carrier.values, repeat=len(universe)):
+            mine = tuple(values[i] for i in where)
+            payload = at.get(mine)
+            if payload is None:
+                assignment = {v: S.val(x) for v, x in zip(own, mine)}
+                payload = at[mine] = evaluate(p, assignment, S).payload
+            yield payload
+
+    def prefix(self, length: int) -> list:
+        missing = length - len(self.payloads)
+        if missing > 0:
+            self.payloads.extend(islice(self._source, missing))
+        return self.payloads[:length]
+
+
+def _first_difference(a: _InOrder, b: _InOrder, total: int, step: int):
+    """The rank of the first assignment where a and b differ, or None."""
+    length = step
+    while True:
+        pa, pb = a.prefix(length), b.prefix(length)
+        if pa != pb:
+            return next(i for i, (x, y) in enumerate(zip(pa, pb)) if x != y)
+        if length >= total:
+            return None
+        length *= step
+
+
+def criterion_exhaustive_kernel() -> CheckOutcome:
+    """Exhaustive functional equivalence against a per-assignment loop: the
+    same verdict and the same first falsifying assignment."""
+    start = time.perf_counter()
+    words = words_up_to("xy", 5)
+    instances = (BOOL, DIAMOND, semiring_from_spec("nat:2,3"))
+    mismatched = []
+    compared = exhaustive = 0
+    for S in instances:
+        carrier = [S.val(x) for x in S.carrier.values]
+        c = len(carrier)
+        for u in words_up_to("xy", 2, include_empty=True):
+            universe = [Variable(s, v) for s in "xy" for v in range(1, len(u) + 2)]
+            total = c ** len(universe)
+            polys = [build_f_canonical(u, w) for w in words]
+            pairs = dict.fromkeys((p, q) for i, p in enumerate(polys) for q in polys[i + 1:])
+            in_order = {p: _InOrder(p, S, universe) for p in polys}
+            for p, q in pairs:
+                got = functionally_equivalent(p, q, S, variables=universe)
+                first = _first_difference(in_order[p], in_order[q], total, c)
+                if first is None:
+                    agree = isinstance(got, Equivalent)
+                else:
+                    witness = dict(zip(universe, next(
+                        islice(iproduct(carrier, repeat=len(universe)), first, None)
+                    )))
+                    values = (in_order[p].payloads[first], in_order[q].payloads[first])
+                    agree = (
+                        isinstance(got, NotEquivalent)
+                        and got.witness == witness
+                        and (got.lhs_value.payload, got.rhs_value.payload) == values
+                    )
+                compared += 1
+                exhaustive += not (isinstance(got, Equivalent) and got.method == "identical-form")
+                if not agree:
+                    mismatched.append(f"{S.name} u={u!r} {p.render()} | {q.render()}")
+    elapsed = time.perf_counter() - start
+    ok = not mismatched and elapsed < 60.0
+    return _outcome(
+        "exhaustive-vs-assignment-loop",
+        ok,
+        f"{compared} polynomial pairs (u of length <= 2, words over {{x, y}} of length "
+        f"<= 5, over {', '.join(S.name for S in instances)}), {exhaustive} settled "
+        f"exhaustively; {len(mismatched)} disagreements {mismatched[:3]}, "
+        f"{elapsed:.1f}s (limit 60s)",
+    )
+
+
 # -- module-level law suites --------------------------------------------------------
 
 
@@ -644,6 +745,7 @@ def suite_checker_equivalence() -> list:
         criterion_triangular_oracle(),
         criterion_monogenic_variety(),
         criterion_balanced_guard(),
+        criterion_exhaustive_kernel(),
     ]
 
 

@@ -56,8 +56,7 @@ def _emit(text: str, output):
         print(text)
 
 
-def _add_common(parser):
-    parser.add_argument("--seed", type=int, default=None, help="RNG seed (default: $SGIDENT_SEED or 0)")
+def _add_output(parser):
     parser.add_argument("--output", default=None, help="write the result to a file instead of stdout")
 
 
@@ -68,7 +67,8 @@ def _add_check_args(parser):
     parser.add_argument("--budget", type=int, default=4096, help="sample budget for equivalence testing over infinite instances")
     parser.add_argument("--verify-samples", type=int, default=1000, help="random morphisms backing a holds verdict on the reflexive monoid")
     parser.add_argument("identity", help="identity as <word>=<word> over a-z")
-    _add_common(parser)
+    parser.add_argument("--seed", type=int, default=None, help="RNG seed (default: $SGIDENT_SEED or 0)")
+    _add_output(parser)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -98,19 +98,19 @@ def build_parser() -> argparse.ArgumentParser:
     p_closure.add_argument("--element-cap", type=int, default=5_000_000)
     p_closure.add_argument("--index-bound", choices=("n", "n-1"), default="n")
     p_closure.add_argument("--max-n", type=int, default=None, help="override the per-family n bound")
-    _add_common(p_closure)
+    _add_output(p_closure)
 
     p_poly = sub.add_parser("poly", help="print an embedding polynomial")
     p_poly.add_argument("--u", required=True, help="the subword (may be empty: '')")
     p_poly.add_argument("--w", required=True)
     p_poly.add_argument("--rho", default=None, help="comma-separated path vertices (default 1..|u|+1)")
     p_poly.add_argument("--n", type=int, default=None, help="vertex range bound when --rho is given")
-    _add_common(p_poly)
+    _add_output(p_poly)
 
     p_verify = sub.add_parser("verify", help="run an acceptance suite")
     p_verify.add_argument("suite", choices=tuple(sorted(SUITES)) + ("all",))
     p_verify.add_argument("--format", choices=("json", "text"), default="text")
-    _add_common(p_verify)
+    _add_output(p_verify)
 
     return parser
 

@@ -10,6 +10,7 @@ the e-fold product.  Idempotent interpretation caps coefficients at one.
 from __future__ import annotations
 
 import random
+import weakref
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple, Optional
@@ -188,11 +189,14 @@ class NotFalsified:
     samples: int
 
 
-_FINITE_TABLES: dict = {}
+_FINITE_TABLES: "weakref.WeakKeyDictionary[SemiringDescriptor, _FiniteTables]" = (
+    weakref.WeakKeyDictionary()
+)
 
 
 class _FiniteTables:
-    """Carrier coded as 0..c-1 with numpy add/mul tables for bulk evaluation."""
+    """Carrier coded as 0..c-1 with flat numpy add/mul tables for bulk
+    evaluation: the sum of codes a and b is ``add[a * c + b]``."""
 
     def __init__(self, S: SemiringDescriptor):
         payloads = list(S.carrier.values)
@@ -201,35 +205,64 @@ class _FiniteTables:
         self.payloads = payloads
         self.code = {p: i for i, p in enumerate(payloads)}
         c = len(payloads)
-        self.add = np.zeros((c, c), dtype=np.uint8)
-        self.mul = np.zeros((c, c), dtype=np.uint8)
+        self.add = np.zeros(c * c, dtype=np.uint8)
+        self.mul = np.zeros(c * c, dtype=np.uint8)
         for i, a in enumerate(payloads):
             for j, b in enumerate(payloads):
-                self.add[i, j] = self.code[_normalize(S._add(a, b))]
-                self.mul[i, j] = self.code[_normalize(S._mul(a, b))]
+                self.add[i * c + j] = self.code[_normalize(S._add(a, b))]
+                self.mul[i * c + j] = self.code[_normalize(S._mul(a, b))]
         self.zero_code = self.code[S._zero_payload]
+        self.size = c
+        # the narrowest unsigned type that holds every flat index a * c + b
+        self.index_type = np.min_scalar_type(c * c - 1)
+        self.powers = {1: np.arange(c, dtype=np.uint8)}
+
+    def apply(self, table: np.ndarray, a, b) -> np.ndarray:
+        """table[a, b] elementwise, broadcasting a against b."""
+        t = self.index_type
+        return table.take(np.add(np.multiply(a, self.size, dtype=t), b, dtype=t))
+
+    def power(self, exponent: int) -> np.ndarray:
+        """The codes of x^exponent for x = 0..c-1."""
+        vec = self.powers.get(exponent)
+        if vec is None:
+            base = vec = self.powers[1]
+            for _ in range(exponent - 1):
+                vec = self.apply(self.mul, vec, base)
+            self.powers[exponent] = vec
+        return vec
 
 
 def _finite_tables(S: SemiringDescriptor) -> _FiniteTables:
-    tables = _FINITE_TABLES.get(S.name)
+    tables = _FINITE_TABLES.get(S)
     if tables is None:
-        tables = _FiniteTables(S)
-        _FINITE_TABLES[S.name] = tables
+        tables = _FINITE_TABLES[S] = _FiniteTables(S)
     return tables
 
 
-def _eval_codes(p: FormalPolynomial, grid, var_pos: dict, S, tables) -> np.ndarray:
-    total = np.full(grid.shape[1], tables.zero_code, dtype=np.uint8)
+def _eval_codes(p: FormalPolynomial, var_pos: dict, S, tables) -> np.ndarray:
+    """The codes of p at every assignment, as a (c,)*k tensor with one axis per
+    variable.  A monomial is built over its own axes only; adding it into the
+    total broadcasts it over the rest."""
+    c = tables.size
+    k = len(var_pos)
+    total = np.full((c,) * k, tables.zero_code, dtype=np.uint8)
+    added = set()
     for mono, coeff in p.terms:
         coeff_code = tables.code[S.payload_of(S.nat_embed(coeff))]
-        acc = np.full(grid.shape[1], coeff_code, dtype=np.uint8)
-        for var, exponent in mono:
-            col = grid[var_pos[var]]
-            powered = col
-            for _ in range(exponent - 1):
-                powered = tables.mul[powered, col]
-            acc = tables.mul[acc, powered]
-        total = tables.add[total, acc]
+        factors = [(var_pos[var], tables.power(e)) for var, e in mono]
+        if S.is_idempotent:
+            # a + a = a: a term equal to one already added changes nothing
+            key = (coeff_code, tuple((axis, vec.tobytes()) for axis, vec in factors))
+            if key in added:
+                continue
+            added.add(key)
+        acc = np.uint8(coeff_code)
+        for axis, vec in factors:
+            shape = [1] * k
+            shape[axis] = c
+            acc = tables.apply(tables.mul, acc, vec.reshape(shape))
+        total = tables.apply(tables.add, total, acc)
     return total
 
 
@@ -237,26 +270,24 @@ def _exhaustive(p, q, S, variables, cap):
     tables = _finite_tables(S)
     c = len(tables.payloads)
     count = len(variables)
-    if count == 0:
-        a = evaluate(p, {}, S)
-        b = evaluate(q, {}, S)
+    if count == 0 or c == 1:
+        # one assignment only; a tensor with one axis per variable would also
+        # run into numpy's limit on the number of axes
+        only = {v: S._wrap(tables.payloads[0]) for v in variables}
+        a = evaluate(p, only, S)
+        b = evaluate(q, only, S)
         if a == b:
             return Equivalent("exhaustive")
-        return NotEquivalent({}, a, b)
-    total = c**count
-    if total > cap:
+        return NotEquivalent(only, a, b)
+    if c**count > cap:
         return None
-    grid = np.indices((c,) * count, dtype=np.uint8).reshape(count, total)
     var_pos = {v: i for i, v in enumerate(variables)}
-    pv = _eval_codes(p, grid, var_pos, S, tables)
-    qv = _eval_codes(q, grid, var_pos, S, tables)
-    diff = pv != qv
+    diff = _eval_codes(p, var_pos, S, tables) != _eval_codes(q, var_pos, S, tables)
     if not diff.any():
         return Equivalent("exhaustive")
-    first = int(np.argmax(diff))
-    witness = {
-        v: S._wrap(tables.payloads[int(grid[i, first])]) for i, v in enumerate(variables)
-    }
+    # C order on the tensor is the canonical enumeration: first variable slowest
+    first = np.unravel_index(int(np.argmax(diff)), diff.shape)
+    witness = {v: S._wrap(tables.payloads[int(i)]) for v, i in zip(variables, first)}
     return NotEquivalent(witness, evaluate(p, witness, S), evaluate(q, witness, S))
 
 
@@ -285,8 +316,11 @@ def functionally_equivalent(
 
     Identical canonical forms (coefficients capped when S is idempotent) are
     equivalent over any instance.  Finite carriers are settled by exhaustive
-    evaluation up to ``exhaustive_cap`` total assignments; otherwise seeded
-    sampling either produces a falsifying witness or reports NotFalsified.
+    evaluation up to ``exhaustive_cap`` total assignments: both sides are
+    evaluated over a tensor with one axis of size c per variable, each
+    monomial over its own axes and broadcast over the rest, so memory is
+    c^k bytes per array.  Otherwise seeded sampling either produces a
+    falsifying witness or reports NotFalsified.
     The witness is always the first falsifying assignment in the canonical
     enumeration (or sampling) order, so verdicts are reproducible.
     """

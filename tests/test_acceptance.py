@@ -66,6 +66,10 @@ def test_criterion_14_table_vs_products():
     _report(14, acceptance.criterion_table_products())
 
 
+def test_criterion_15_exhaustive_kernel():
+    _report(15, acceptance.criterion_exhaustive_kernel())
+
+
 def test_law_suites_hold():
     for outcome in acceptance.suite_semiring_axioms() + acceptance.suite_word_oracles():
         status = "PASS" if outcome.ok else "FAIL"

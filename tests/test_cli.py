@@ -36,6 +36,17 @@ def test_check_fails_exit_one(capsys):
     assert payload["verdict"]["distinguishing_u"] == "ab"
 
 
+def test_one_element_carrier_with_more_variables_than_numpy_axes(capsys):
+    # 22 letters give 66 variables at |u| = 2; the carrier of nat:0,1 is {0},
+    # so there is one assignment and the identity holds
+    code, out, _ = run_cli(
+        capsys, "check", "--monoid", "ut", "--n", "3", "--semiring", "nat:0,1",
+        "abcdefghijklmnopqrstuv=vutsrqponmlkjihgfedcba",
+    )
+    assert code == 0
+    assert json.loads(out)["verdict"]["outcome"] == "holds"
+
+
 def test_reports_validate_against_the_schema(capsys):
     schema = load_schema()
     for argv in (
@@ -62,6 +73,8 @@ def test_usage_errors_exit_two(capsys):
     assert run_cli(capsys, "check", "--monoid", "u", "--n", "3", "--semiring", "bool", "x==")[0] == 2
     assert run_cli(capsys, "nonsense")[0] == 2
     assert run_cli(capsys, "verify", "word-oracles", "--jobs", "2")[0] == 2
+    # only check and witness draw random numbers
+    assert run_cli(capsys, "closure", "--family", "gossip", "--n", "3", "--seed", "5")[0] == 2
     code, _, err = run_cli(
         capsys, "closure", "--family", "gossip", "--n", "4", "--element-cap", "10"
     )

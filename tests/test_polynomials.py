@@ -11,13 +11,24 @@ from sgident.polynomials import (
     NotFalsified,
     Variable,
     ZERO_POLYNOMIAL,
+    _eval_codes,
+    _finite_tables,
     _sampled,
     build_f,
     build_f_canonical,
     evaluate,
     functionally_equivalent,
 )
-from sgident.semirings import BOOL, MAXPLUS, NAT, semiring_from_spec
+from sgident.semirings import (
+    BOOL,
+    DIAMOND,
+    MAXPLUS,
+    NAT,
+    FiniteCarrier,
+    SemiringDescriptor,
+    Val,
+    semiring_from_spec,
+)
 from sgident.words import scattered_multiplicity, words_up_to
 
 
@@ -130,6 +141,49 @@ def test_boolean_inequivalence_yields_lexicographically_first_witness():
     # carrier order is (0, 1): the first distinguishing assignment is a=0, b=1
     assert result.witness[Variable("a", 1)] == BOOL.zero
     assert result.witness[Variable("b", 1)] == BOOL.one
+
+
+def test_first_witness_follows_the_order_of_the_variables():
+    # the first variable, x(a,1), varies slowest; a reversed order, or one
+    # that moves x(b,1) before x(a,2), would first differ elsewhere
+    a1, a2, b1 = Variable("a", 1), Variable("a", 2), Variable("b", 1)
+    p = poly({((a1, 1),): 1, ((b1, 1),): 1})
+    q = poly({((a2, 1),): 1})
+    result = functionally_equivalent(p, q, DIAMOND)
+    assert isinstance(result, NotEquivalent)
+    assert result.witness == {a1: DIAMOND.val(0), a2: DIAMOND.val(0), b1: DIAMOND.val(1)}
+    assert (result.lhs_value, result.rhs_value) == (DIAMOND.val(1), DIAMOND.val(0))
+
+
+@pytest.mark.parametrize("spec", ["bool", "lattice:diamond", "nat:2,3", "nat:10,10"])
+def test_coded_values_match_evaluate_at_every_assignment(spec):
+    # x*y^3 and x^3*y coincide as functions over nat:2,3, where they must still
+    # be added twice; nat:10,10 has 20 elements, so flat indices a * 20 + b
+    # outgrow a byte
+    S = semiring_from_spec(spec)
+    x, y = Variable("a", 1), Variable("b", 1)
+    p = poly({((x, 1), (y, 3)): 1, ((x, 3), (y, 1)): 1, ((x, 2),): 13, (): 15})
+    tables = _finite_tables(S)
+    codes = _eval_codes(p, {x: 0, y: 1}, S, tables)
+    for i, a in enumerate(S.carrier.values):
+        for j, b in enumerate(S.carrier.values):
+            expected = evaluate(p, {x: S.val(a), y: S.val(b)}, S)
+            assert S.val(tables.payloads[codes[i, j]]) == expected
+
+
+def test_finite_tables_follow_the_descriptor_not_its_name():
+    # a four-element lattice under the name of the builtin Boolean instance
+    lattice = SemiringDescriptor(
+        "bool", lambda a, b: a | b, lambda a, b: a & b, 0, 3,
+        idempotent=True, interval=True, carrier=FiniteCarrier((0, 1, 2, 3)),
+    )
+    p = poly({mono(("a", 1, 1)): 1, mono(("b", 1, 1)): 1})
+    one = poly({(): 1})
+    on_bool = functionally_equivalent(p, one, BOOL)
+    assert on_bool.rhs_value == BOOL.one
+    on_lattice = functionally_equivalent(p, one, lattice)
+    assert isinstance(on_lattice, NotEquivalent)
+    assert on_lattice.rhs_value == Val("bool", 3)
 
 
 def test_tropical_absorption_is_not_falsified():
