@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .errors import InternalConsistencyError, UnsupportedStructureError
-from .matrices import MorphismTable, SMatrix, format_matrix, random_reflexive
+from .matrices import MorphismTable, format_matrix, matrix_from_payloads, random_reflexive
 from .polynomials import (
     Equivalent,
     NotEquivalent,
@@ -139,20 +139,39 @@ def path_morphism(
         for k, letter in enumerate(u, start=1):
             if letter == s:
                 rows[k - 1][k] = S.one
-        images[s] = SMatrix(S, tuple(tuple(r) for r in rows), validate=False)
+        images[s] = matrix_from_payloads(S, rows)
     return MorphismTable(images)
 
 
-def _verify_witness(
-    ident: Identity, phi: MorphismTable, entry: tuple
-) -> None:
-    lhs = phi.apply(ident.lhs)
-    rhs = phi.apply(ident.rhs)
-    i, j = entry
-    if lhs.entry(i, j) == rhs.entry(i, j):
+def _fails(
+    ident: Identity,
+    n: int,
+    S: SemiringDescriptor,
+    criterion: str,
+    evidence: list,
+    u: str,
+    diagonal: Optional[dict] = None,
+) -> Verdict:
+    """The fails verdict for the distinguishing word u.  Its witness is the
+    path morphism along u, re-multiplied on both sides and checked to differ
+    at entry (1, |u|+1) before it is returned."""
+    phi = path_morphism(u, ident.alphabet, n, S, diagonal)
+    entry = (1, len(u) + 1)
+    if phi.apply(ident.lhs).entry(*entry) == phi.apply(ident.rhs).entry(*entry):
         raise InternalConsistencyError(
             f"constructed witness for {ident} does not distinguish entry {entry}"
         )
+    return Verdict(
+        FAILS, criterion, evidence, distinguishing_u=u, witness=phi, witness_entry=entry
+    )
+
+
+def _candidate_us(ident: Identity, k: int) -> list:
+    """The subwords of length at most k of either side, shortest first."""
+    return sorted(
+        subword_set(ident.lhs, k) | subword_set(ident.rhs, k),
+        key=lambda u: (len(u), u),
+    )
 
 
 # -- checkers ---------------------------------------------------------------------------
@@ -165,7 +184,6 @@ def check_UT(
     *,
     budget: int = 4096,
     seed: int = 0,
-    exhaustive_cap: int = 1 << 20,
 ) -> Verdict:
     """Identity check for the upper triangular monoid.
 
@@ -196,7 +214,7 @@ def check_UT(
         fu_v = build_f_canonical(u, ident.rhs)
         result = functionally_equivalent(
             fu_w, fu_v, S,
-            variables=universe, budget=budget, seed=seed, exhaustive_cap=exhaustive_cap,
+            variables=universe, budget=budget, seed=seed,
         )
         if isinstance(result, Equivalent):
             evidence.append({"u": u, "result": "equivalent", "method": result.method})
@@ -212,17 +230,7 @@ def check_UT(
         diagonal = {
             (var.letter, var.vertex): value for var, value in result.witness.items()
         }
-        phi = path_morphism(u, alphabet, n, S, diagonal)
-        entry = (1, len(u) + 1)
-        _verify_witness(ident, phi, entry)
-        return Verdict(
-            FAILS,
-            "triangular-polynomials",
-            evidence,
-            distinguishing_u=u,
-            witness=phi,
-            witness_entry=entry,
-        )
+        return _fails(ident, n, S, "triangular-polynomials", evidence, u, diagonal)
     if inconclusive:
         return Verdict(
             UNDETERMINED,
@@ -252,13 +260,8 @@ def check_Un(ident: Identity, n: int, S: SemiringDescriptor) -> Verdict:
     through the instance's repeated-sums-of-1 arithmetic.  Always decisive."""
     if n < 2:
         raise ValueError("n must be >= 2")
-    k = n - 1
-    us = sorted(
-        subword_set(ident.lhs, k) | subword_set(ident.rhs, k),
-        key=lambda u: (len(u), u),
-    )
     evidence = []
-    for u in us:
+    for u in _candidate_us(ident, n - 1):
         mw = scattered_multiplicity(u, ident.lhs)
         mv = scattered_multiplicity(u, ident.rhs)
         equal = _reduced_equal(S, mw, mv)
@@ -266,17 +269,7 @@ def check_Un(ident: Identity, n: int, S: SemiringDescriptor) -> Verdict:
             {"u": u, "lhs_multiplicity": mw, "rhs_multiplicity": mv, "equal": equal}
         )
         if not equal:
-            phi = path_morphism(u, ident.alphabet, n, S)
-            entry = (1, len(u) + 1)
-            _verify_witness(ident, phi, entry)
-            return Verdict(
-                FAILS,
-                "subword-multiplicities",
-                evidence,
-                distinguishing_u=u,
-                witness=phi,
-                witness_entry=entry,
-            )
+            return _fails(ident, n, S, "subword-multiplicities", evidence, u)
     return Verdict(HOLDS, "subword-multiplicities", evidence)
 
 
@@ -300,17 +293,7 @@ def check_Un_idempotent(
     if left == right:
         return Verdict(HOLDS, "subword-sets", evidence)
     u = min(left ^ right, key=lambda s: (len(s), s))
-    phi = path_morphism(u, ident.alphabet, n, S)
-    entry = (1, len(u) + 1)
-    _verify_witness(ident, phi, entry)
-    return Verdict(
-        FAILS,
-        "subword-sets",
-        evidence,
-        distinguishing_u=u,
-        witness=phi,
-        witness_entry=entry,
-    )
+    return _fails(ident, n, S, "subword-sets", evidence, u)
 
 
 def check_Rn(
@@ -409,10 +392,7 @@ def run_check(
         us = [e["u"] for e in verdict.evidence]
     elif monoid == "r":
         verdict = check_Rn(ident, n, S, verify_samples=verify_samples, seed=seed)
-        us = sorted(
-            subword_set(ident.lhs, n - 1) | subword_set(ident.rhs, n - 1),
-            key=lambda u: (len(u), u),
-        )
+        us = _candidate_us(ident, n - 1)
     else:
         raise ValueError(f"unknown monoid kind {monoid!r}; use ut, u, or r")
     elapsed = (time.perf_counter() - start) * 1000.0

@@ -52,8 +52,16 @@ def _emit(text: str, output):
     if output:
         with open(output, "w", encoding="utf-8") as fh:
             fh.write(text if text.endswith("\n") else text + "\n")
-    else:
-        print(text)
+        return
+    try:
+        print(text, flush=True)
+    except BrokenPipeError:
+        # The reader stopped early (``| head``).  What is still buffered goes
+        # to os.devnull, so the flush at interpreter exit cannot raise again,
+        # and the command keeps its own exit code.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
 
 
 def _add_output(parser):

@@ -14,7 +14,7 @@ from .errors import (
     UnsupportedStructureError,
 )
 from .polynomials import Variable, build_f_canonical, evaluate
-from .semirings import BOOL, SemiringDescriptor, Val
+from .semirings import BOOL, SemiringDescriptor, Val, _normalize
 from .words import subword_set
 
 
@@ -23,28 +23,23 @@ MAX_DIMENSION = 8
 
 
 class SMatrix:
-    """An immutable n x n matrix of tagged semiring values."""
+    """An immutable n x n matrix over one semiring instance.
+
+    ``rows`` holds normalized raw payloads of ``semiring``; entries are
+    tagged values only when read through :meth:`entry`.  The constructor
+    trusts its rows: input from outside goes through
+    :func:`matrix_from_payloads`, :func:`parse_matrix` or a call constructor,
+    which check it.
+    """
 
     __slots__ = ("semiring", "rows", "_hash")
 
-    def __init__(self, semiring: SemiringDescriptor, rows: tuple, validate: bool = True):
+    def __init__(self, semiring: SemiringDescriptor, rows: tuple):
         if len(rows) > MAX_DIMENSION:
             raise ValueError(
                 f"n={len(rows)} above the dimension cap {MAX_DIMENSION}; "
                 "raise sgident.matrices.MAX_DIMENSION if you mean it"
             )
-        if validate:
-            n = len(rows)
-            if n < 1:
-                raise ValueError("matrices need n >= 1")
-            for row in rows:
-                if len(row) != n:
-                    raise ValueError("matrix is not square")
-                for v in row:
-                    if not isinstance(v, Val) or v.tag != semiring.name:
-                        raise InstanceMismatchError(
-                            f"entry {v!r} does not belong to {semiring.name}"
-                        )
         self.semiring = semiring
         self.rows = rows
         self._hash = None
@@ -55,12 +50,13 @@ class SMatrix:
 
     def entry(self, i: int, j: int) -> Val:
         """1-based access."""
-        return self.rows[i - 1][j - 1]
+        return self.semiring._wrap(self.rows[i - 1][j - 1])
 
     def __eq__(self, other):
         if not isinstance(other, SMatrix):
             return NotImplemented
-        return self.rows == other.rows
+        # payloads of different instances can compare equal (True == 1)
+        return self.semiring is other.semiring and self.rows == other.rows
 
     def __hash__(self):
         if self._hash is None:
@@ -72,37 +68,41 @@ class SMatrix:
 
 
 def matrix_from_payloads(S: SemiringDescriptor, rows) -> SMatrix:
-    return SMatrix(S, tuple(tuple(S.val(p) for p in row) for row in rows))
+    """A square matrix from rows of payloads or values of ``S``, each checked
+    for carrier membership."""
+    rows = tuple(tuple(S.val(p).payload for p in row) for row in rows)
+    n = len(rows)
+    if n < 1:
+        raise ValueError("matrices need n >= 1")
+    if any(len(row) != n for row in rows):
+        raise ValueError("matrix is not square")
+    return SMatrix(S, rows)
 
 
 def identity_matrix(n: int, S: SemiringDescriptor) -> SMatrix:
-    one, zero = S.one, S.zero
+    one, zero = S._one_payload, S._zero_payload
     return SMatrix(
-        S,
-        tuple(tuple(one if i == j else zero for j in range(n)) for i in range(n)),
-        validate=False,
+        S, tuple(tuple(one if i == j else zero for j in range(n)) for i in range(n))
     )
 
 
 def all_ones(n: int, S: SemiringDescriptor) -> SMatrix:
-    one = S.one
-    return SMatrix(S, tuple((one,) * n for _ in range(n)), validate=False)
+    return SMatrix(S, ((S._one_payload,) * n,) * n)
 
 
 def _bool_multiply(a: SMatrix, b: SMatrix) -> SMatrix:
+    # one OR of row bitmasks per nonzero entry; measured faster than the
+    # generic row combination on the Boolean closures
     n = a.n
-    bmask = [
-        sum(1 << j for j, v in enumerate(row) if v.payload) for row in b.rows
-    ]
-    one, zero = a.semiring.one, a.semiring.zero
+    bmask = [sum(1 << j for j, v in enumerate(row) if v) for row in b.rows]
     out = []
     for row in a.rows:
         acc = 0
         for k, v in enumerate(row):
-            if v.payload:
+            if v:
                 acc |= bmask[k]
-        out.append(tuple(one if acc >> j & 1 else zero for j in range(n)))
-    return SMatrix(a.semiring, tuple(out), validate=False)
+        out.append(tuple(acc >> j & 1 == 1 for j in range(n)))
+    return SMatrix(BOOL, tuple(out))
 
 
 def multiply(a: SMatrix, b: SMatrix) -> SMatrix:
@@ -115,30 +115,19 @@ def multiply(a: SMatrix, b: SMatrix) -> SMatrix:
     S = a.semiring
     if S is BOOL:
         return _bool_multiply(a, b)
-    n = a.n
     add, mul, zero = S._add, S._mul, S._zero_payload
-    bp = [[v.payload for v in row] for row in b.rows]
+    columns = range(a.n)
     out = []
     for row in a.rows:
-        ap = [v.payload for v in row]
+        terms = [(p, brow) for p, brow in zip(row, b.rows) if p != zero]
         orow = []
-        for j in range(n):
+        for j in columns:
             acc = zero
-            for k in range(n):
-                if ap[k] != zero:
-                    acc = add(acc, mul(ap[k], bp[k][j]))
-            orow.append(S._wrap(acc))
+            for p, brow in terms:
+                acc = add(acc, mul(p, brow[j]))
+            orow.append(_normalize(acc))
         out.append(tuple(orow))
-    return SMatrix(S, tuple(out), validate=False)
-
-
-def mat_pow(a: SMatrix, k: int) -> SMatrix:
-    if k < 0:
-        raise ValueError("negative matrix power")
-    result = identity_matrix(a.n, a.semiring)
-    for _ in range(k):
-        result = multiply(result, a)
-    return result
+    return SMatrix(S, tuple(out))
 
 
 def product(factors) -> SMatrix:
@@ -151,27 +140,23 @@ def product(factors) -> SMatrix:
     return result
 
 
-def transpose(a: SMatrix) -> SMatrix:
-    return SMatrix(a.semiring, tuple(zip(*a.rows)), validate=False)
-
-
 # -- predicates ----------------------------------------------------------------
 
 
 def is_upper_triangular(a: SMatrix) -> bool:
-    zero = a.semiring.zero
+    zero = a.semiring._zero_payload
     return all(
         a.rows[i][j] == zero for i in range(a.n) for j in range(i)
     )
 
 
 def is_unitriangular(a: SMatrix) -> bool:
-    one = a.semiring.one
+    one = a.semiring._one_payload
     return is_upper_triangular(a) and all(a.rows[i][i] == one for i in range(a.n))
 
 
 def is_reflexive(a: SMatrix) -> bool:
-    one = a.semiring.one
+    one = a.semiring._one_payload
     return all(a.rows[i][i] == one for i in range(a.n))
 
 
@@ -184,10 +169,9 @@ def leq_entrywise(a: SMatrix, b: SMatrix) -> bool:
         raise UnsupportedStructureError(
             f"{S.name} is not idempotent; the entrywise order is undefined"
         )
+    indices = range(1, a.n + 1)
     return all(
-        S.natural_leq(a.rows[i][j], b.rows[i][j])
-        for i in range(a.n)
-        for j in range(a.n)
+        S.natural_leq(a.entry(i, j), b.entry(i, j)) for i in indices for j in indices
     )
 
 
@@ -205,16 +189,16 @@ def one_way_call(
     if i == j:
         raise ValueError("call indices must differ")
     if value is None:
-        v = S.one
+        v = S._one_payload
     else:
         if not S.is_interval:
             raise UnsupportedStructureError(
                 f"weighted calls need an interval instance, not {S.name}"
             )
-        v = S.val(value)
-    rows = [[S.one if r == c else S.zero for c in range(1, n + 1)] for r in range(1, n + 1)]
+        v = S.val(value).payload
+    rows = [list(r) for r in identity_matrix(n, S).rows]
     rows[i - 1][j - 1] = v
-    return SMatrix(S, tuple(tuple(r) for r in rows), validate=False)
+    return SMatrix(S, tuple(tuple(r) for r in rows))
 
 
 def two_way_call(
@@ -302,8 +286,7 @@ def walk_entry(phi: MorphismTable, w: str, i: int, j: int) -> Val:
     diag = {
         (s, v): phi.image(s).entry(v, v) for s in letters for v in range(1, n + 1)
     }
-    total = S._zero_payload
-    zero = S._zero_payload
+    zero = total = S.zero
     candidates = [""]
     if n > 1:
         candidates += sorted(subword_set(w, n - 1), key=lambda u: (len(u), u))
@@ -321,11 +304,9 @@ def walk_entry(phi: MorphismTable, w: str, i: int, j: int) -> Val:
             continue
         poly = build_f_canonical(u, w)
         for rho in paths:
-            coeff = S._one_payload
+            coeff = S.one
             for k in range(1, l + 1):
-                coeff = S._mul(
-                    coeff, phi.images[u[k - 1]].entry(rho[k - 1], rho[k]).payload
-                )
+                coeff = S.mul(coeff, phi.images[u[k - 1]].entry(rho[k - 1], rho[k]))
                 if coeff == zero:
                     break
             if coeff == zero:
@@ -335,9 +316,8 @@ def walk_entry(phi: MorphismTable, w: str, i: int, j: int) -> Val:
                 for s in letters
                 for pos in range(l + 1)
             }
-            value = evaluate(poly, assignment, S)
-            total = S._add(total, S._mul(coeff, value.payload))
-    return S._wrap(total)
+            total = S.add(total, S.mul(coeff, evaluate(poly, assignment, S)))
+    return total
 
 
 def _compositions(total: int, parts: int):
@@ -372,7 +352,7 @@ def block_chain_entry(factors, i: int, j: int) -> Val:
         if not is_reflexive(f):
             raise UnsupportedStructureError("factors must have unit diagonal")
     L = len(factors)
-    total = S._zero_payload
+    zero = total = S._zero_payload
     if i == j:
         sequences = [(i,)]
     else:
@@ -388,9 +368,9 @@ def block_chain_entry(factors, i: int, j: int) -> Val:
             for vertex, size in zip(seq, comp):
                 rho.extend([vertex] * size)
             term = S._one_payload
-            for t in range(1, L + 1):
-                term = S._mul(term, factors[t - 1].entry(rho[t - 1], rho[t]).payload)
-                if term == S._zero_payload:
+            for t in range(L):
+                term = S._mul(term, factors[t].rows[rho[t] - 1][rho[t + 1] - 1])
+                if term == zero:
                     break
             total = S._add(total, term)
     return S._wrap(total)
@@ -435,14 +415,14 @@ def is_convex(a: SMatrix) -> bool:
     """Unit diagonal and contiguous runs of ones in every row and column."""
     _require_bool(a, "convexity")
     n = a.n
-    if any(not a.rows[i][i].payload for i in range(n)):
+    if not all(a.rows[i][i] for i in range(n)):
         return False
     for i in range(n):
-        ones = [j for j in range(n) if a.rows[i][j].payload]
+        ones = [j for j in range(n) if a.rows[i][j]]
         if ones != list(range(ones[0], ones[-1] + 1)):
             return False
     for j in range(n):
-        ones = [i for i in range(n) if a.rows[i][j].payload]
+        ones = [i for i in range(n) if a.rows[i][j]]
         if ones != list(range(ones[0], ones[-1] + 1)):
             return False
     return True
@@ -451,14 +431,13 @@ def is_convex(a: SMatrix) -> bool:
 def upper_profile(a: SMatrix) -> SMatrix:
     """Keep entries on or above the diagonal; zero the rest."""
     _require_bool(a, "the upper profile")
-    zero = a.semiring.zero
+    zero = a.semiring._zero_payload
     return SMatrix(
         a.semiring,
         tuple(
             tuple(v if i <= j else zero for j, v in enumerate(row))
             for i, row in enumerate(a.rows)
         ),
-        validate=False,
     )
 
 
@@ -471,7 +450,7 @@ def decompose_convex(a: SMatrix) -> list:
     if not (is_convex(a) and is_upper_triangular(a)):
         raise ValueError("decomposition needs a convex upper unitriangular matrix")
     n = a.n
-    reach = [max(j for j in range(n) if a.rows[i][j].payload) + 1 for i in range(n)]
+    reach = [max(j for j in range(n) if a.rows[i][j]) + 1 for i in range(n)]
     word = []
     for i in range(n - 1, 0, -1):
         word.extend(range(i, reach[i - 1]))
@@ -488,8 +467,8 @@ def decompose_convex(a: SMatrix) -> list:
 
 def format_matrix(a: SMatrix) -> str:
     """Row-major text: entries space separated, rows joined by '; '."""
-    S = a.semiring
-    return "; ".join(" ".join(S.format_value(v) for v in row) for row in a.rows)
+    fmt = a.semiring._format
+    return "; ".join(" ".join(fmt(p) for p in row) for row in a.rows)
 
 
 def parse_matrix(S: SemiringDescriptor, text: str) -> SMatrix:
@@ -498,11 +477,8 @@ def parse_matrix(S: SemiringDescriptor, text: str) -> SMatrix:
         entries = chunk.split()
         if not entries:
             raise ValueError("empty matrix row")
-        rows.append(tuple(S.parse_value(e) for e in entries))
-    n = len(rows)
-    if any(len(r) != n for r in rows):
-        raise ValueError("matrix text is not square")
-    return SMatrix(S, tuple(rows))
+        rows.append([S.parse_value(e) for e in entries])
+    return matrix_from_payloads(S, rows)
 
 
 # -- randomized constructions ----------------------------------------------------------
@@ -512,33 +488,32 @@ def random_matrix(S: SemiringDescriptor, n: int, rng: random.Random) -> SMatrix:
     return SMatrix(
         S,
         tuple(
-            tuple(S.sample_value(rng) for _ in range(n)) for _ in range(n)
+            tuple(S.sample_value(rng).payload for _ in range(n)) for _ in range(n)
         ),
-        validate=False,
     )
 
 
 def random_upper_triangular(S: SemiringDescriptor, n: int, rng: random.Random) -> SMatrix:
+    zero = S._zero_payload
     return SMatrix(
         S,
         tuple(
             tuple(
-                S.sample_value(rng) if j >= i else S.zero for j in range(n)
+                S.sample_value(rng).payload if j >= i else zero for j in range(n)
             )
             for i in range(n)
         ),
-        validate=False,
     )
 
 
 def random_reflexive(S: SemiringDescriptor, n: int, rng: random.Random) -> SMatrix:
+    one = S._one_payload
     return SMatrix(
         S,
         tuple(
             tuple(
-                S.one if i == j else S.sample_value(rng) for j in range(n)
+                one if i == j else S.sample_value(rng).payload for j in range(n)
             )
             for i in range(n)
         ),
-        validate=False,
     )

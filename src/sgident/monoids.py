@@ -174,7 +174,7 @@ def bfs_closure(
 
 
 def _enumerate_positions(S, n, positions, family, size_cap=1 << 18):
-    values = S.values()
+    values = [v.payload for v in S.values()]
     total = len(values) ** len(positions)
     if total > size_cap:
         raise BudgetExceededError(
@@ -186,7 +186,7 @@ def _enumerate_positions(S, n, positions, family, size_cap=1 << 18):
         rows = [list(r) for r in base.rows]
         for (i, j), v in zip(positions, combo):
             rows[i][j] = v
-        out.append(SMatrix(S, tuple(tuple(r) for r in rows), validate=False))
+        out.append(SMatrix(S, tuple(tuple(r) for r in rows)))
     return ClosureResult(S, n, family, (), (), out, None, None)
 
 
@@ -202,18 +202,18 @@ def enumerate_unitriangular(n: int, S: SemiringDescriptor = BOOL) -> ClosureResu
 
 
 def enumerate_upper_triangular(n: int, S: SemiringDescriptor = BOOL) -> ClosureResult:
-    values = S.values()
+    values = [v.payload for v in S.values()]
     positions = [(i, j) for i in range(n) for j in range(i, n)]
     total = len(values) ** len(positions)
     if total > 1 << 18:
         raise BudgetExceededError("upper-triangular enumeration too large")
-    zero = S.zero
+    zero = S._zero_payload
     out = []
     for combo in iproduct(values, repeat=len(positions)):
         rows = [[zero] * n for _ in range(n)]
         for (i, j), v in zip(positions, combo):
             rows[i][j] = v
-        out.append(SMatrix(S, tuple(tuple(r) for r in rows), validate=False))
+        out.append(SMatrix(S, tuple(tuple(r) for r in rows)))
     return ClosureResult(S, n, None, (), (), out, None, None)
 
 
@@ -474,6 +474,10 @@ class BruteForceFails:
     matrices: dict  # letter -> SMatrix
 
 
+# assignments folded per step: bounds the per-letter index columns in memory
+_FOLD_CHUNK = 1 << 18
+
+
 def _fold_word(table: np.ndarray, word: str, columns: dict) -> np.ndarray:
     acc = columns[word[0]]
     for ch in word[1:]:
@@ -488,7 +492,6 @@ def brute_force_identity(
     sample: Optional[int] = None,
     seed: int = 0,
     assignment_cap: int = 10_000_000,
-    chunk: int = 1 << 18,
 ):
     """Evaluate both sides of the identity under every assignment of letters
     to elements of M (or ``sample`` seeded random assignments), returning the
@@ -498,7 +501,7 @@ def brute_force_identity(
     leftmost letter most significant.  Sampled assignments are drawn one
     trial after another, one ``randrange`` per letter in sorted order, and
     the first failing trial is returned.  Both modes fold the words through
-    ``M.mult_table()``, ``chunk`` assignments at a time.
+    ``M.mult_table()``, ``_FOLD_CHUNK`` assignments at a time.
     """
     letters = sorted(set(ident.lhs) | set(ident.rhs))
     m = len(M.elements)
@@ -515,8 +518,8 @@ def brute_force_identity(
         rng = random.Random(seed)
     table = M.mult_table()
     checked = 0
-    for start in range(0, total, chunk):
-        stop = min(start + chunk, total)
+    for start in range(0, total, _FOLD_CHUNK):
+        stop = min(start + _FOLD_CHUNK, total)
         if sample is None:
             flat = np.arange(start, stop, dtype=np.int64)
             columns = {

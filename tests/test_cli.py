@@ -1,7 +1,10 @@
 import importlib.resources
 import json
+import os
+import sys
 
 import jsonschema
+import pytest
 
 from sgident.cli import main
 
@@ -129,6 +132,27 @@ def test_closure_weighted_family(capsys):
     assert code == 0
     header = out.splitlines()[0]
     assert "s_sample=0,1" in header and "semiring=minplus01inf" in header
+
+
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        (("closure", "--family", "catalanU", "--n", "4"), 0),
+        (("check", "--monoid", "u", "--n", "3", "--semiring", "bool", "abab=abba"), 0),
+        (("check", "--monoid", "u", "--n", "3", "--semiring", "nat", "abab=abba"), 1),
+    ],
+)
+def test_closed_pipe_keeps_the_exit_code(argv, expected, capsys, monkeypatch):
+    # stdout is a pipe whose reader has gone, as under `sgident ... | head -1`:
+    # every write to it raises BrokenPipeError
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    with open(write_end, "w") as stdout:
+        monkeypatch.setattr(sys, "stdout", stdout)
+        code = main(list(argv))
+        monkeypatch.undo()
+    assert code == expected
+    assert capsys.readouterr().err == ""
 
 
 def test_poly_output(capsys):

@@ -22,7 +22,6 @@ from sgident.matrices import (
     is_unitriangular,
     is_upper_triangular,
     leq_entrywise,
-    mat_pow,
     matrix_from_payloads,
     multiply,
     one_way_call,
@@ -31,12 +30,12 @@ from sgident.matrices import (
     product,
     random_reflexive,
     random_upper_triangular,
-    transpose,
     two_way_call,
     upper_profile,
     walk_entry,
 )
-from sgident.semirings import BOOL, INTERVAL01, MINPLUS01INF, NAT
+from sgident.monoids import family
+from sgident.semirings import BOOL, INTERVAL01, MINPLUS01INF, NAT, semiring_from_spec
 
 
 def bool_matrix(rows):
@@ -53,6 +52,20 @@ def test_multiply_identity_and_shapes():
         multiply(A, identity_matrix(2, NAT))
 
 
+def test_equal_payloads_over_different_instances_stay_apart():
+    # nat:1,1 stores 0 and 1 where bool stores False and True, and True == 1
+    T = semiring_from_spec("nat:1,1")
+    over_bool, over_t = identity_matrix(2, BOOL), identity_matrix(2, T)
+    assert over_bool.rows == over_t.rows
+    assert over_bool != over_t
+    assert over_bool.entry(1, 1) == BOOL.one != over_t.entry(1, 1)
+    assert len({over_bool: "bool", over_t: "nat:1,1"}) == 2
+    catalan = family("catalanU", 2)
+    assert over_bool in catalan and over_t not in catalan
+    with pytest.raises(InstanceMismatchError):
+        multiply(over_bool, over_t)
+
+
 def test_one_way_calls_compose_to_the_full_exchange():
     assert multiply(one_way_call(1, 2, 2), one_way_call(2, 1, 2)) == all_ones(2, BOOL)
 
@@ -64,6 +77,7 @@ def test_minplus_unitriangular_product():
     B = matrix_from_payloads(S, [[0, b], [S.zero.payload, 0]])
     expected = matrix_from_payloads(S, [[0, min(a, b)], [S.zero.payload, 0]])
     assert multiply(A, B) == expected
+    assert multiply(A, B).entry(1, 2) == S.val(3) and A.entry(2, 1) == S.zero
 
 
 def test_predicates():
@@ -85,6 +99,10 @@ def test_call_constructors():
         one_way_call(0, 2, 3)
     with pytest.raises(UnsupportedStructureError):
         one_way_call(1, 2, 3, NAT, NAT.val(2))
+    with pytest.raises(ValueError):
+        one_way_call(1, 2, 3, INTERVAL01, 2)
+    with pytest.raises(InstanceMismatchError):
+        one_way_call(1, 2, 3, BOOL, INTERVAL01.one)
 
 
 @pytest.mark.parametrize("name", sorted(INTERVAL_INSTANCES))
@@ -161,27 +179,28 @@ def test_power_stabilize():
         n = rng.randint(1, 4)
         A = random_reflexive(MINPLUS01INF, n, rng)
         stable = power_stabilize(A)
-        assert stable == mat_pow(A, n - 1)
-        assert mat_pow(A, n) == stable and mat_pow(A, n + 1) == stable
+        eye = identity_matrix(n, MINPLUS01INF)
+        assert stable == product([eye] + [A] * (n - 1))
+        assert product([eye] + [A] * n) == stable
+        assert product([eye] + [A] * (n + 1)) == stable
 
 
 @pytest.mark.parametrize("name", sorted(IDEMPOTENT_INSTANCES))
 def test_order_compatibility_of_multiplication(name):
     S = IDEMPOTENT_INSTANCES[name]
     rng = random.Random(37)
-    from sgident.matrices import SMatrix, random_matrix
+    from sgident.matrices import random_matrix
 
     for _ in range(500):
         n = rng.randint(1, 4)
         A = random_matrix(S, n, rng)
         bump = random_matrix(S, n, rng)
-        B = SMatrix(
+        B = matrix_from_payloads(
             S,
-            tuple(
-                tuple(S.add(A.rows[i][j], bump.rows[i][j]) for j in range(n))
-                for i in range(n)
-            ),
-            validate=False,
+            [
+                [S.add(A.entry(i, j), bump.entry(i, j)) for j in range(1, n + 1)]
+                for i in range(1, n + 1)
+            ],
         )
         C = random_matrix(S, n, rng)
         assert leq_entrywise(A, B)
@@ -246,8 +265,6 @@ def test_decompose_convex():
 
 
 def test_decompose_convex_covers_the_whole_monoid():
-    from sgident.monoids import family
-
     for n in (2, 3, 4):
         for element in family("catalanU", n).elements:
             word = decompose_convex(element)
@@ -257,9 +274,8 @@ def test_decompose_convex_covers_the_whole_monoid():
             assert rebuilt == element
 
 
-def test_transpose_and_text_roundtrip():
+def test_text_roundtrip():
     A = bool_matrix([[1, 1], [0, 1]])
-    assert transpose(A) == bool_matrix([[1, 0], [1, 1]])
     assert format_matrix(A) == "1 1; 0 1"
     assert parse_matrix(BOOL, "1 1; 0 1") == A
     S = MINPLUS01INF
@@ -267,3 +283,15 @@ def test_transpose_and_text_roundtrip():
     assert parse_matrix(S, format_matrix(B)) == B
     with pytest.raises(ValueError):
         parse_matrix(BOOL, "1 1; 0")
+
+
+def test_matrix_from_payloads_checks_its_input():
+    assert matrix_from_payloads(BOOL, [[BOOL.one, False], [False, True]]) == identity_matrix(2, BOOL)
+    with pytest.raises(ValueError):
+        matrix_from_payloads(BOOL, [[True, False]])
+    with pytest.raises(ValueError):
+        matrix_from_payloads(BOOL, [])
+    with pytest.raises(ValueError):
+        matrix_from_payloads(BOOL, [[True, 2], [False, True]])
+    with pytest.raises(InstanceMismatchError):
+        matrix_from_payloads(BOOL, [[NAT.one, False], [False, True]])
