@@ -25,6 +25,7 @@ from .checker import (
 )
 from .errors import ClosureCapExceeded, InternalConsistencyError
 from .matrices import (
+    MorphismBatch,
     MorphismTable,
     block_chain_entry,
     multiply,
@@ -56,6 +57,7 @@ from .polynomials import (
 from .semirings import (
     BOOL,
     DIAMOND,
+    INF,
     INTERVAL01,
     MAXPLUS,
     MINPLUS01INF,
@@ -566,6 +568,64 @@ def criterion_exhaustive_kernel() -> CheckOutcome:
     )
 
 
+# -- criterion 16 ----------------------------------------------------------------
+
+
+def criterion_batched_products(trials: int = 12, seed: int = 1616) -> CheckOutcome:
+    """Batched products of random reflexive morphisms against one product per
+    morphism: every entry of both sides' images, and per morphism whether the
+    sides agree.  Words of 20 letters push max-times numerators past 2^63."""
+    start = time.perf_counter()
+    idents = [
+        Identity("abcab" * 4, ("abcab" * 4)[::-1]),
+        Identity("a" * 10 + "b" * 10, "b" * 10 + "a" * 10),
+        Identity("ab" * 10, "a" * 20),
+        Identity("ca" * 3, "ca" * 4),
+        Identity("ab" * 10, "aab"),
+    ]
+    rng = random.Random(seed)
+    mismatched = []
+    compared = disagreeing = 0
+    widest = 0
+    for S in (BOOL, DIAMOND, MINPLUS01INF, INTERVAL01):
+        for n in range(2, 6):
+            for ident in idents:
+                tables = [
+                    MorphismTable({s: random_reflexive(S, n, rng) for s in ident.alphabet})
+                    for _ in range(trials)
+                ]
+                batch = MorphismBatch(tables)
+                for word in (ident.lhs, ident.rhs):
+                    images, weight = batch.apply(word), batch.weight(len(word))
+                    for phi, got in zip(tables, images):
+                        want = [list(row) for row in phi.apply(word).rows]
+                        if S.scaling is not None:
+                            # exact ints, the true payloads times the word's weight
+                            want = [[p if p == INF else p * weight for p in row] for row in want]
+                            finite = [x for x in got.flat if x != INF]
+                            widest = max([widest] + [x.bit_length() for x in finite])
+                            if any(type(x) is not int for x in finite):
+                                mismatched.append(f"{S.name} n={n} {word} not ints")
+                        compared += 1
+                        if got.tolist() != want:
+                            mismatched.append(f"{S.name} n={n} {word}")
+                expected = [phi.apply(ident.lhs) == phi.apply(ident.rhs) for phi in tables]
+                disagreeing += expected.count(False)
+                if batch.agree(ident.lhs, ident.rhs).tolist() != expected:
+                    mismatched.append(f"{S.name} n={n} {ident} agreement")
+    elapsed = time.perf_counter() - start
+    ok = not mismatched and disagreeing and widest > 63 and elapsed < 60.0
+    return _outcome(
+        "batched-vs-per-morphism-products",
+        ok,
+        f"{compared} word images ({trials} morphisms per instance, n = 2..5 and "
+        f"identity, words of up to 20 letters, over bool, lattice:diamond, "
+        f"minplus01inf and interval01), {disagreeing} morphisms separating the "
+        f"sides, widest scaled entry {widest} bits; {len(mismatched)} mismatches "
+        f"{mismatched[:3]}, {elapsed:.1f}s (limit 60s)",
+    )
+
+
 # -- module-level law suites --------------------------------------------------------
 
 
@@ -746,6 +806,7 @@ def suite_checker_equivalence() -> list:
         criterion_monogenic_variety(),
         criterion_balanced_guard(),
         criterion_exhaustive_kernel(),
+        criterion_batched_products(),
     ]
 
 

@@ -23,7 +23,13 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .errors import InternalConsistencyError, UnsupportedStructureError
-from .matrices import MorphismTable, format_matrix, matrix_from_payloads, random_reflexive
+from .matrices import (
+    MorphismTable,
+    batched_agreement,
+    format_matrix,
+    matrix_from_payloads,
+    random_reflexive,
+)
 from .polynomials import (
     Equivalent,
     NotEquivalent,
@@ -194,6 +200,8 @@ def check_UT(
     """
     if n < 1:
         raise ValueError("n must be >= 1")
+    if budget < 0:
+        raise ValueError(f"budget must be >= 0, got {budget}")
     alphabet = ident.alphabet
     us = words_up_to(alphabet, n - 1, include_empty=True)
     skip_empty = (
@@ -308,7 +316,11 @@ def check_Rn(
 
     Same subword-set criterion as the unit-diagonal idempotent case; a holds
     verdict is additionally spot-checked against seeded random reflexive
-    morphisms, all of which must agree."""
+    morphisms, all of which must agree.  They are drawn trial by trial, one
+    image per letter in alphabet order, and multiplied in batches
+    (:func:`~sgident.matrices.batched_agreement`)."""
+    if verify_samples < 0:
+        raise ValueError(f"verify_samples must be >= 0, got {verify_samples}")
     if not S.is_interval:
         raise UnsupportedStructureError(
             f"the reflexive monoid needs an interval instance, not {S.name}"
@@ -317,15 +329,16 @@ def check_Rn(
     verdict.criterion = "subword-sets-reflexive"
     if verdict.is_holds and verify_samples:
         rng = random.Random(seed)
-        for trial in range(verify_samples):
-            phi = MorphismTable(
-                {s: random_reflexive(S, n, rng) for s in ident.alphabet}
+        draws = (
+            MorphismTable({s: random_reflexive(S, n, rng) for s in ident.alphabet})
+            for _ in range(verify_samples)
+        )
+        agree = batched_agreement(draws, ident.lhs, ident.rhs).tolist()
+        if not all(agree):
+            raise InternalConsistencyError(
+                f"random reflexive morphism falsified {ident} although the "
+                f"subword criterion holds (trial {agree.index(False)})"
             )
-            if phi.apply(ident.lhs) != phi.apply(ident.rhs):
-                raise InternalConsistencyError(
-                    f"random reflexive morphism falsified {ident} although the "
-                    f"subword criterion holds (trial {trial})"
-                )
         verdict.sampling = {"trials": verify_samples, "agreements": verify_samples}
     return verdict
 
@@ -384,6 +397,11 @@ def run_check(
     verify_samples: int = 1000,
 ) -> CheckReport:
     start = time.perf_counter()
+    # each count is echoed in the report, whichever monoid reads it
+    if budget < 0 or verify_samples < 0:
+        raise ValueError(
+            f"budget and verify_samples must be >= 0, got {budget} and {verify_samples}"
+        )
     if monoid == "ut":
         verdict = check_UT(ident, n, S, budget=budget, seed=seed)
         us = [e["u"] for e in verdict.evidence]

@@ -1,12 +1,16 @@
 """Square matrices over a semiring: structural predicates, the entrywise
-order, call/step constructors, walk and block-chain entry expansions, power
-stabilization, and convex Boolean matrix machinery."""
+order, call/step constructors, batched products of many morphisms at once,
+walk and block-chain entry expansions, power stabilization, and convex
+Boolean matrix machinery."""
 
 from __future__ import annotations
 
 import random
-from itertools import combinations, permutations
-from typing import Optional
+from itertools import combinations, islice, permutations
+from math import lcm
+from typing import Iterable, Optional
+
+import numpy as np
 
 from .errors import (
     InstanceMismatchError,
@@ -14,7 +18,7 @@ from .errors import (
     UnsupportedStructureError,
 )
 from .polynomials import Variable, build_f_canonical, evaluate
-from .semirings import BOOL, SemiringDescriptor, Val, _normalize
+from .semirings import BOOL, SCALING_DEGREE, SemiringDescriptor, Val, _normalize
 from .words import subword_set
 
 
@@ -261,6 +265,113 @@ class MorphismTable:
         return isinstance(other, MorphismTable) and self.images == other.images
 
 
+# -- batched products ---------------------------------------------------------------
+
+# morphisms multiplied per step: bounds the (chunk, n, n, n) broadcast in memory
+_BATCH_CHUNK = 100
+
+
+def _scaled(payload, scale: int):
+    # formal infinities are the only float payloads; they stay as they are
+    if isinstance(payload, float):
+        return payload
+    return payload.numerator * (scale // payload.denominator)
+
+
+class MorphismBatch:
+    """Morphisms T_1..T_k over one instance and dimension, multiplied together.
+
+    Each letter's images are stacked into a (k, n, n) object array, so the
+    images of a word need one broadcast (k, n, n, n) multiply and one
+    reduction over the middle index per letter, through ufuncs made from the
+    instance's own ``_add`` and ``_mul``.  Over an instance that declares a
+    scaling law (see :mod:`sgident.semirings`), every rational payload is
+    multiplied by ``scale``, the lcm of the denominators drawn in the batch,
+    so the products run on exact ints; other instances keep their raw
+    payloads and ``scale`` is 1.  The images of a word of length L are then
+    ``weight(L)`` times the true ones.
+    """
+
+    def __init__(self, morphisms):
+        morphisms = list(morphisms)
+        if not morphisms:
+            raise ValueError("a batch needs at least one morphism")
+        S, n, letters = morphisms[0].semiring, morphisms[0].n, morphisms[0].images.keys()
+        for phi in morphisms:
+            if phi.semiring is not S or phi.n != n or phi.images.keys() != letters:
+                raise InstanceMismatchError(
+                    "batched morphisms must share instance, dimension and letters"
+                )
+        self.semiring, self.size = S, len(morphisms)
+        self.scale = 1
+        if S.scaling is not None:
+            self.scale = lcm(*{
+                getattr(p, "denominator", 1)
+                for phi in morphisms for m in phi.images.values()
+                for row in m.rows for p in row
+            })
+        self._stacks = {}
+        for s in letters:
+            flat = [p for phi in morphisms for row in phi.images[s].rows for p in row]
+            if S.scaling is not None:
+                flat = [_scaled(p, self.scale) for p in flat]
+            stack = np.empty(len(flat), dtype=object)
+            stack[:] = flat
+            self._stacks[s] = stack.reshape(self.size, n, n)
+        self._add = np.frompyfunc(S._add, 2, 1)
+        self._mul = np.frompyfunc(S._mul, 2, 1)
+
+    def weight(self, length: int) -> int:
+        """The factor by which the images of a word of this length exceed the
+        true ones: ``scale`` under an automorphism law, ``scale**length``
+        under the degree law, 1 without scaling."""
+        if self.semiring.scaling == SCALING_DEGREE:
+            return self.scale**length
+        return self.scale
+
+    def apply(self, word: str, head: Optional[np.ndarray] = None) -> np.ndarray:
+        """The (k, n, n) images of ``word``, or of ``head``'s word followed by
+        ``word`` when ``head`` holds images already computed."""
+        acc = head
+        for ch in word:
+            image = self._stacks.get(ch)
+            if image is None:
+                raise MissingImageError(f"no image for letter {ch!r}")
+            if acc is None:
+                acc = image
+            else:
+                acc = self._add.reduce(
+                    self._mul(acc[:, :, :, None], image[:, None, :, :]), axis=2
+                )
+        if acc is None:
+            raise ValueError("the empty word has no batched image; use identity_matrix")
+        return acc
+
+    def agree(self, w: str, v: str) -> np.ndarray:
+        """Per morphism, whether w and v have the same image.  A common prefix
+        is multiplied once; under the degree law the images compare as
+        ``N_w * scale**|v| == N_v * scale**|w|``."""
+        k = 0
+        while k < min(len(w), len(v)) and w[k] == v[k]:
+            k += 1
+        head = self.apply(w[:k]) if k else None
+        a, b = self.apply(w[k:], head), self.apply(v[k:], head)
+        if self.semiring.scaling == SCALING_DEGREE and len(w) != len(v):
+            a, b = a * self.weight(len(v)), b * self.weight(len(w))
+        return (a == b).all(axis=(1, 2))
+
+
+def batched_agreement(morphisms: Iterable, w: str, v: str) -> np.ndarray:
+    """Per morphism, in order, whether w and v have the same image, computed
+    by :class:`MorphismBatch` ``_BATCH_CHUNK`` morphisms at a time.  The
+    morphisms are consumed lazily, one chunk ahead."""
+    morphisms = iter(morphisms)
+    parts = []
+    while chunk := list(islice(morphisms, _BATCH_CHUNK)):
+        parts.append(MorphismBatch(chunk).agree(w, v))
+    return np.concatenate(parts) if parts else np.ones(0, dtype=bool)
+
+
 # -- walk and block-chain entry formulas ------------------------------------------
 
 
@@ -488,7 +599,7 @@ def random_matrix(S: SemiringDescriptor, n: int, rng: random.Random) -> SMatrix:
     return SMatrix(
         S,
         tuple(
-            tuple(S.sample_value(rng).payload for _ in range(n)) for _ in range(n)
+            tuple(S.sample_payload(rng) for _ in range(n)) for _ in range(n)
         ),
     )
 
@@ -499,7 +610,7 @@ def random_upper_triangular(S: SemiringDescriptor, n: int, rng: random.Random) -
         S,
         tuple(
             tuple(
-                S.sample_value(rng).payload if j >= i else zero for j in range(n)
+                S.sample_payload(rng) if j >= i else zero for j in range(n)
             )
             for i in range(n)
         ),
@@ -512,7 +623,7 @@ def random_reflexive(S: SemiringDescriptor, n: int, rng: random.Random) -> SMatr
         S,
         tuple(
             tuple(
-                one if i == j else S.sample_value(rng).payload for j in range(n)
+                one if i == j else S.sample_payload(rng) for j in range(n)
             )
             for i in range(n)
         ),

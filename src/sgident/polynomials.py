@@ -324,6 +324,8 @@ def functionally_equivalent(
     The witness is always the first falsifying assignment in the canonical
     enumeration (or sampling) order, so verdicts are reproducible.
     """
+    if budget < 0:
+        raise ValueError(f"budget must be >= 0, got {budget}")
     occurring = sorted(set(p.variables()) | set(q.variables()))
     if variables is None:
         universe = occurring

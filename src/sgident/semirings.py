@@ -38,6 +38,16 @@ NEG_INF = -math.inf
 
 Payload = Union[bool, int, Fraction, float]
 
+# How x -> d*x, for a positive integer d, acts on the rational payloads of an
+# instance (formal infinities stay put).  Under SCALING_AUTOMORPHISM it is an
+# automorphism (min-plus: it respects min and +).  Under SCALING_DEGREE it
+# respects addition and the order, and a product of L scaled factors is d^L
+# times the product of the unscaled ones (max-times).  Either way, multiplying
+# every payload of a batch by the lcm of its denominators turns the batch's
+# arithmetic into arithmetic on exact ints.
+SCALING_AUTOMORPHISM = "automorphism"
+SCALING_DEGREE = "degree"
+
 
 def _normalize(payload: Payload) -> Payload:
     # bool first: bool is a subclass of int
@@ -94,7 +104,9 @@ class SemiringDescriptor:
     """A commutative semiring instance with exact, total operations.
 
     ``add``/``mul`` work on raw payloads; the public methods wrap results in
-    tagged values and reject operands from other instances.  Descriptors are
+    tagged values and reject operands from other instances.  ``scaling``
+    declares how the instance's rational payloads scale (``SCALING_*``), or
+    is None.  Descriptors are
     immutable after construction and may be shared freely across workers.
     """
 
@@ -116,6 +128,7 @@ class SemiringDescriptor:
         format_payload: Optional[Callable[[Payload], str]] = None,
         parse_payload: Optional[Callable[[str], Payload]] = None,
         interval_sample: Optional[tuple] = None,
+        scaling: Optional[str] = None,
     ):
         self.name = name
         self._add = add
@@ -133,6 +146,9 @@ class SemiringDescriptor:
         )
         self.partial_sums_distinct = partial_sums_distinct
         self._interval_sample = interval_sample
+        if scaling not in (None, SCALING_AUTOMORPHISM, SCALING_DEGREE):
+            raise ValueError(f"{name}: unknown scaling law {scaling!r}")
+        self.scaling = scaling
         self._embed_cache: dict = {}
         self.monogenic = self._establish_monogenic(monogenic)
 
@@ -279,10 +295,14 @@ class SemiringDescriptor:
             raise UnsupportedStructureError(f"{self.name} has an infinite carrier")
         return [self._wrap(p) for p in self.carrier.values]
 
-    def sample_value(self, rng: random.Random) -> Val:
+    def sample_payload(self, rng: random.Random) -> Payload:
+        """One seeded draw from the carrier, as a normalized raw payload."""
         if self.is_finite:
-            return self._wrap(rng.choice(self.carrier.values))
-        return self._wrap(self.carrier.sample(rng))
+            return _normalize(rng.choice(self.carrier.values))
+        return _normalize(self.carrier.sample(rng))
+
+    def sample_value(self, rng: random.Random) -> Val:
+        return Val(self.name, self.sample_payload(rng))
 
     @property
     def free_rank1(self) -> Optional[Val]:
@@ -441,6 +461,7 @@ MINPLUS01INF = SemiringDescriptor(
     format_payload=_format_extended,
     parse_payload=lambda t: INF if t == "inf" else Fraction(t),
     interval_sample=(0, 1, 8),
+    scaling=SCALING_AUTOMORPHISM,
 )
 
 INTERVAL01 = SemiringDescriptor(
@@ -457,6 +478,7 @@ INTERVAL01 = SemiringDescriptor(
     contains=lambda p: _is_rational(p) and 0 <= p <= 1,
     parse_payload=Fraction,
     interval_sample=(1, Fraction(1, 2), Fraction(1, 16)),
+    scaling=SCALING_DEGREE,
 )
 
 _DIAMOND_NAMES = {0: "0", 1: "a", 2: "b", 3: "1"}

@@ -70,6 +70,10 @@ def test_criterion_15_exhaustive_kernel():
     _report(15, acceptance.criterion_exhaustive_kernel())
 
 
+def test_criterion_16_batched_products():
+    _report(16, acceptance.criterion_batched_products())
+
+
 def test_law_suites_hold():
     for outcome in acceptance.suite_semiring_axioms() + acceptance.suite_word_oracles():
         status = "PASS" if outcome.ok else "FAIL"

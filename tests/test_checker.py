@@ -2,7 +2,10 @@ import random
 
 import pytest
 
+from sgident import checker
 from sgident.checker import (
+    HOLDS,
+    Verdict,
     assert_balanced_guard,
     check_Rn,
     check_Un,
@@ -13,9 +16,10 @@ from sgident.checker import (
     run_check,
     same_variety_Un,
 )
-from sgident.errors import UnsupportedStructureError
-from sgident.matrices import is_unitriangular
+from sgident.errors import InternalConsistencyError, UnsupportedStructureError
+from sgident.matrices import MorphismTable, is_unitriangular, random_reflexive
 from sgident.monoids import BruteForceHolds, brute_force_identity, enumerate_unitriangular
+from sgident.polynomials import build_f_canonical, functionally_equivalent
 from sgident.semirings import (
     BOOL,
     DIAMOND,
@@ -107,6 +111,43 @@ def test_reflexive_check():
         check_Rn(ABAB, 3, NAT)
     with pytest.raises(UnsupportedStructureError):
         check_Rn(ABAB, 3, MAXPLUS)  # idempotent but without a top element
+
+
+def test_negative_sample_counts_are_rejected():
+    with pytest.raises(ValueError):
+        check_Rn(ABAB, 3, BOOL, verify_samples=-5)
+    with pytest.raises(ValueError):
+        check_Rn(ABAB, 4, BOOL, verify_samples=-1)  # a fails verdict too
+    with pytest.raises(ValueError):
+        check_UT(ADJAN, 2, MINPLUS01INF, budget=-1)
+    with pytest.raises(ValueError):
+        functionally_equivalent(
+            build_f_canonical("x", ADJAN.lhs), build_f_canonical("x", ADJAN.rhs),
+            MINPLUS01INF, budget=-1,
+        )
+    # zero is a count, not an error: no samples, no spot-check
+    assert check_Rn(ABAB, 3, MINPLUS01INF, verify_samples=0).sampling is None
+
+
+def test_spot_check_names_the_first_separating_trial(monkeypatch):
+    """A holds verdict forced onto a failing identity: the spot-check raises
+    and names the first trial whose sides differ, as one product per trial
+    finds it."""
+    ident, n = Identity.parse("babab=bababaab"), 5
+    assert check_Un_idempotent(ident, n, BOOL).is_fails
+    rng = random.Random(0)
+    first = None
+    for trial in range(1000):
+        phi = MorphismTable({s: random_reflexive(BOOL, n, rng) for s in ident.alphabet})
+        if phi.apply(ident.lhs) != phi.apply(ident.rhs):
+            first = trial
+            break
+    assert first == 227  # past the first two batches
+    monkeypatch.setattr(
+        checker, "check_Un_idempotent", lambda *_: Verdict(HOLDS, "subword-sets", [])
+    )
+    with pytest.raises(InternalConsistencyError, match=r"\(trial 227\)$"):
+        check_Rn(ident, n, BOOL)
 
 
 def test_reflexive_check_agrees_with_the_idempotent_criterion(identity_corpus):

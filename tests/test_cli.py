@@ -82,6 +82,23 @@ def test_usage_errors_exit_two(capsys):
         capsys, "closure", "--family", "gossip", "--n", "4", "--element-cap", "10"
     )
     assert code == 2 and "cap" in err
+    # sample counts below zero are refused, not echoed back in the report
+    code, out, err = run_cli(
+        capsys, "check", "--monoid", "r", "--n", "3", "--semiring", "bool",
+        "--verify-samples", "-5", "abab=abba",
+    )
+    assert code == 2 and out == "" and "verify_samples" in err
+    code, out, err = run_cli(
+        capsys, "check", "--monoid", "ut", "--n", "2", "--semiring", "minplus01inf",
+        "--budget", "-1", "xyyxxyxyyx=xyyxyxxyyx",
+    )
+    assert code == 2 and out == "" and "budget" in err
+    # also where the monoid does not read the count: the report would echo it
+    code, out, _ = run_cli(
+        capsys, "check", "--monoid", "u", "--n", "3", "--semiring", "bool",
+        "--budget", "-1", "abab=abba",
+    )
+    assert code == 2 and out == ""
 
 
 def test_non_integer_seed_from_the_environment_exits_two(capsys, monkeypatch):

@@ -8,9 +8,12 @@ from sgident.errors import (
     InstanceMismatchError,
     UnsupportedStructureError,
 )
+from sgident import matrices
 from sgident.matrices import (
+    MorphismBatch,
     MorphismTable,
     all_ones,
+    batched_agreement,
     block_chain_entry,
     catalan_generator,
     decompose_convex,
@@ -35,7 +38,15 @@ from sgident.matrices import (
     walk_entry,
 )
 from sgident.monoids import family
-from sgident.semirings import BOOL, INTERVAL01, MINPLUS01INF, NAT, semiring_from_spec
+from sgident.semirings import (
+    BOOL,
+    DIAMOND,
+    INF,
+    INTERVAL01,
+    MINPLUS01INF,
+    NAT,
+    semiring_from_spec,
+)
 
 
 def bool_matrix(rows):
@@ -295,3 +306,64 @@ def test_matrix_from_payloads_checks_its_input():
         matrix_from_payloads(BOOL, [[True, 2], [False, True]])
     with pytest.raises(InstanceMismatchError):
         matrix_from_payloads(BOOL, [[NAT.one, False], [False, True]])
+
+
+@pytest.mark.parametrize(
+    "S", [BOOL, DIAMOND, MINPLUS01INF, INTERVAL01, semiring_from_spec("nat:1,1")]
+)
+def test_batched_agreement_matches_one_product_per_morphism(S, monkeypatch):
+    # a chunk size that does not divide the count puts trials on both sides
+    # of every boundary, including a short last chunk
+    monkeypatch.setattr(matrices, "_BATCH_CHUNK", 7)
+    rng = random.Random(3)
+    for w, v in (("abab", "abba"), ("aab", "aabab"), ("ba", "ab"), ("abba", "abba")):
+        tables = [
+            MorphismTable({s: random_reflexive(S, 3, rng) for s in "ab"}) for _ in range(30)
+        ]
+        expected = [phi.apply(w) == phi.apply(v) for phi in tables]
+        assert batched_agreement(iter(tables), w, v).tolist() == expected
+    assert batched_agreement([], "ab", "ba").size == 0
+
+
+def test_batch_scale_comes_from_the_drawn_denominators():
+    def table(S, a, b):
+        return MorphismTable({
+            "a": matrix_from_payloads(S, [[S.one, a], [S.zero, S.one]]),
+            "b": matrix_from_payloads(S, [[S.one, S.zero], [b, S.one]]),
+        })
+
+    third, quarter = Fraction(1, 3), Fraction(3, 4)
+    # max-times: an L-fold product carries scale^L
+    tables = [
+        table(INTERVAL01, third, 1),
+        table(INTERVAL01, 0, quarter),
+        table(INTERVAL01, Fraction(1, 2), 0),
+    ]
+    batch = MorphismBatch(tables)
+    assert batch.scale == 12 and batch.weight(3) == 12**3
+    for phi, got in zip(tables, batch.apply("aba")):
+        want = [[p * 12**3 for p in row] for row in phi.apply("aba").rows]
+        assert got.tolist() == want
+        assert all(type(x) is int for x in got.flat)
+    # sides of different lengths compare after cross-multiplying
+    expected = [phi.apply("ab") == phi.apply("a") for phi in tables]
+    assert expected == [False, False, True]
+    assert batch.agree("ab", "a").tolist() == expected
+    # min-plus: scaling is an automorphism, and inf stays inf
+    batch = MorphismBatch([table(MINPLUS01INF, Fraction(5, 2), INF)])
+    assert batch.scale == 2 and batch.weight(7) == 2
+    assert batch.apply("ab").tolist() == [[[0, 5], [INF, 0]]]
+    # without a scaling law the raw payloads are multiplied
+    batch = MorphismBatch([table(BOOL, True, False)])
+    assert batch.scale == 1 and batch.apply("ab").tolist() == [[[True, True], [False, True]]]
+
+
+def test_batch_rejects_mixed_morphisms():
+    rng = random.Random(1)
+    a = MorphismTable({"a": random_reflexive(INTERVAL01, 2, rng)})
+    with pytest.raises(InstanceMismatchError):
+        MorphismBatch([a, MorphismTable({"a": random_reflexive(MINPLUS01INF, 2, rng)})])
+    with pytest.raises(InstanceMismatchError):
+        MorphismBatch([a, MorphismTable({"b": random_reflexive(INTERVAL01, 2, rng)})])
+    with pytest.raises(ValueError):
+        MorphismBatch([])

@@ -192,3 +192,27 @@ def test_sampling_is_deterministic():
     a = [MAXPLUS.sample_value(random.Random(42)) for _ in range(20)]
     b = [MAXPLUS.sample_value(random.Random(42)) for _ in range(20)]
     assert a == b
+
+
+# the first draws at seed 7, as drawn before raw draws existed
+FIRST_DRAWS = {
+    "bool": "1 0 1 0 0 0",
+    "interval01": "1/3 0 0 0 1/5 0",
+    "lattice:diamond": "b a 1 0 0 0",
+    "maxplus": "-7/3 -3 -inf 16 -inf -12",
+    "minplus01inf": "4/3 1/2 inf 16 inf 2",
+    "nat": "2 0 8 9 8 1",
+    "nat:2,3": "2 1 3 0 0 4",
+}
+
+
+@pytest.mark.parametrize("name", sorted(ALL_INSTANCES))
+def test_raw_draws_match_the_wrapped_draws(name):
+    S = ALL_INSTANCES[name]
+    raw_rng, wrapped_rng = random.Random(7), random.Random(7)
+    raw = [S.sample_payload(raw_rng) for _ in range(300)]
+    wrapped = [S.sample_value(wrapped_rng).payload for _ in range(300)]
+    # the same values of the same types, so the rng streams stay in step
+    assert [(type(p), p) for p in raw] == [(type(p), p) for p in wrapped]
+    assert raw_rng.random() == wrapped_rng.random()
+    assert " ".join(S._format(p) for p in raw[:6]) == FIRST_DRAWS[name]
