@@ -49,7 +49,9 @@ from .monoids import (
 from .polynomials import (
     Equivalent,
     NotEquivalent,
+    NotFalsified,
     Variable,
+    _sampled,
     build_f_canonical,
     evaluate,
     functionally_equivalent,
@@ -626,6 +628,71 @@ def criterion_batched_products(trials: int = 12, seed: int = 1616) -> CheckOutco
     )
 
 
+# -- criterion 17 ----------------------------------------------------------------
+
+
+def _sampled_one_at_a_time(p, q, S, variables, budget, seed):
+    """Seeded sampling one assignment at a time through ``evaluate``, with the
+    index of the separating sample (None when none separates)."""
+    rng = random.Random(seed)
+    for index in range(budget):
+        assignment = {v: S.sample_value(rng) for v in variables}
+        a, b = evaluate(p, assignment, S), evaluate(q, assignment, S)
+        if a != b:
+            return NotEquivalent(assignment, a, b), index
+    return NotFalsified(budget), None
+
+
+def criterion_sampled_kernel(pairs: int = 60, seed: int = 1717) -> CheckOutcome:
+    """Batched sampled equivalence against a per-assignment loop: the same
+    NotFalsified count, or the same witness with the same values on both
+    sides (compared by repr too, which tells apart payloads such as True and
+    1).  Inputs at budget 256: every corpus identity against each of its
+    letters, where the tropical instances at times separate only at sample 8
+    or later, and ``pairs`` seeded corpus pairs per instance with u of length
+    at most 2, which are often not falsified.  Then Adjan's identity at
+    budget 4096."""
+    start = time.perf_counter()
+    rng = random.Random(seed)
+    idents = [ident for ident in corpus() if ident.lhs != ident.rhs]
+    cases = []
+    for S in (NAT, MAXPLUS, MINPLUS01INF, INTERVAL01):
+        for k, ident in enumerate(idents):
+            cases += [(S, u, ident, 256, k) for u in sorted(set(ident.lhs + ident.rhs))]
+        for k in range(pairs):
+            ident = rng.choice(idents)
+            u = rng.choice(sorted(
+                {""} | subword_set(ident.lhs, 2) | subword_set(ident.rhs, 2)
+            ))
+            cases.append((S, u, ident, 256, k))
+    adjan = Identity("xyyxxyxyyx", "xyyxyxxyyx")
+    for S in (MINPLUS01INF, INTERVAL01):
+        cases += [(S, u, adjan, 4096, 0) for u in ("x", "y")]
+    mismatched = []
+    separated = late = 0
+    for S, u, ident, budget, case_seed in cases:
+        p, q = build_f_canonical(u, ident.lhs), build_f_canonical(u, ident.rhs)
+        universe = sorted(set(p.variables()) | set(q.variables()))
+        got = _sampled(p, q, S, universe, budget, case_seed)
+        want, index = _sampled_one_at_a_time(p, q, S, universe, budget, case_seed)
+        separated += index is not None
+        late += index is not None and index >= 8
+        if got != want or repr(got) != repr(want):
+            mismatched.append(f"{S.name} u={u!r} {ident}")
+    elapsed = time.perf_counter() - start
+    unfalsified = len(cases) - separated
+    ok = not mismatched and late and unfalsified and elapsed < 60.0
+    return _outcome(
+        "sampled-vs-assignment-loop",
+        ok,
+        f"{len(cases)} polynomial pairs (corpus pairs at budget 256 over nat, "
+        f"maxplus, minplus01inf and interval01; Adjan's identity at budget 4096 "
+        f"over minplus01inf and interval01), {separated} separated, {late} of them "
+        f"at sample 8 or later, {unfalsified} not falsified; {len(mismatched)} "
+        f"mismatches {mismatched[:3]}, {elapsed:.1f}s (limit 60s)",
+    )
+
+
 # -- module-level law suites --------------------------------------------------------
 
 
@@ -807,6 +874,7 @@ def suite_checker_equivalence() -> list:
         criterion_balanced_guard(),
         criterion_exhaustive_kernel(),
         criterion_batched_products(),
+        criterion_sampled_kernel(),
     ]
 
 

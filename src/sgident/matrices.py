@@ -18,7 +18,14 @@ from .errors import (
     UnsupportedStructureError,
 )
 from .polynomials import Variable, build_f_canonical, evaluate
-from .semirings import BOOL, SCALING_DEGREE, SemiringDescriptor, Val, _normalize
+from .semirings import (
+    BOOL,
+    SCALING_DEGREE,
+    SemiringDescriptor,
+    Val,
+    _normalize,
+    _scaled,
+)
 from .words import subword_set
 
 
@@ -269,13 +276,6 @@ class MorphismTable:
 
 # morphisms multiplied per step: bounds the (chunk, n, n, n) broadcast in memory
 _BATCH_CHUNK = 100
-
-
-def _scaled(payload, scale: int):
-    # formal infinities are the only float payloads; they stay as they are
-    if isinstance(payload, float):
-        return payload
-    return payload.numerator * (scale // payload.denominator)
 
 
 class MorphismBatch:

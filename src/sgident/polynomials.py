@@ -13,12 +13,20 @@ import random
 import weakref
 from dataclasses import dataclass
 from functools import lru_cache
+from math import lcm
 from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .errors import AlgebraError
-from .semirings import FiniteCarrier, SemiringDescriptor, Val, _normalize
+from .errors import AlgebraError, InternalConsistencyError
+from .semirings import (
+    SCALING_DEGREE,
+    FiniteCarrier,
+    SemiringDescriptor,
+    Val,
+    _normalize,
+    _scaled,
+)
 
 
 class Variable(NamedTuple):
@@ -291,14 +299,83 @@ def _exhaustive(p, q, S, variables, cap):
     return NotEquivalent(witness, evaluate(p, witness, S), evaluate(q, witness, S))
 
 
+# assignments drawn and evaluated per step of the sampled check: the first
+# chunk holds one, because most inequivalent pairs separate at the first
+# sample and a larger first chunk would draw and evaluate samples that are
+# never needed; each next chunk doubles up to the cap, which bounds the
+# object columns in memory
+_SAMPLE_CHUNK_FIRST = 1
+_SAMPLE_CHUNK_CAP = 1024
+
+
+def _degree(mono) -> int:
+    return sum(e for _, e in mono)
+
+
+def _eval_columns(terms, columns: dict, ufuncs, powers: dict, zeros: np.ndarray):
+    """The payloads of a polynomial, given as (coefficient payload, monomial)
+    pairs, at a chunk of assignments held as one object column per variable.
+    ``powers`` caches the columns' powers across both sides."""
+    add, mul = ufuncs
+    total = zeros
+    for acc, mono in terms:
+        for var, exponent in mono:
+            power = powers.get((var, exponent))
+            if power is None:
+                power = column = columns[var]
+                for _ in range(exponent - 1):
+                    power = mul(power, column)
+                powers[var, exponent] = power
+            acc = mul(acc, power)
+        total = add(total, acc)
+    return total
+
+
 def _sampled(p, q, S, variables, budget, seed):
+    """Seeded sampling: ``budget`` assignments, each drawn one variable at a
+    time in universe order, evaluated a chunk at a time, column-wise.  Over an
+    instance with a scaling law, a chunk's payloads are multiplied by the lcm d
+    of their denominators so the arithmetic runs on ints.  Under the
+    automorphism law coefficients are scaled too.  Under the degree law a term
+    of degree e comes out d^e times too large, so its coefficient is scaled by
+    d^(top - e) to bring every term of both sides to the common top degree.
+    The first differing sample is the witness; :func:`evaluate` recomputes its
+    values."""
     rng = random.Random(seed)
-    for _ in range(budget):
-        assignment = {v: S.sample_value(rng) for v in variables}
-        a = evaluate(p, assignment, S)
-        b = evaluate(q, assignment, S)
-        if a != b:
-            return NotEquivalent(assignment, a, b)
+    ufuncs = (np.frompyfunc(S._add, 2, 1), np.frompyfunc(S._mul, 2, 1))
+    sides = [[(S.payload_of(S.nat_embed(c)), m) for m, c in poly.terms] for poly in (p, q)]
+    top = max((_degree(m) for side in sides for _, m in side), default=0)
+    done, size = 0, _SAMPLE_CHUNK_FIRST
+    while done < budget:
+        size = min(size, budget - done)
+        draws = [[S.sample_payload(rng) for _ in variables] for _ in range(size)]
+        terms, picked = sides, draws
+        if S.scaling is not None:
+            scale = lcm(*{getattr(x, "denominator", 1) for row in draws for x in row})
+            picked = [[_scaled(x, scale) for x in row] for row in draws]
+            degree_law = S.scaling == SCALING_DEGREE
+            terms = [
+                [(_scaled(c, scale ** (top - _degree(m)) if degree_law else scale), m)
+                 for c, m in side]
+                for side in sides
+            ]
+        table = np.array(picked, dtype=object).reshape(size, len(variables))
+        columns = {var: table[:, j] for j, var in enumerate(variables)}
+        zeros, powers = np.full(size, S._zero_payload, dtype=object), {}
+        lhs, rhs = (_eval_columns(side, columns, ufuncs, powers, zeros) for side in terms)
+        diff = lhs != rhs
+        if diff.any():
+            first = int(np.argmax(diff))
+            witness = {v: S._wrap(x) for v, x in zip(variables, draws[first])}
+            a, b = evaluate(p, witness, S), evaluate(q, witness, S)
+            if a == b:
+                raise InternalConsistencyError(
+                    f"{S.name}: sample {done + first} separates the batched "
+                    f"evaluations but not evaluate, which gives {a!r} on both sides"
+                )
+            return NotEquivalent(witness, a, b)
+        done += size
+        size = min(2 * size, _SAMPLE_CHUNK_CAP)
     return NotFalsified(budget)
 
 
@@ -320,7 +397,11 @@ def functionally_equivalent(
     evaluated over a tensor with one axis of size c per variable, each
     monomial over its own axes and broadcast over the rest, so memory is
     c^k bytes per array.  Otherwise seeded sampling either produces a
-    falsifying witness or reports NotFalsified.
+    falsifying witness or reports NotFalsified: ``budget`` assignments are
+    drawn one variable at a time in universe order, as a one-at-a-time loop
+    would draw them, and evaluated a chunk at a time (``_SAMPLE_CHUNK_FIRST``
+    first, doubling up to ``_SAMPLE_CHUNK_CAP``), one object column per
+    variable, on exact ints where the instance declares a scaling law.
     The witness is always the first falsifying assignment in the canonical
     enumeration (or sampling) order, so verdicts are reproducible.
     """

@@ -58,6 +58,14 @@ def _normalize(payload: Payload) -> Payload:
     return payload
 
 
+def _scaled(payload: Payload, scale: int) -> Payload:
+    """``scale * payload`` as an exact int, for a scale that the payload's
+    denominator divides; formal infinities, the only float payloads, stay."""
+    if isinstance(payload, float):
+        return payload
+    return payload.numerator * (scale // payload.denominator)
+
+
 @dataclass(frozen=True, slots=True)
 class Val:
     """A semiring element: instance tag plus exact scalar payload."""

@@ -74,6 +74,10 @@ def test_criterion_16_batched_products():
     _report(16, acceptance.criterion_batched_products())
 
 
+def test_criterion_17_sampled_kernel():
+    _report(17, acceptance.criterion_sampled_kernel())
+
+
 def test_law_suites_hold():
     for outcome in acceptance.suite_semiring_axioms() + acceptance.suite_word_oracles():
         status = "PASS" if outcome.ok else "FAIL"

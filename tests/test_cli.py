@@ -2,6 +2,7 @@ import importlib.resources
 import json
 import os
 import sys
+from pathlib import Path
 
 import jsonschema
 import pytest
@@ -69,6 +70,31 @@ def test_stable_output_is_byte_identical(capsys):
     _, first, _ = run_cli(capsys, *argv)
     _, second, _ = run_cli(capsys, *argv)
     assert first == second
+
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+@pytest.mark.parametrize(
+    "golden, expected, argv",
+    [
+        # not falsified by 64 samples at u = x and at u = y
+        ("check_ut2_interval01_adjan_budget64.json", 0, (
+            "--semiring", "interval01", "--budget", "64", "xyyxxyxyyx=xyyxyxxyyx",
+        )),
+        # separated at the first sample
+        ("check_ut2_maxplus_ab_ba.json", 1, ("--semiring", "maxplus", "ab=ba")),
+        # separated at sample 8, in the fourth chunk
+        ("check_ut2_maxplus_aabab_abaab.json", 1, ("--semiring", "maxplus", "aabab=abaab")),
+    ],
+)
+def test_sampled_checks_keep_their_bytes(golden, expected, argv, capsys):
+    # the files hold the reports of the one-assignment-at-a-time sampler
+    code, out, _ = run_cli(
+        capsys, "check", "--monoid", "ut", "--n", "2", "--stable-output", *argv
+    )
+    assert code == expected
+    assert out == (GOLDEN / golden).read_text()
 
 
 def test_usage_errors_exit_two(capsys):

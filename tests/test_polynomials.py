@@ -3,7 +3,9 @@ import random
 import pytest
 
 from conftest import ALL_INSTANCES
-from sgident.errors import AlgebraError
+from sgident import polynomials
+from sgident.acceptance import _sampled_one_at_a_time
+from sgident.errors import AlgebraError, InternalConsistencyError
 from sgident.polynomials import (
     Equivalent,
     FormalPolynomial,
@@ -220,6 +222,109 @@ def test_sampling_never_contradicts_exhaustion_over_bool():
             assert not isinstance(sampled, NotEquivalent)
         if isinstance(sampled, NotEquivalent):
             assert isinstance(exhaustive, NotEquivalent)
+
+
+def assert_same_result(got, want):
+    # repr tells apart payloads that compare equal, such as True and 1
+    assert got == want and repr(got) == repr(want)
+
+
+X, Y, Z = Variable("a", 1), Variable("a", 2), Variable("b", 1)
+FACTORS = [Variable("c", i) for i in range(1, 25)]
+
+# pairs that separate early on some seeds and late on others; the product of
+# 24 variables is zero at most samples over nat, where everything else
+# separates at once
+SEPARATING_PAIRS = (
+    (poly({((X, 1), (Y, 1)): 1, ((Z, 1),): 1}), poly({((Z, 1),): 1})),
+    (poly({((X, 1),): 1, ((Y, 1),): 1, ((Z, 1),): 1}), poly({((X, 1),): 1, ((Y, 1),): 1})),
+    (poly({((X, 2), (Y, 1)): 1}), poly({((X, 1), (Y, 2)): 1})),
+    (poly({tuple((v, 1) for v in FACTORS): 1, ((Z, 1),): 1}), poly({((Z, 1),): 1})),
+)
+
+SAMPLED_INSTANCES = (
+    "bool", "lattice:diamond", "nat:2,3", "nat", "maxplus", "minplus01inf", "interval01",
+)
+
+
+@pytest.mark.parametrize("spec", SAMPLED_INSTANCES)
+def test_batched_sampling_matches_the_per_assignment_loop(spec):
+    S = semiring_from_spec(spec)
+    separated_at = set()
+    for seed in range(40):
+        for p, q in SEPARATING_PAIRS:
+            universe = sorted(set(p.variables()) | set(q.variables()))
+            want, index = _sampled_one_at_a_time(p, q, S, universe, 64, seed)
+            assert_same_result(_sampled(p, q, S, universe, 64, seed), want)
+            separated_at.add(index)
+    # a witness at the first sample, and one past the first few chunks
+    assert 0 in separated_at
+    assert any(i is not None and i >= 8 for i in separated_at)
+    rng = random.Random(spec)
+    pool = words_up_to("ab", 6)
+    for seed in range(30):
+        u = rng.choice(("", "a", "b", "ab", "ba"))
+        p, q = build_f_canonical(u, rng.choice(pool)), build_f_canonical(u, rng.choice(pool))
+        universe = [Variable(s, i) for s in "ab" for i in range(1, len(u) + 2)]
+        want, _ = _sampled_one_at_a_time(p, q, S, universe, 64, seed)
+        assert_same_result(_sampled(p, q, S, universe, 64, seed), want)
+
+
+@pytest.mark.parametrize("spec", SAMPLED_INSTANCES)
+def test_batched_sampling_edge_cases(spec):
+    S = semiring_from_spec(spec)
+    one, two, x = poly({(): 1}), poly({(): 2}), poly({((X, 1),): 1})
+    cases = (
+        # an empty variable universe: constants, compared at the first sample
+        (one, two, []),
+        (one, ZERO_POLYNOMIAL, []),
+        (ZERO_POLYNOMIAL, ZERO_POLYNOMIAL, []),
+        # the zero polynomial against a variable, and against itself
+        (ZERO_POLYNOMIAL, x, [X]),
+        (ZERO_POLYNOMIAL, ZERO_POLYNOMIAL, [X, Y]),
+    )
+    for p, q, universe in cases:
+        for budget in (0, 1, 100):
+            want, _ = _sampled_one_at_a_time(p, q, S, universe, budget, 3)
+            assert_same_result(_sampled(p, q, S, universe, budget, 3), want)
+    assert _sampled(x, ZERO_POLYNOMIAL, S, [X], 0, 3) == NotFalsified(0)
+
+
+@pytest.mark.parametrize("spec", ["interval01", "minplus01inf", "maxplus", "nat"])
+def test_sampling_compares_terms_of_different_degrees(spec):
+    # x + x^2 is x over [0, 1] under max-times and under min-plus; scaled by
+    # d under max-times, x^2 gains d^2 and x only d unless the terms are
+    # brought to one degree
+    S = semiring_from_spec(spec)
+    x = poly({((X, 1),): 1})
+    with_square = poly({((X, 1),): 1, ((X, 2),): 1})
+    square_and_one = poly({((X, 2),): 1, (): 1})
+    for p, q in ((x, with_square), (x, square_and_one), (with_square, square_and_one)):
+        want, _ = _sampled_one_at_a_time(p, q, S, [X], 512, 5)
+        assert_same_result(_sampled(p, q, S, [X], 512, 5), want)
+    if spec in ("interval01", "minplus01inf"):
+        assert _sampled(x, with_square, S, [X], 4096, 0) == NotFalsified(4096)
+
+
+def test_batched_sampling_witness_is_rechecked(monkeypatch):
+    # a batch that separates the sides where evaluate does not is an error
+    # in the batched arithmetic, never a witness
+    calls = []
+    original = polynomials._eval_columns
+
+    def corrupted(*args):
+        # the right side's value at sample 11, whichever chunk holds it
+        total = original(*args)
+        calls.append(len(total))
+        start = sum(calls[:-2:2])
+        if len(calls) % 2 == 0 and start <= 11 < start + len(total):
+            total[11 - start] = "corrupted"
+        return total
+
+    monkeypatch.setattr(polynomials, "_eval_columns", corrupted)
+    p = poly({((X, 1),): 1})
+    with pytest.raises(InternalConsistencyError, match="sample 11 "):
+        _sampled(p, p, NAT, [X], 64, 0)
 
 
 def test_variable_universe_must_cover_polynomials():
