@@ -64,6 +64,7 @@ from .semirings import (
     MAXPLUS,
     MINPLUS01INF,
     NAT,
+    NEG_INF,
     semiring_from_spec,
 )
 from .words import Identity, is_balanced, scattered_multiplicity, simon_equivalent, subword_set, words_up_to
@@ -589,7 +590,7 @@ def criterion_batched_products(trials: int = 12, seed: int = 1616) -> CheckOutco
     mismatched = []
     compared = disagreeing = 0
     widest = 0
-    for S in (BOOL, DIAMOND, MINPLUS01INF, INTERVAL01):
+    for S in (BOOL, DIAMOND, MAXPLUS, MINPLUS01INF, INTERVAL01):
         for n in range(2, 6):
             for ident in idents:
                 tables = [
@@ -598,16 +599,18 @@ def criterion_batched_products(trials: int = 12, seed: int = 1616) -> CheckOutco
                 ]
                 batch = MorphismBatch(tables)
                 for word in (ident.lhs, ident.rhs):
-                    images, weight = batch.apply(word), batch.weight(len(word))
+                    images, weight = batch.apply(word), S.weight(batch.scale, len(word))
                     for phi, got in zip(tables, images):
-                        want = [list(row) for row in phi.apply(word).rows]
-                        if S.scaling is not None:
-                            # exact ints, the true payloads times the word's weight
-                            want = [[p if p == INF else p * weight for p in row] for row in want]
-                            finite = [x for x in got.flat if x != INF]
-                            widest = max([widest] + [x.bit_length() for x in finite])
-                            if any(type(x) is not int for x in finite):
-                                mismatched.append(f"{S.name} n={n} {word} not ints")
+                        # exact ints (or bools), the true payloads times the
+                        # word's weight; formal infinities stay
+                        want = [
+                            [p if p in (INF, NEG_INF) else p * weight for p in row]
+                            for row in phi.apply(word).rows
+                        ]
+                        finite = [x for x in got.flat if x not in (INF, NEG_INF)]
+                        widest = max([widest] + [x.bit_length() for x in finite])
+                        if any(not isinstance(x, int) for x in finite):
+                            mismatched.append(f"{S.name} n={n} {word} not ints")
                         compared += 1
                         if got.tolist() != want:
                             mismatched.append(f"{S.name} n={n} {word}")
@@ -622,7 +625,7 @@ def criterion_batched_products(trials: int = 12, seed: int = 1616) -> CheckOutco
         ok,
         f"{compared} word images ({trials} morphisms per instance, n = 2..5 and "
         f"identity, words of up to 20 letters, over bool, lattice:diamond, "
-        f"minplus01inf and interval01), {disagreeing} morphisms separating the "
+        f"maxplus, minplus01inf and interval01), {disagreeing} morphisms separating the "
         f"sides, widest scaled entry {widest} bits; {len(mismatched)} mismatches "
         f"{mismatched[:3]}, {elapsed:.1f}s (limit 60s)",
     )

@@ -7,7 +7,6 @@ from __future__ import annotations
 
 import random
 from itertools import combinations, islice, permutations
-from math import lcm
 from typing import Iterable, Optional
 
 import numpy as np
@@ -18,14 +17,7 @@ from .errors import (
     UnsupportedStructureError,
 )
 from .polynomials import Variable, build_f_canonical, evaluate
-from .semirings import (
-    BOOL,
-    SCALING_DEGREE,
-    SemiringDescriptor,
-    Val,
-    _normalize,
-    _scaled,
-)
+from .semirings import BOOL, SemiringDescriptor, Val, _normalize
 from .words import subword_set
 
 
@@ -283,13 +275,10 @@ class MorphismBatch:
 
     Each letter's images are stacked into a (k, n, n) object array, so the
     images of a word need one broadcast (k, n, n, n) multiply and one
-    reduction over the middle index per letter, through ufuncs made from the
-    instance's own ``_add`` and ``_mul``.  Over an instance that declares a
-    scaling law (see :mod:`sgident.semirings`), every rational payload is
-    multiplied by ``scale``, the lcm of the denominators drawn in the batch,
-    so the products run on exact ints; other instances keep their raw
-    payloads and ``scale`` is 1.  The images of a word of length L are then
-    ``weight(L)`` times the true ones.
+    reduction over the middle index per letter, through the instance's
+    ``ufuncs``.  The payloads of all letters go through the instance's
+    ``scaled_batch`` together, which gives ``scale``; the images of a word of
+    length L are then ``semiring.weight(scale, L)`` times the true ones.
     """
 
     def __init__(self, morphisms):
@@ -303,35 +292,17 @@ class MorphismBatch:
                     "batched morphisms must share instance, dimension and letters"
                 )
         self.semiring, self.size = S, len(morphisms)
-        self.scale = 1
-        if S.scaling is not None:
-            self.scale = lcm(*{
-                getattr(p, "denominator", 1)
-                for phi in morphisms for m in phi.images.values()
-                for row in m.rows for p in row
-            })
-        self._stacks = {}
-        for s in letters:
-            flat = [p for phi in morphisms for row in phi.images[s].rows for p in row]
-            if S.scaling is not None:
-                flat = [_scaled(p, self.scale) for p in flat]
-            stack = np.empty(len(flat), dtype=object)
-            stack[:] = flat
-            self._stacks[s] = stack.reshape(self.size, n, n)
-        self._add = np.frompyfunc(S._add, 2, 1)
-        self._mul = np.frompyfunc(S._mul, 2, 1)
-
-    def weight(self, length: int) -> int:
-        """The factor by which the images of a word of this length exceed the
-        true ones: ``scale`` under an automorphism law, ``scale**length``
-        under the degree law, 1 without scaling."""
-        if self.semiring.scaling == SCALING_DEGREE:
-            return self.scale**length
-        return self.scale
+        self.scale, flat = S.scaled_batch([
+            p for s in letters for phi in morphisms for row in phi.images[s].rows for p in row
+        ])
+        stacks = np.empty(len(flat), dtype=object)
+        stacks[:] = flat
+        self._stacks = dict(zip(letters, stacks.reshape(len(letters), self.size, n, n)))
 
     def apply(self, word: str, head: Optional[np.ndarray] = None) -> np.ndarray:
         """The (k, n, n) images of ``word``, or of ``head``'s word followed by
         ``word`` when ``head`` holds images already computed."""
+        add, mul = self.semiring.ufuncs
         acc = head
         for ch in word:
             image = self._stacks.get(ch)
@@ -340,24 +311,23 @@ class MorphismBatch:
             if acc is None:
                 acc = image
             else:
-                acc = self._add.reduce(
-                    self._mul(acc[:, :, :, None], image[:, None, :, :]), axis=2
-                )
+                acc = add.reduce(mul(acc[:, :, :, None], image[:, None, :, :]), axis=2)
         if acc is None:
             raise ValueError("the empty word has no batched image; use identity_matrix")
         return acc
 
     def agree(self, w: str, v: str) -> np.ndarray:
         """Per morphism, whether w and v have the same image.  A common prefix
-        is multiplied once; under the degree law the images compare as
-        ``N_w * scale**|v| == N_v * scale**|w|``."""
+        is multiplied once; when the two sides' weights differ, the images
+        compare as ``N_w * weight(|v|) == N_v * weight(|w|)``."""
         k = 0
         while k < min(len(w), len(v)) and w[k] == v[k]:
             k += 1
         head = self.apply(w[:k]) if k else None
         a, b = self.apply(w[k:], head), self.apply(v[k:], head)
-        if self.semiring.scaling == SCALING_DEGREE and len(w) != len(v):
-            a, b = a * self.weight(len(v)), b * self.weight(len(w))
+        weight_w, weight_v = (self.semiring.weight(self.scale, len(x)) for x in (w, v))
+        if weight_w != weight_v:
+            a, b = a * weight_v, b * weight_w
         return (a == b).all(axis=(1, 2))
 
 

@@ -11,10 +11,9 @@ inputs produce identical results.
 from __future__ import annotations
 
 import math
-import random
 from collections import deque
 from dataclasses import dataclass
-from itertools import product as iproduct, repeat
+from itertools import product as iproduct
 from typing import Optional
 
 import numpy as np
@@ -173,48 +172,46 @@ def bfs_closure(
 # -- direct enumerations ---------------------------------------------------------
 
 
-def _enumerate_positions(S, n, positions, family, size_cap=1 << 18):
+# matrices a direct enumeration may produce
+ENUMERATION_CAP = 1 << 18
+
+
+def _enumerate_positions(base: SMatrix, positions, family):
+    """``base`` with every assignment of carrier values to ``positions``, the
+    first position slowest."""
+    S = base.semiring
     values = [v.payload for v in S.values()]
     total = len(values) ** len(positions)
-    if total > size_cap:
+    if total > ENUMERATION_CAP:
         raise BudgetExceededError(
-            f"direct enumeration of {total} matrices exceeds the cap {size_cap}"
+            f"direct enumeration of {total} matrices exceeds the cap {ENUMERATION_CAP}"
         )
-    base = identity_matrix(n, S)
     out = []
     for combo in iproduct(values, repeat=len(positions)):
         rows = [list(r) for r in base.rows]
         for (i, j), v in zip(positions, combo):
             rows[i][j] = v
         out.append(SMatrix(S, tuple(tuple(r) for r in rows)))
-    return ClosureResult(S, n, family, (), (), out, None, None)
+    return ClosureResult(S, base.n, family, (), (), out, None, None)
 
 
 def enumerate_reflexive(n: int, S: SemiringDescriptor = BOOL) -> ClosureResult:
     """All matrices with unit diagonal, identity first."""
     positions = [(i, j) for i in range(n) for j in range(n) if i != j]
-    return _enumerate_positions(S, n, positions, "reflexiveBool" if S is BOOL else None)
+    return _enumerate_positions(
+        identity_matrix(n, S), positions, "reflexiveBool" if S is BOOL else None
+    )
 
 
 def enumerate_unitriangular(n: int, S: SemiringDescriptor = BOOL) -> ClosureResult:
     positions = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    return _enumerate_positions(S, n, positions, None)
+    return _enumerate_positions(identity_matrix(n, S), positions, None)
 
 
 def enumerate_upper_triangular(n: int, S: SemiringDescriptor = BOOL) -> ClosureResult:
-    values = [v.payload for v in S.values()]
     positions = [(i, j) for i in range(n) for j in range(i, n)]
-    total = len(values) ** len(positions)
-    if total > 1 << 18:
-        raise BudgetExceededError("upper-triangular enumeration too large")
-    zero = S._zero_payload
-    out = []
-    for combo in iproduct(values, repeat=len(positions)):
-        rows = [[zero] * n for _ in range(n)]
-        for (i, j), v in zip(positions, combo):
-            rows[i][j] = v
-        out.append(SMatrix(S, tuple(tuple(r) for r in rows)))
-    return ClosureResult(S, n, None, (), (), out, None, None)
+    zero = SMatrix(S, ((S._zero_payload,) * n,) * n)
+    return _enumerate_positions(zero, positions, None)
 
 
 def enumerate_convex(n: int) -> ClosureResult:
@@ -409,20 +406,18 @@ class InclusionReport:
 
 
 def check_inclusions(
-    n: int,
-    weighted_semiring: Optional[SemiringDescriptor] = None,
-    s_sample: Optional[tuple] = None,
-    element_cap: int = 5_000_000,
+    n: int, weighted_semiring: Optional[SemiringDescriptor] = None
 ) -> InclusionReport:
     """Element-wise containment of the enumerated Boolean families, and
-    reflexivity of every element of the weighted families when an interval
-    instance is supplied."""
+    reflexivity of every element of the weighted families, over the
+    instance's default weight sample, when an interval instance is
+    supplied."""
     from .matrices import is_reflexive
 
     entries = []
-    dc = family("doubleCatalan", n, element_cap=element_cap)
-    go = family("gossip", n, element_cap=element_cap)
-    owg = family("oneWayGossip", n, element_cap=element_cap)
+    dc = family("doubleCatalan", n)
+    go = family("gossip", n)
+    owg = family("oneWayGossip", n)
     refl = family("reflexiveBool", n)
 
     def subset(a, b, text):
@@ -435,9 +430,7 @@ def check_inclusions(
 
     if weighted_semiring is not None:
         weighted = {
-            fam_name: family(
-                fam_name, n, weighted_semiring, s_sample=s_sample, element_cap=element_cap
-            )
+            fam_name: family(fam_name, n, weighted_semiring)
             for fam_name in ("catalanU_S", "doubleCatalan_S", "gossip_S", "oneWayGossip_S")
         }
         for fam_name, fam in weighted.items():
@@ -477,6 +470,9 @@ class BruteForceFails:
 # assignments folded per step: bounds the per-letter index columns in memory
 _FOLD_CHUNK = 1 << 18
 
+# assignments an exhaustive brute-force check may fold
+ASSIGNMENT_CAP = 10_000_000
+
 
 def _fold_word(table: np.ndarray, word: str, columns: dict) -> np.ndarray:
     acc = columns[word[0]]
@@ -491,7 +487,6 @@ def brute_force_identity(
     *,
     sample: Optional[int] = None,
     seed: int = 0,
-    assignment_cap: int = 10_000_000,
 ):
     """Evaluate both sides of the identity under every assignment of letters
     to elements of M (or ``sample`` seeded random assignments), returning the
@@ -499,23 +494,24 @@ def brute_force_identity(
 
     Canonical order: letters sorted, each ranging over element indices, the
     leftmost letter most significant.  Sampled assignments are drawn one
-    trial after another, one ``randrange`` per letter in sorted order, and
-    the first failing trial is returned.  Both modes fold the words through
-    ``M.mult_table()``, ``_FOLD_CHUNK`` assignments at a time.
+    trial after another, one element index per letter in sorted order, from
+    ``numpy.random.default_rng(seed)``, and the first failing trial is
+    returned.  Both modes fold the words through ``M.mult_table()``,
+    ``_FOLD_CHUNK`` assignments at a time.
     """
     letters = sorted(set(ident.lhs) | set(ident.rhs))
     m = len(M.elements)
     if sample is None:
         total = m ** len(letters)
-        if total > assignment_cap:
+        if total > ASSIGNMENT_CAP:
             raise BudgetExceededError(
-                f"{total} assignments exceed the cap {assignment_cap}; "
+                f"{total} assignments exceed the cap {ASSIGNMENT_CAP}; "
                 "pass sample=... for a randomized check"
             )
         radix = [m ** (len(letters) - 1 - k) for k in range(len(letters))]
     else:
         total = sample
-        rng = random.Random(seed)
+        rng = np.random.default_rng(seed)
     table = M.mult_table()
     checked = 0
     for start in range(0, total, _FOLD_CHUNK):
@@ -527,10 +523,7 @@ def brute_force_identity(
                 for k, ch in enumerate(letters)
             }
         else:
-            size = (stop - start) * len(letters)
-            draws = np.fromiter(
-                map(rng.randrange, repeat(m, size)), dtype=np.int32, count=size
-            )
+            draws = rng.integers(m, size=(stop - start) * len(letters), dtype=np.int32)
             columns = {ch: draws[k :: len(letters)] for k, ch in enumerate(letters)}
         lhs = _fold_word(table, ident.lhs, columns)
         rhs = _fold_word(table, ident.rhs, columns)
@@ -557,12 +550,14 @@ class StructuralReport:
     j_trivial: Optional[bool]
 
 
-def structural_checks(
-    M: ClosureResult, *, power_bound: Optional[int] = None, j_trivial_cap: int = 512
-) -> StructuralReport:
-    """Idempotents, per-element power stabilization indices, and J-triviality
-    via two-sided principal ideals (skipped above ``j_trivial_cap``)."""
-    bound = power_bound if power_bound is not None else M.n
+# elements above which structural_checks skips the J-triviality test
+J_TRIVIAL_CAP = 512
+
+
+def structural_checks(M: ClosureResult) -> StructuralReport:
+    """Idempotents, per-element power stabilization indices up to ``M.n``,
+    and J-triviality via two-sided principal ideals (skipped above
+    ``J_TRIVIAL_CAP`` elements)."""
     idempotents = []
     power_index = []
     for idx, a in enumerate(M.elements):
@@ -570,7 +565,7 @@ def structural_checks(
             idempotents.append(idx)
         found = None
         prev = identity_matrix(M.n, M.semiring)
-        for m in range(bound + 1):
+        for m in range(M.n + 1):
             nxt = multiply(prev, a)
             if nxt == prev:
                 found = m
@@ -579,7 +574,7 @@ def structural_checks(
         power_index.append(found)
     j_trivial = None
     size = len(M.elements)
-    if size <= j_trivial_cap:
+    if size <= J_TRIVIAL_CAP:
         table = M.mult_table()
         ideals = []
         everything = np.arange(size, dtype=np.int32)

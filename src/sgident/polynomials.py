@@ -10,23 +10,14 @@ the e-fold product.  Idempotent interpretation caps coefficients at one.
 from __future__ import annotations
 
 import random
-import weakref
 from dataclasses import dataclass
 from functools import lru_cache
-from math import lcm
 from typing import NamedTuple, Optional
 
 import numpy as np
 
 from .errors import AlgebraError, InternalConsistencyError
-from .semirings import (
-    SCALING_DEGREE,
-    FiniteCarrier,
-    SemiringDescriptor,
-    Val,
-    _normalize,
-    _scaled,
-)
+from .semirings import SemiringDescriptor, Val
 
 
 class Variable(NamedTuple):
@@ -66,9 +57,6 @@ class FormalPolynomial:
     def cap(self) -> "FormalPolynomial":
         """Coefficients clamped to 1 (summation up to idempotency)."""
         return FormalPolynomial(tuple((m, 1) for m, _ in self.terms))
-
-    def max_exponent(self) -> int:
-        return max((e for mono, _ in self.terms for _, e in mono), default=0)
 
     def render(self) -> str:
         if not self.terms:
@@ -197,61 +185,11 @@ class NotFalsified:
     samples: int
 
 
-_FINITE_TABLES: "weakref.WeakKeyDictionary[SemiringDescriptor, _FiniteTables]" = (
-    weakref.WeakKeyDictionary()
-)
-
-
-class _FiniteTables:
-    """Carrier coded as 0..c-1 with flat numpy add/mul tables for bulk
-    evaluation: the sum of codes a and b is ``add[a * c + b]``."""
-
-    def __init__(self, S: SemiringDescriptor):
-        payloads = list(S.carrier.values)
-        if len(payloads) > 255:
-            raise AlgebraError("finite carrier too large for coded evaluation")
-        self.payloads = payloads
-        self.code = {p: i for i, p in enumerate(payloads)}
-        c = len(payloads)
-        self.add = np.zeros(c * c, dtype=np.uint8)
-        self.mul = np.zeros(c * c, dtype=np.uint8)
-        for i, a in enumerate(payloads):
-            for j, b in enumerate(payloads):
-                self.add[i * c + j] = self.code[_normalize(S._add(a, b))]
-                self.mul[i * c + j] = self.code[_normalize(S._mul(a, b))]
-        self.zero_code = self.code[S._zero_payload]
-        self.size = c
-        # the narrowest unsigned type that holds every flat index a * c + b
-        self.index_type = np.min_scalar_type(c * c - 1)
-        self.powers = {1: np.arange(c, dtype=np.uint8)}
-
-    def apply(self, table: np.ndarray, a, b) -> np.ndarray:
-        """table[a, b] elementwise, broadcasting a against b."""
-        t = self.index_type
-        return table.take(np.add(np.multiply(a, self.size, dtype=t), b, dtype=t))
-
-    def power(self, exponent: int) -> np.ndarray:
-        """The codes of x^exponent for x = 0..c-1."""
-        vec = self.powers.get(exponent)
-        if vec is None:
-            base = vec = self.powers[1]
-            for _ in range(exponent - 1):
-                vec = self.apply(self.mul, vec, base)
-            self.powers[exponent] = vec
-        return vec
-
-
-def _finite_tables(S: SemiringDescriptor) -> _FiniteTables:
-    tables = _FINITE_TABLES.get(S)
-    if tables is None:
-        tables = _FINITE_TABLES[S] = _FiniteTables(S)
-    return tables
-
-
-def _eval_codes(p: FormalPolynomial, var_pos: dict, S, tables) -> np.ndarray:
+def _eval_codes(p: FormalPolynomial, var_pos: dict, S) -> np.ndarray:
     """The codes of p at every assignment, as a (c,)*k tensor with one axis per
     variable.  A monomial is built over its own axes only; adding it into the
     total broadcasts it over the rest."""
+    tables = S.tables
     c = tables.size
     k = len(var_pos)
     total = np.full((c,) * k, tables.zero_code, dtype=np.uint8)
@@ -274,9 +212,13 @@ def _eval_codes(p: FormalPolynomial, var_pos: dict, S, tables) -> np.ndarray:
     return total
 
 
+# total assignments up to which a finite carrier is settled exhaustively
+EXHAUSTIVE_CAP = 1 << 20
+
+
 def _exhaustive(p, q, S, variables, cap):
-    tables = _finite_tables(S)
-    c = len(tables.payloads)
+    tables = S.tables
+    c = tables.size
     count = len(variables)
     if count == 0 or c == 1:
         # one assignment only; a tensor with one axis per variable would also
@@ -290,7 +232,7 @@ def _exhaustive(p, q, S, variables, cap):
     if c**count > cap:
         return None
     var_pos = {v: i for i, v in enumerate(variables)}
-    diff = _eval_codes(p, var_pos, S, tables) != _eval_codes(q, var_pos, S, tables)
+    diff = _eval_codes(p, var_pos, S) != _eval_codes(q, var_pos, S)
     if not diff.any():
         return Equivalent("exhaustive")
     # C order on the tensor is the canonical enumeration: first variable slowest
@@ -333,40 +275,37 @@ def _eval_columns(terms, columns: dict, ufuncs, powers: dict, zeros: np.ndarray)
 
 def _sampled(p, q, S, variables, budget, seed):
     """Seeded sampling: ``budget`` assignments, each drawn one variable at a
-    time in universe order, evaluated a chunk at a time, column-wise.  Over an
-    instance with a scaling law, a chunk's payloads are multiplied by the lcm d
-    of their denominators so the arithmetic runs on ints.  Under the
-    automorphism law coefficients are scaled too.  Under the degree law a term
-    of degree e comes out d^e times too large, so its coefficient is scaled by
-    d^(top - e) to bring every term of both sides to the common top degree.
-    The first differing sample is the witness; :func:`evaluate` recomputes its
-    values."""
+    time in universe order, evaluated a chunk at a time, column-wise.  A
+    chunk's payloads go through :meth:`SemiringDescriptor.scaled_batch`; when
+    that scales them by some d > 1, a term of degree e comes out
+    ``S.weight(d, e)`` times too large, so its coefficient is multiplied by
+    ``S.weight(d, top - e)`` to bring every term of both sides to the weight
+    of the common top degree.  The first differing sample is the witness;
+    :func:`evaluate` recomputes its values."""
     rng = random.Random(seed)
-    ufuncs = (np.frompyfunc(S._add, 2, 1), np.frompyfunc(S._mul, 2, 1))
+    width = len(variables)
     sides = [[(S.payload_of(S.nat_embed(c)), m) for m, c in poly.terms] for poly in (p, q)]
     top = max((_degree(m) for side in sides for _, m in side), default=0)
     done, size = 0, _SAMPLE_CHUNK_FIRST
     while done < budget:
         size = min(size, budget - done)
-        draws = [[S.sample_payload(rng) for _ in variables] for _ in range(size)]
-        terms, picked = sides, draws
-        if S.scaling is not None:
-            scale = lcm(*{getattr(x, "denominator", 1) for row in draws for x in row})
-            picked = [[_scaled(x, scale) for x in row] for row in draws]
-            degree_law = S.scaling == SCALING_DEGREE
+        draws = [S.sample_payload(rng) for _ in range(size * width)]
+        scale, picked = S.scaled_batch(draws)
+        terms = sides
+        if scale > 1:
             terms = [
-                [(_scaled(c, scale ** (top - _degree(m)) if degree_law else scale), m)
-                 for c, m in side]
+                [(c * S.weight(scale, top - _degree(m)), m) for c, m in side]
                 for side in sides
             ]
-        table = np.array(picked, dtype=object).reshape(size, len(variables))
+        table = np.array(picked, dtype=object).reshape(size, width)
         columns = {var: table[:, j] for j, var in enumerate(variables)}
         zeros, powers = np.full(size, S._zero_payload, dtype=object), {}
-        lhs, rhs = (_eval_columns(side, columns, ufuncs, powers, zeros) for side in terms)
+        lhs, rhs = (_eval_columns(side, columns, S.ufuncs, powers, zeros) for side in terms)
         diff = lhs != rhs
         if diff.any():
             first = int(np.argmax(diff))
-            witness = {v: S._wrap(x) for v, x in zip(variables, draws[first])}
+            row = draws[first * width : (first + 1) * width]
+            witness = {v: S._wrap(x) for v, x in zip(variables, row)}
             a, b = evaluate(p, witness, S), evaluate(q, witness, S)
             if a == b:
                 raise InternalConsistencyError(
@@ -387,13 +326,12 @@ def functionally_equivalent(
     variables: Optional[list] = None,
     budget: int = 4096,
     seed: int = 0,
-    exhaustive_cap: int = 1 << 20,
 ):
     """Decide whether p and q define the same function on assignments over S.
 
     Identical canonical forms (coefficients capped when S is idempotent) are
     equivalent over any instance.  Finite carriers are settled by exhaustive
-    evaluation up to ``exhaustive_cap`` total assignments: both sides are
+    evaluation up to ``EXHAUSTIVE_CAP`` total assignments: both sides are
     evaluated over a tensor with one axis of size c per variable, each
     monomial over its own axes and broadcast over the rest, so memory is
     c^k bytes per array.  Otherwise seeded sampling either produces a
@@ -401,7 +339,8 @@ def functionally_equivalent(
     drawn one variable at a time in universe order, as a one-at-a-time loop
     would draw them, and evaluated a chunk at a time (``_SAMPLE_CHUNK_FIRST``
     first, doubling up to ``_SAMPLE_CHUNK_CAP``), one object column per
-    variable, on exact ints where the instance declares a scaling law.
+    variable, through the instance's batch arithmetic (see
+    :class:`~sgident.semirings.SemiringDescriptor`).
     The witness is always the first falsifying assignment in the canonical
     enumeration (or sampling) order, so verdicts are reproducible.
     """
@@ -421,8 +360,8 @@ def functionally_equivalent(
     cq = q.cap() if S.is_idempotent else q
     if cp.terms == cq.terms:
         return Equivalent("identical-form")
-    if isinstance(S.carrier, FiniteCarrier):
-        result = _exhaustive(p, q, S, universe, exhaustive_cap)
+    if S.is_finite:
+        result = _exhaustive(p, q, S, universe, EXHAUSTIVE_CAP)
         if result is not None:
             return result
     return _sampled(p, q, S, universe, budget, seed)

@@ -25,9 +25,13 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Callable, Optional, Union
 
+import numpy as np
+
 from .errors import (
+    AlgebraError,
     InstanceMismatchError,
     InternalConsistencyError,
     UnsupportedStructureError,
@@ -40,11 +44,12 @@ Payload = Union[bool, int, Fraction, float]
 
 # How x -> d*x, for a positive integer d, acts on the rational payloads of an
 # instance (formal infinities stay put).  Under SCALING_AUTOMORPHISM it is an
-# automorphism (min-plus: it respects min and +).  Under SCALING_DEGREE it
-# respects addition and the order, and a product of L scaled factors is d^L
-# times the product of the unscaled ones (max-times).  Either way, multiplying
-# every payload of a batch by the lcm of its denominators turns the batch's
-# arithmetic into arithmetic on exact ints.
+# automorphism (min-plus and max-plus: it respects min or max, and +).  Under
+# SCALING_DEGREE it respects addition and the order, and a product of L scaled
+# factors is d^L times the product of the unscaled ones (max-times).  Either
+# way, multiplying every payload of a batch by the lcm of its denominators
+# turns the batch's arithmetic into arithmetic on exact ints; see
+# SemiringDescriptor.scaled_batch and SemiringDescriptor.weight.
 SCALING_AUTOMORPHISM = "automorphism"
 SCALING_DEGREE = "degree"
 
@@ -56,14 +61,6 @@ def _normalize(payload: Payload) -> Payload:
     if isinstance(payload, Fraction) and payload.denominator == 1:
         return int(payload)
     return payload
-
-
-def _scaled(payload: Payload, scale: int) -> Payload:
-    """``scale * payload`` as an exact int, for a scale that the payload's
-    denominator divides; formal infinities, the only float payloads, stay."""
-    if isinstance(payload, float):
-        return payload
-    return payload.numerator * (scale // payload.denominator)
 
 
 @dataclass(frozen=True, slots=True)
@@ -108,14 +105,57 @@ class InfiniteCarrier:
     sample: Callable[[random.Random], Payload]
 
 
+class FiniteTables:
+    """A finite carrier coded as 0..c-1 with flat numpy add/mul tables for
+    bulk evaluation: the sum of codes a and b is ``add[a * c + b]``."""
+
+    def __init__(self, S: SemiringDescriptor):
+        payloads = list(S.carrier.values)
+        if len(payloads) > 255:
+            raise AlgebraError("finite carrier too large for coded evaluation")
+        self.payloads = payloads
+        self.code = {p: i for i, p in enumerate(payloads)}
+        c = len(payloads)
+        self.add = np.zeros(c * c, dtype=np.uint8)
+        self.mul = np.zeros(c * c, dtype=np.uint8)
+        for i, a in enumerate(payloads):
+            for j, b in enumerate(payloads):
+                self.add[i * c + j] = self.code[_normalize(S._add(a, b))]
+                self.mul[i * c + j] = self.code[_normalize(S._mul(a, b))]
+        self.zero_code = self.code[S._zero_payload]
+        self.size = c
+        # the narrowest unsigned type that holds every flat index a * c + b
+        self.index_type = np.min_scalar_type(c * c - 1)
+        self.powers = {1: np.arange(c, dtype=np.uint8)}
+
+    def apply(self, table: np.ndarray, a, b) -> np.ndarray:
+        """table[a, b] elementwise, broadcasting a against b."""
+        t = self.index_type
+        return table.take(np.add(np.multiply(a, self.size, dtype=t), b, dtype=t))
+
+    def power(self, exponent: int) -> np.ndarray:
+        """The codes of x^exponent for x = 0..c-1."""
+        vec = self.powers.get(exponent)
+        if vec is None:
+            base = vec = self.powers[1]
+            for _ in range(exponent - 1):
+                vec = self.apply(self.mul, vec, base)
+            self.powers[exponent] = vec
+        return vec
+
+
 class SemiringDescriptor:
     """A commutative semiring instance with exact, total operations.
 
     ``add``/``mul`` work on raw payloads; the public methods wrap results in
     tagged values and reject operands from other instances.  ``scaling``
     declares how the instance's rational payloads scale (``SCALING_*``), or
-    is None.  Descriptors are
-    immutable after construction and may be shared freely across workers.
+    is None.  The array arithmetic of batched evaluation lives here too:
+    :attr:`tables` (coded tables of a finite carrier), :attr:`ufuncs` (the
+    raw operations as numpy object ufuncs), :meth:`scaled_batch` and
+    :meth:`weight` (the scaling law); the first two are built on first use.
+    Descriptors are immutable after construction and may be shared freely
+    across workers.
     """
 
     def __init__(
@@ -313,16 +353,43 @@ class SemiringDescriptor:
         return Val(self.name, self.sample_payload(rng))
 
     @property
-    def free_rank1(self) -> Optional[Val]:
-        if self.free_rank1_payload is None:
-            return None
-        return self._wrap(self.free_rank1_payload)
-
-    @property
     def interval_sample(self) -> Optional[tuple]:
         if self._interval_sample is None:
             return None
         return tuple(self._wrap(p) for p in self._interval_sample)
+
+    # -- batch arithmetic -----------------------------------------------------
+
+    @cached_property
+    def tables(self) -> FiniteTables:
+        """The coded add/mul tables of a finite carrier."""
+        if not self.is_finite:
+            raise UnsupportedStructureError(f"{self.name} has an infinite carrier")
+        return FiniteTables(self)
+
+    @cached_property
+    def ufuncs(self) -> tuple:
+        """``(add, mul)``: the raw operations as numpy object ufuncs."""
+        return np.frompyfunc(self._add, 2, 1), np.frompyfunc(self._mul, 2, 1)
+
+    def scaled_batch(self, payloads: list) -> tuple:
+        """``(d, payloads * d)`` under a scaling law: d is the lcm of the
+        payloads' denominators, every rational payload times d comes back as
+        an exact int, and formal infinities stay as they are.  ``(1,
+        payloads)``, untouched, without a law."""
+        if self.scaling is None:
+            return 1, payloads
+        d = math.lcm(*{getattr(p, "denominator", 1) for p in payloads})
+        return d, [
+            p if isinstance(p, float) else p.numerator * (d // p.denominator)
+            for p in payloads
+        ]
+
+    def weight(self, d: int, k: int) -> int:
+        """The factor by which a product of k payloads scaled by d exceeds
+        the true product scaled back: d**k under the degree law, d
+        otherwise (and d is 1 without a law)."""
+        return d**k if self.scaling == SCALING_DEGREE else d
 
     # -- text -----------------------------------------------------------------
 
@@ -452,6 +519,7 @@ MAXPLUS = SemiringDescriptor(
     contains=lambda p: p == NEG_INF or _is_rational(p),
     format_payload=_format_extended,
     parse_payload=lambda t: NEG_INF if t == "-inf" else Fraction(t),
+    scaling=SCALING_AUTOMORPHISM,
 )
 
 MINPLUS01INF = SemiringDescriptor(

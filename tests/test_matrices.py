@@ -43,8 +43,10 @@ from sgident.semirings import (
     DIAMOND,
     INF,
     INTERVAL01,
+    MAXPLUS,
     MINPLUS01INF,
     NAT,
+    NEG_INF,
     semiring_from_spec,
 )
 
@@ -340,7 +342,7 @@ def test_batch_scale_comes_from_the_drawn_denominators():
         table(INTERVAL01, Fraction(1, 2), 0),
     ]
     batch = MorphismBatch(tables)
-    assert batch.scale == 12 and batch.weight(3) == 12**3
+    assert batch.scale == 12 and INTERVAL01.weight(batch.scale, 3) == 12**3
     for phi, got in zip(tables, batch.apply("aba")):
         want = [[p * 12**3 for p in row] for row in phi.apply("aba").rows]
         assert got.tolist() == want
@@ -351,8 +353,13 @@ def test_batch_scale_comes_from_the_drawn_denominators():
     assert batch.agree("ab", "a").tolist() == expected
     # min-plus: scaling is an automorphism, and inf stays inf
     batch = MorphismBatch([table(MINPLUS01INF, Fraction(5, 2), INF)])
-    assert batch.scale == 2 and batch.weight(7) == 2
+    assert batch.scale == 2 and MINPLUS01INF.weight(batch.scale, 7) == 2
     assert batch.apply("ab").tolist() == [[[0, 5], [INF, 0]]]
+    # max-plus: an automorphism as well, negative payloads scale, -inf stays
+    batch = MorphismBatch([table(MAXPLUS, Fraction(-5, 3), NEG_INF)])
+    assert batch.scale == 3 and MAXPLUS.weight(batch.scale, 7) == 3
+    assert batch.apply("ab").tolist() == [[[0, -5], [NEG_INF, 0]]]
+    assert batch.agree("ab", "a").tolist() == [True]
     # without a scaling law the raw payloads are multiplied
     batch = MorphismBatch([table(BOOL, True, False)])
     assert batch.scale == 1 and batch.apply("ab").tolist() == [[[True, True], [False, True]]]

@@ -14,7 +14,6 @@ from sgident.polynomials import (
     Variable,
     ZERO_POLYNOMIAL,
     _eval_codes,
-    _finite_tables,
     _sampled,
     build_f,
     build_f_canonical,
@@ -165,8 +164,8 @@ def test_coded_values_match_evaluate_at_every_assignment(spec):
     S = semiring_from_spec(spec)
     x, y = Variable("a", 1), Variable("b", 1)
     p = poly({((x, 1), (y, 3)): 1, ((x, 3), (y, 1)): 1, ((x, 2),): 13, (): 15})
-    tables = _finite_tables(S)
-    codes = _eval_codes(p, {x: 0, y: 1}, S, tables)
+    tables = S.tables
+    codes = _eval_codes(p, {x: 0, y: 1}, S)
     for i, a in enumerate(S.carrier.values):
         for j, b in enumerate(S.carrier.values):
             expected = evaluate(p, {x: S.val(a), y: S.val(b)}, S)
@@ -179,6 +178,7 @@ def test_finite_tables_follow_the_descriptor_not_its_name():
         "bool", lambda a, b: a | b, lambda a, b: a & b, 0, 3,
         idempotent=True, interval=True, carrier=FiniteCarrier((0, 1, 2, 3)),
     )
+    assert (lattice.tables.size, BOOL.tables.size) == (4, 2)
     p = poly({mono(("a", 1, 1)): 1, mono(("b", 1, 1)): 1})
     one = poly({(): 1})
     on_bool = functionally_equivalent(p, one, BOOL)
@@ -334,12 +334,13 @@ def test_variable_universe_must_cover_polynomials():
         functionally_equivalent(p, q, BOOL, variables=[Variable("a", 1)])
 
 
-def test_finite_fallback_to_sampling_when_too_many_assignments():
+def test_finite_fallback_to_sampling_when_too_many_assignments(monkeypatch):
+    monkeypatch.setattr(polynomials, "EXHAUSTIVE_CAP", 3)
     trunc = semiring_from_spec("nat:2,3")
     a, b = Variable("a", 1), Variable("b", 1)
     p = poly({((a, 1),): 1})
     q = poly({((b, 1),): 1})
-    result = functionally_equivalent(p, q, trunc, exhaustive_cap=3, budget=64)
+    result = functionally_equivalent(p, q, trunc, budget=64)
     assert isinstance(result, NotEquivalent)
 
 

@@ -1,7 +1,9 @@
+import math
 import random
 from fractions import Fraction
 from itertools import product
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -15,12 +17,17 @@ from sgident.errors import (
 from sgident.semirings import (
     BOOL,
     INF,
+    INTERVAL01,
     MAXPLUS,
     MINPLUS01INF,
     NAT,
     NEG_INF,
+    SCALING_AUTOMORPHISM,
+    SCALING_DEGREE,
     Cyclic,
+    FiniteCarrier,
     Free,
+    SemiringDescriptor,
     semiring_from_spec,
     truncated_nat,
 )
@@ -216,3 +223,80 @@ def test_raw_draws_match_the_wrapped_draws(name):
     assert [(type(p), p) for p in raw] == [(type(p), p) for p in wrapped]
     assert raw_rng.random() == wrapped_rng.random()
     assert " ".join(S._format(p) for p in raw[:6]) == FIRST_DRAWS[name]
+
+
+# -- batch arithmetic ------------------------------------------------------------
+
+# the scaling law each shipped instance declares; the others declare none
+LAWS = {
+    "interval01": SCALING_DEGREE,
+    "maxplus": SCALING_AUTOMORPHISM,
+    "minplus01inf": SCALING_AUTOMORPHISM,
+}
+
+
+@pytest.mark.parametrize("name", sorted(ALL_INSTANCES))
+def test_batch_arithmetic_is_built_once(name):
+    S = ALL_INSTANCES[name]
+    assert S.ufuncs is S.ufuncs
+    rng = random.Random(5)
+    a, b = ([S.sample_payload(rng) for _ in range(40)] for _ in range(2))
+    add, mul = S.ufuncs
+    xs, ys = np.array(a, dtype=object), np.array(b, dtype=object)
+    assert add(xs, ys).tolist() == [S._add(x, y) for x, y in zip(a, b)]
+    assert mul(xs, ys).tolist() == [S._mul(x, y) for x, y in zip(a, b)]
+    if S.is_finite:
+        assert S.tables is S.tables
+        assert S.tables.payloads == list(S.carrier.values)
+    else:
+        with pytest.raises(UnsupportedStructureError):
+            S.tables
+
+
+@pytest.mark.parametrize("name", sorted(ALL_INSTANCES))
+def test_scaled_batch_follows_the_declared_law(name):
+    S = ALL_INSTANCES[name]
+    law = LAWS.get(name)
+    assert S.scaling == law
+    rng = random.Random(11)
+    payloads = [S.sample_payload(rng) for _ in range(200)]
+    d, scaled = S.scaled_batch(payloads)
+    if law is None:
+        # the same list back: bools stay bools
+        assert d == 1 and scaled is payloads
+        assert S.weight(d, 5) == 1
+        return
+    infinite = (INF, NEG_INF)
+    assert d > 1
+    assert d == math.lcm(*(Fraction(p).denominator for p in payloads if p not in infinite))
+    for p, x in zip(payloads, scaled):
+        if p in infinite:
+            assert x == p
+        else:
+            assert type(x) is int and x == p * d
+    assert S.weight(d, 5) == (d**5 if law == SCALING_DEGREE else d)
+    assert S.weight(d, 0) == (1 if law == SCALING_DEGREE else d)
+
+
+@pytest.mark.parametrize(
+    "S, payloads, expected",
+    [
+        (INTERVAL01, [Fraction(1, 2), Fraction(2, 3), 1], (6, [3, 4, 6])),
+        (MINPLUS01INF, [INF, Fraction(3, 2), 0], (2, [INF, 3, 0])),
+        (MAXPLUS, [Fraction(-5, 4), NEG_INF, 2], (4, [-5, NEG_INF, 8])),
+        (INTERVAL01, [], (1, [])),
+    ],
+)
+def test_scaled_batch_examples(S, payloads, expected):
+    assert S.scaled_batch(payloads) == expected
+
+
+def test_scaled_batch_leaves_a_user_instance_without_a_law_untouched():
+    halves = SemiringDescriptor(
+        "halves", max, min, 0, 1,
+        idempotent=True, interval=True, carrier=FiniteCarrier((0, Fraction(1, 2), 1)),
+    )
+    payloads = list(halves.carrier.values)
+    d, scaled = halves.scaled_batch(payloads)
+    assert d == 1 and scaled is payloads
+    assert halves.weight(d, 9) == 1
