@@ -51,6 +51,8 @@ from .polynomials import (
     NotEquivalent,
     NotFalsified,
     Variable,
+    _by_supports,
+    _by_tensor,
     _sampled,
     build_f_canonical,
     evaluate,
@@ -598,14 +600,16 @@ def criterion_batched_products(trials: int = 12, seed: int = 1616) -> CheckOutco
                     for _ in range(trials)
                 ]
                 batch = MorphismBatch(tables)
+                reference = {}
                 for word in (ident.lhs, ident.rhs):
                     images, weight = batch.apply(word), S.weight(batch.scale, len(word))
-                    for phi, got in zip(tables, images):
+                    reference[word] = [phi.apply(word) for phi in tables]
+                    for image, got in zip(reference[word], images):
                         # exact ints (or bools), the true payloads times the
                         # word's weight; formal infinities stay
                         want = [
                             [p if p in (INF, NEG_INF) else p * weight for p in row]
-                            for row in phi.apply(word).rows
+                            for row in image.rows
                         ]
                         finite = [x for x in got.flat if x not in (INF, NEG_INF)]
                         widest = max([widest] + [x.bit_length() for x in finite])
@@ -614,7 +618,9 @@ def criterion_batched_products(trials: int = 12, seed: int = 1616) -> CheckOutco
                         compared += 1
                         if got.tolist() != want:
                             mismatched.append(f"{S.name} n={n} {word}")
-                expected = [phi.apply(ident.lhs) == phi.apply(ident.rhs) for phi in tables]
+                expected = [
+                    a == b for a, b in zip(reference[ident.lhs], reference[ident.rhs])
+                ]
                 disagreeing += expected.count(False)
                 if batch.agree(ident.lhs, ident.rhs).tolist() != expected:
                     mismatched.append(f"{S.name} n={n} {ident} agreement")
@@ -693,6 +699,52 @@ def criterion_sampled_kernel(pairs: int = 60, seed: int = 1717) -> CheckOutcome:
         f"over minplus01inf and interval01), {separated} separated, {late} of them "
         f"at sample 8 or later, {unfalsified} not falsified; {len(mismatched)} "
         f"mismatches {mismatched[:3]}, {elapsed:.1f}s (limit 60s)",
+    )
+
+
+# -- criterion 18 ----------------------------------------------------------------
+
+
+def criterion_lattice_decision() -> CheckOutcome:
+    """The minimal-support decision over bitmask lattices against the coded
+    tensor: the same verdict, witness and values (compared by repr too) on
+    the criterion-15 inputs over bool, lattice:diamond and nat:1,1, and on a
+    6-letter law whose check goes past the exhaustive cap, at u = aaa over
+    bool, where the tensor covers all 2^24 assignments."""
+    start = time.perf_counter()
+    words = words_up_to("xy", 5)
+    instances = (BOOL, DIAMOND, semiring_from_spec("nat:1,1"))
+    cases = []
+    for S in instances:
+        for u in words_up_to("xy", 2, include_empty=True):
+            universe = [Variable(s, v) for s in "xy" for v in range(1, len(u) + 2)]
+            polys = [build_f_canonical(u, w) for w in words]
+            pairs = dict.fromkeys((p, q) for i, p in enumerate(polys) for q in polys[i + 1:])
+            cases += [(S, u, p, q, universe) for p, q in pairs if p.cap() != q.cap()]
+    law = Identity("a" + "abcdef" * 3 + "f", "a" + "abcdef" * 4 + "f")
+    over_cap = [Variable(s, v) for s in law.alphabet for v in range(1, 5)]
+    cases.append((BOOL, "aaa", *(build_f_canonical("aaa", w) for w in (law.lhs, law.rhs)), over_cap))
+    mismatched = []
+    separated = 0
+    for S, u, p, q, universe in cases:
+        want = _by_tensor(p, q, S, universe)
+        try:
+            got = _by_supports(p, q, S, universe)
+        except InternalConsistencyError as error:
+            got = error
+        separated += isinstance(want, NotEquivalent)
+        if got != want or repr(got) != repr(want):
+            mismatched.append(f"{S.name} u={u!r} {p.render()} | {q.render()}")
+    elapsed = time.perf_counter() - start
+    # the last case, past the cap, must separate
+    ok = not mismatched and isinstance(want, NotEquivalent) and elapsed < 60.0
+    return _outcome(
+        "lattice-vs-tensor",
+        ok,
+        f"{len(cases)} polynomial pairs (the criterion-15 pairs with different "
+        f"capped forms, over {', '.join(S.name for S in instances)}; u = aaa of "
+        f"{law} over bool, 2^{len(over_cap)} assignments), {separated} separated; "
+        f"{len(mismatched)} mismatches {mismatched[:3]}, {elapsed:.1f}s (limit 60s)",
     )
 
 
@@ -878,6 +930,7 @@ def suite_checker_equivalence() -> list:
         criterion_exhaustive_kernel(),
         criterion_batched_products(),
         criterion_sampled_kernel(),
+        criterion_lattice_decision(),
     ]
 
 

@@ -209,15 +209,18 @@ def check_UT(
         and S.free_rank1_payload is not None
         and S.partial_sums_distinct
     )
+    # the variables x(s, v) of the initial-segment path, one universe per |u|
+    universes = [
+        [Variable(s, v) for s in alphabet for v in range(1, length + 2)]
+        for length in range(n)
+    ]
     evidence = []
     failure = None
     inconclusive = []
     for u in us:
         if u == "" and skip_empty:
             continue
-        universe = [
-            Variable(s, v) for s in alphabet for v in range(1, len(u) + 2)
-        ]
+        universe = universes[len(u)]
         fu_w = build_f_canonical(u, ident.lhs)
         fu_v = build_f_canonical(u, ident.rhs)
         result = functionally_equivalent(

@@ -100,6 +100,20 @@ def _embeddings(u: str, w: str):
     yield from extend(1, 1)
 
 
+@lru_cache(maxsize=1024)
+def _slots(w: str, rho: tuple) -> tuple:
+    """For each letter s of w, in order: its prefix counts in w (counts[i]
+    occurrences among the first i letters) and the variables x(s, v) for the
+    vertices v of rho."""
+    out = []
+    for s in sorted(set(w)):
+        counts = [0]
+        for ch in w:
+            counts.append(counts[-1] + (ch == s))
+        out.append((tuple(counts), tuple(Variable(s, v) for v in rho)))
+    return tuple(out)
+
+
 def build_f(u: str, rho: tuple, w: str, n: int) -> FormalPolynomial:
     """The sum over all embeddings of u into w of the monomial recording, for
     each path vertex rho[k], how many occurrences of each letter fall strictly
@@ -117,23 +131,22 @@ def build_f(u: str, rho: tuple, w: str, n: int) -> FormalPolynomial:
         raise ValueError(f"path {rho} leaves the vertex range 1..{n}")
     if any(rho[k] >= rho[k + 1] for k in range(l)):
         raise ValueError(f"path {rho} is not strictly increasing")
+    return _build_f(u, rho, w)
 
-    letters = sorted(set(w))
-    prefix = {s: [0] * (len(w) + 1) for s in letters}
-    for i, ch in enumerate(w, start=1):
-        for s in letters:
-            prefix[s][i] = prefix[s][i - 1] + (1 if ch == s else 0)
 
+def _build_f(u: str, rho: tuple, w: str) -> FormalPolynomial:
+    """:func:`build_f` along a path already known to be valid."""
+    slots = _slots(w, rho)
     coefficients: dict = {}
     for alpha in _embeddings(u, w):
-        expo = {}
-        for k in range(l + 1):
-            lo, hi = alpha[k], alpha[k + 1]
-            for s in letters:
-                count = prefix[s][hi - 1] - prefix[s][lo]
+        # letters outer and vertices inner, so the pairs come out sorted
+        mono = []
+        for counts, variables in slots:
+            for k, var in enumerate(variables):
+                count = counts[alpha[k + 1] - 1] - counts[alpha[k]]
                 if count:
-                    expo[Variable(s, rho[k])] = count
-        mono = tuple(sorted(expo.items()))
+                    mono.append((var, count))
+        mono = tuple(mono)
         coefficients[mono] = coefficients.get(mono, 0) + 1
     return FormalPolynomial.from_dict(coefficients)
 
@@ -141,7 +154,7 @@ def build_f(u: str, rho: tuple, w: str, n: int) -> FormalPolynomial:
 @lru_cache(maxsize=8192)
 def build_f_canonical(u: str, w: str) -> FormalPolynomial:
     """build_f along the initial-segment path (1, 2, ..., |u|+1)."""
-    return build_f(u, tuple(range(1, len(u) + 2)), w, len(u) + 1)
+    return _build_f(u, tuple(range(1, len(u) + 2)), w)
 
 
 def _payload_pow(S: SemiringDescriptor, payload, exponent: int):
@@ -193,34 +206,92 @@ def _eval_codes(p: FormalPolynomial, var_pos: dict, S) -> np.ndarray:
     c = tables.size
     k = len(var_pos)
     total = np.full((c,) * k, tables.zero_code, dtype=np.uint8)
-    added = set()
     for mono, coeff in p.terms:
-        coeff_code = tables.code[S.payload_of(S.nat_embed(coeff))]
-        factors = [(var_pos[var], tables.power(e)) for var, e in mono]
-        if S.is_idempotent:
-            # a + a = a: a term equal to one already added changes nothing
-            key = (coeff_code, tuple((axis, vec.tobytes()) for axis, vec in factors))
-            if key in added:
-                continue
-            added.add(key)
-        acc = np.uint8(coeff_code)
-        for axis, vec in factors:
+        acc = np.uint8(tables.code[S.payload_of(S.nat_embed(coeff))])
+        for var, e in mono:
             shape = [1] * k
-            shape[axis] = c
-            acc = tables.apply(tables.mul, acc, vec.reshape(shape))
+            shape[var_pos[var]] = c
+            acc = tables.apply(tables.mul, acc, tables.power(e).reshape(shape))
         total = tables.apply(tables.add, total, acc)
     return total
 
 
-# total assignments up to which a finite carrier is settled exhaustively
+def _by_tensor(p, q, S, variables):
+    """Both sides' codes at all c^k assignments (:func:`_eval_codes`); the
+    witness is the first differing entry in C order."""
+    var_pos = {v: i for i, v in enumerate(variables)}
+    diff = _eval_codes(p, var_pos, S) != _eval_codes(q, var_pos, S)
+    if not diff.any():
+        return Equivalent("exhaustive")
+    # C order on the tensor is the canonical enumeration: first variable slowest
+    first = np.unravel_index(int(np.argmax(diff)), diff.shape)
+    witness = {v: S._wrap(S.tables.payloads[int(i)]) for v, i in zip(variables, first)}
+    return NotEquivalent(witness, evaluate(p, witness, S), evaluate(q, witness, S))
+
+
+def _minimal(supports) -> frozenset:
+    """The inclusion-minimal members of a collection of bitmasks."""
+    kept = []
+    for s in sorted(set(supports), key=int.bit_count):
+        if not any(k & s == k for k in kept):
+            kept.append(s)
+    return frozenset(kept)
+
+
+def _by_supports(p, q, S, variables):
+    """Exact decision over a bitmask lattice (see
+    :attr:`~sgident.semirings.SemiringDescriptor.is_bitmask_lattice`), with
+    no cap on the number of assignments.
+
+    Over B = {0, 1} a polynomial is a monotone Boolean function: a monomial
+    is true exactly when its support (its set of variables, as a bitmask over
+    ``variables``) is all ones, and two such functions are equal exactly when
+    their antichains of minimal supports are.  Over B^m each bit is a
+    semiring morphism onto B and B embeds diagonally, so the sides agree over
+    B^m exactly when they agree over B.  A falsifying assignment stays
+    falsifying, and gets no larger in any coordinate, when every code is
+    replaced by its bit at a differing place; so the first one in C order
+    uses codes 0 and 1 only.  It is built one variable at a time: code 0
+    (drop the supports that hold the variable) if the restricted antichains
+    still differ, else code 1 (clear the variable from every support)."""
+    bit = {v: 1 << i for i, v in enumerate(variables)}
+    a, b = (
+        _minimal(sum(bit[var] for var, _ in mono) for mono, _ in poly.terms)
+        for poly in (p, q)
+    )
+    if a == b:
+        return Equivalent("exhaustive")
+    codes = []
+    for v in variables:
+        m = bit[v]
+        a0 = frozenset(s for s in a if not s & m)
+        b0 = frozenset(s for s in b if not s & m)
+        if a0 != b0:
+            a, b = a0, b0
+            codes.append(0)
+        else:
+            a, b = _minimal(s & ~m for s in a), _minimal(s & ~m for s in b)
+            codes.append(1)
+    witness = {v: S._wrap(S.tables.payloads[c]) for v, c in zip(variables, codes)}
+    lhs, rhs = evaluate(p, witness, S), evaluate(q, witness, S)
+    if lhs == rhs:
+        raise InternalConsistencyError(
+            f"{S.name}: the minimal supports differ but the built assignment "
+            f"gives {lhs!r} on both sides"
+        )
+    return NotEquivalent(witness, lhs, rhs)
+
+
+# total assignments up to which a finite carrier other than a bitmask lattice
+# is settled exhaustively
 EXHAUSTIVE_CAP = 1 << 20
 
 
 def _exhaustive(p, q, S, variables, cap):
+    """Decide p = q at every assignment over a finite carrier, or None when
+    that takes a tensor of more than ``cap`` entries."""
     tables = S.tables
-    c = tables.size
-    count = len(variables)
-    if count == 0 or c == 1:
+    if not variables or tables.size == 1:
         # one assignment only; a tensor with one axis per variable would also
         # run into numpy's limit on the number of axes
         only = {v: S._wrap(tables.payloads[0]) for v in variables}
@@ -229,16 +300,11 @@ def _exhaustive(p, q, S, variables, cap):
         if a == b:
             return Equivalent("exhaustive")
         return NotEquivalent(only, a, b)
-    if c**count > cap:
+    if S.is_bitmask_lattice:
+        return _by_supports(p, q, S, variables)
+    if tables.size ** len(variables) > cap:
         return None
-    var_pos = {v: i for i, v in enumerate(variables)}
-    diff = _eval_codes(p, var_pos, S) != _eval_codes(q, var_pos, S)
-    if not diff.any():
-        return Equivalent("exhaustive")
-    # C order on the tensor is the canonical enumeration: first variable slowest
-    first = np.unravel_index(int(np.argmax(diff)), diff.shape)
-    witness = {v: S._wrap(tables.payloads[int(i)]) for v, i in zip(variables, first)}
-    return NotEquivalent(witness, evaluate(p, witness, S), evaluate(q, witness, S))
+    return _by_tensor(p, q, S, variables)
 
 
 # assignments drawn and evaluated per step of the sampled check: the first
@@ -330,9 +396,14 @@ def functionally_equivalent(
     """Decide whether p and q define the same function on assignments over S.
 
     Identical canonical forms (coefficients capped when S is idempotent) are
-    equivalent over any instance.  Finite carriers are settled by exhaustive
-    evaluation up to ``EXHAUSTIVE_CAP`` total assignments: both sides are
-    evaluated over a tensor with one axis of size c per variable, each
+    equivalent over any instance.  Finite carriers are settled exactly, with
+    method ``exhaustive``.  A bitmask lattice (``bool``, ``lattice:diamond``,
+    ``nat:1,1``; see :attr:`SemiringDescriptor.is_bitmask_lattice`) has no
+    cap: there both sides are monotone Boolean functions, equal exactly when
+    their antichains of minimal supports are, so the decision takes time
+    polynomial in the terms, not in the c^k assignments.  Other finite
+    carriers are evaluated at all assignments up to ``EXHAUSTIVE_CAP`` of
+    them: both sides over a tensor with one axis of size c per variable, each
     monomial over its own axes and broadcast over the rest, so memory is
     c^k bytes per array.  Otherwise seeded sampling either produces a
     falsifying witness or reports NotFalsified: ``budget`` assignments are
@@ -346,20 +417,24 @@ def functionally_equivalent(
     """
     if budget < 0:
         raise ValueError(f"budget must be >= 0, got {budget}")
-    occurring = sorted(set(p.variables()) | set(q.variables()))
+    occurring = {var for poly in (p, q) for mono, _ in poly.terms for var, _ in mono}
     if variables is None:
         universe = occurring
     else:
-        universe = sorted(set(variables))
-        missing = [v for v in occurring if v not in set(universe)]
+        universe = set(variables)
+        missing = sorted(occurring - universe)
         if missing:
             raise AlgebraError(
                 f"variable universe misses {[v.render() for v in missing]}"
             )
-    cp = p.cap() if S.is_idempotent else p
-    cq = q.cap() if S.is_idempotent else q
-    if cp.terms == cq.terms:
+    if S.is_idempotent:
+        # capped forms: the same monomials, whatever their coefficients
+        identical = [m for m, _ in p.terms] == [m for m, _ in q.terms]
+    else:
+        identical = p.terms == q.terms
+    if identical:
         return Equivalent("identical-form")
+    universe = sorted(universe)
     if S.is_finite:
         result = _exhaustive(p, q, S, universe, EXHAUSTIVE_CAP)
         if result is not None:

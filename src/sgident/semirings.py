@@ -151,9 +151,10 @@ class SemiringDescriptor:
     tagged values and reject operands from other instances.  ``scaling``
     declares how the instance's rational payloads scale (``SCALING_*``), or
     is None.  The array arithmetic of batched evaluation lives here too:
-    :attr:`tables` (coded tables of a finite carrier), :attr:`ufuncs` (the
+    :attr:`tables` (coded tables of a finite carrier),
+    :attr:`is_bitmask_lattice` (read off those tables), :attr:`ufuncs` (the
     raw operations as numpy object ufuncs), :meth:`scaled_batch` and
-    :meth:`weight` (the scaling law); the first two are built on first use.
+    :meth:`weight` (the scaling law); the first three are built on first use.
     Descriptors are immutable after construction and may be shared freely
     across workers.
     """
@@ -366,6 +367,22 @@ class SemiringDescriptor:
         if not self.is_finite:
             raise UnsupportedStructureError(f"{self.name} has an infinite carrier")
         return FiniteTables(self)
+
+    @cached_property
+    def is_bitmask_lattice(self) -> bool:
+        """Whether the coded tables are those of a Boolean lattice B^m, m >= 1:
+        the codes are the bitmasks 0..2^m-1, zero is code 0, addition is
+        bitwise OR and product bitwise AND.  Read off the tables, so it holds
+        whatever the instance is called (``bool``, ``lattice:diamond``,
+        ``nat:1,1``)."""
+        if not self.is_finite:
+            return False
+        tables = self.tables
+        c = tables.size
+        if c < 2 or c & (c - 1) or tables.zero_code != 0:
+            return False
+        a, b = np.divmod(np.arange(c * c), c)
+        return bool((tables.add == a | b).all() and (tables.mul == a & b).all())
 
     @cached_property
     def ufuncs(self) -> tuple:

@@ -78,6 +78,10 @@ def test_criterion_17_sampled_kernel():
     _report(17, acceptance.criterion_sampled_kernel())
 
 
+def test_criterion_18_lattice_decision():
+    _report(18, acceptance.criterion_lattice_decision())
+
+
 def test_law_suites_hold():
     for outcome in acceptance.suite_semiring_axioms() + acceptance.suite_word_oracles():
         status = "PASS" if outcome.ok else "FAIL"

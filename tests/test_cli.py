@@ -97,6 +97,29 @@ def test_sampled_checks_keep_their_bytes(golden, expected, argv, capsys):
     assert out == (GOLDEN / golden).read_text()
 
 
+@pytest.mark.parametrize(
+    "golden, expected, identity",
+    [
+        # 4^12 assignments at each u of length 3; holds
+        ("check_ut4_diamond_abbcabcabcabcac_over_cap.json", 0, (
+            "lattice:diamond", "abbcabcabcabcac=abbcabcabcabcabcac",
+        )),
+        # 2^24 assignments at u = aaa, where the identity fails; the witness
+        # is the first falsifying assignment in C order
+        ("check_ut4_bool_six_letter_law_over_cap.json", 1, (
+            "bool", "a" + "abcdef" * 3 + "f=a" + "abcdef" * 4 + "f",
+        )),
+    ],
+)
+def test_lattice_checks_past_the_exhaustive_cap_keep_their_bytes(golden, expected, identity, capsys):
+    spec, text = identity
+    code, out, _ = run_cli(
+        capsys, "check", "--monoid", "ut", "--n", "4", "--semiring", spec, "--stable-output", text
+    )
+    assert code == expected
+    assert out == (GOLDEN / golden).read_text()
+
+
 def test_usage_errors_exit_two(capsys):
     assert run_cli(capsys, "check", "--monoid", "u", "--n", "3", "--semiring", "nope", "x=x")[0] == 2
     assert run_cli(capsys, "check", "--monoid", "u", "--n", "3", "--semiring", "bool", "x==")[0] == 2

@@ -356,3 +356,40 @@ def test_coefficient_cap():
     p = poly({mono(("a", 1, 1)): 5, (): 2})
     capped = p.cap()
     assert capped == poly({mono(("a", 1, 1)): 1, (): 1})
+
+
+def test_bitmask_lattices_have_no_cap(monkeypatch):
+    # over bool and the diamond, x(a,1)*x(b,1) + x(a,1) absorbs its first term
+    monkeypatch.setattr(polynomials, "EXHAUSTIVE_CAP", 3)
+    a, b = Variable("a", 1), Variable("b", 1)
+    absorbed = poly({((a, 1), (b, 1)): 1, ((a, 1),): 1})
+    single = poly({((a, 1),): 1})
+    for S in (BOOL, DIAMOND, semiring_from_spec("nat:1,1")):
+        assert functionally_equivalent(absorbed, single, S) == Equivalent("exhaustive")
+    result = functionally_equivalent(single, poly({((b, 1),): 1}), DIAMOND)
+    # a = 0 and b = the atom coded 1, not the top 3
+    assert result == NotEquivalent({a: DIAMOND.val(0), b: DIAMOND.val(1)}, DIAMOND.val(0), DIAMOND.val(1))
+    # the same lattice listed in another order goes through the capped tensor
+    shuffled = SemiringDescriptor(
+        "lattice:diamond", lambda x, y: x | y, lambda x, y: x & y, 0, 3,
+        idempotent=True, interval=True, carrier=FiniteCarrier((0, 1, 3, 2)),
+    )
+    assert isinstance(functionally_equivalent(absorbed, single, shuffled), NotFalsified)
+    monkeypatch.setattr(polynomials, "EXHAUSTIVE_CAP", 16)
+    assert functionally_equivalent(absorbed, single, shuffled) == Equivalent("exhaustive")
+
+
+def test_minimal_supports_give_the_first_witness_in_c_order():
+    # every pair of polynomials in x(a,1), x(a,2), x(b,1) with up to three
+    # terms of degree <= 2, against the tensor over all 64 assignments
+    a1, a2, b1 = Variable("a", 1), Variable("a", 2), Variable("b", 1)
+    universe = [a1, a2, b1]
+    monos = [()] + [((v, 1),) for v in universe] + [
+        tuple(sorted(((v, 1), (w, 1)))) for i, v in enumerate(universe) for w in universe[i + 1:]
+    ]
+    rng = random.Random(3)
+    polys = [poly({m: 1 for m in rng.sample(monos, rng.randint(0, 3))}) for _ in range(40)]
+    for p in polys:
+        for q in polys:
+            want = polynomials._by_tensor(p, q, DIAMOND, universe)
+            assert polynomials._by_supports(p, q, DIAMOND, universe) == want

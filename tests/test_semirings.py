@@ -300,3 +300,32 @@ def test_scaled_batch_leaves_a_user_instance_without_a_law_untouched():
     d, scaled = halves.scaled_batch(payloads)
     assert d == 1 and scaled is payloads
     assert halves.weight(d, 9) == 1
+
+
+def _finite(name, add, mul, carrier, zero, one):
+    return SemiringDescriptor(
+        name, add, mul, zero, one,
+        idempotent=True, interval=True, carrier=FiniteCarrier(carrier),
+    )
+
+
+def test_bitmask_lattices_are_read_off_the_tables():
+    eligible = {name for name, S in ALL_INSTANCES.items() if S.is_bitmask_lattice}
+    assert eligible == {"bool", "lattice:diamond"}
+    assert semiring_from_spec("nat:1,1").is_bitmask_lattice
+    assert not semiring_from_spec("nat:2,2").is_bitmask_lattice
+    # B^3 under an unrelated name
+    cube = _finite("chain", lambda a, b: a | b, lambda a, b: a & b, tuple(range(8)), 0, 7)
+    assert cube.is_bitmask_lattice
+
+
+def test_lattices_whose_codes_are_not_bitmasks_are_not_bitmask_lattices():
+    # a 3-element chain: not a power of two
+    chain3 = _finite("bool", max, min, (0, 1, 2), 0, 2)
+    # a 4-element chain: join 1 + 2 is 2, not the bitwise 1 | 2 = 3
+    chain4 = _finite("lattice:diamond", max, min, (0, 1, 2, 3), 0, 3)
+    # the diamond listed as (0, 1, 3, 2): payload 3 has code 2, so the codes
+    # add as bitmasks no longer
+    shuffled = _finite("lattice:diamond", lambda a, b: a | b, lambda a, b: a & b, (0, 1, 3, 2), 0, 3)
+    for S in (chain3, chain4, shuffled):
+        assert not S.is_bitmask_lattice
