@@ -27,6 +27,7 @@ from .errors import ClosureCapExceeded, InternalConsistencyError
 from .matrices import (
     MorphismBatch,
     MorphismTable,
+    SMatrix,
     block_chain_entry,
     multiply,
     power_stabilize,
@@ -36,8 +37,11 @@ from .matrices import (
     walk_entry,
 )
 from .monoids import (
+    _FAMILY_N_DEFAULTS,
     BruteForceFails,
     BruteForceHolds,
+    _bfs_products,
+    bfs_closure,
     brute_force_identity,
     catalan_number,
     check_catalan_presentation,
@@ -748,6 +752,68 @@ def criterion_lattice_decision() -> CheckOutcome:
     )
 
 
+# -- criterion 19 ----------------------------------------------------------------
+
+
+def _closure_run(build) -> str:
+    """The rows, witness words and Cayley rows a closure gives, or those of
+    the partial it raises at its cap, with the cap message; as a repr, so
+    payload and index types must agree too."""
+    try:
+        M, raised = build(), None
+    except ClosureCapExceeded as error:
+        M, raised = error.partial, str(error)
+    return repr((raised, [m.rows for m in M.elements], M.witness_words, M.cayley_right))
+
+
+def criterion_packed_closure(seed: int = 1919) -> CheckOutcome:
+    """The packed Boolean BFS against one product per (element, generator)
+    pair: every generated Boolean family up to its default bound, catalanU(8),
+    whose keys use all eight bytes, and seeded random generator sets at
+    n = 1..8 with 1 to 3 generators each, all in full; and the partials at
+    caps 1, on a level boundary and inside a level of oneWayGossip(4) and
+    catalanU(8)."""
+    start = time.perf_counter()
+    rng = random.Random(seed)
+    cases = []
+    for name in ("catalanU", "doubleCatalan", "gossip", "oneWayGossip"):
+        for n in range(1, _FAMILY_N_DEFAULTS.get(name, 6) + 1):
+            gens = family(name, n).generators
+            if gens:  # below n = 2 some families have none: the trivial monoid
+                cases.append((f"{name}({n})", gens, 5_000_000))
+    catalan8 = family("catalanU", 8, max_n=8)
+    cases.append(("catalanU(8)", catalan8.generators, 5_000_000))
+    for n in range(1, 9):
+        for k in (1, 2, 3):
+            gens = tuple(
+                SMatrix(BOOL, tuple(
+                    tuple(rng.random() < 0.25 for _ in range(n)) for _ in range(n)
+                ))
+                for _ in range(k)
+            )
+            cases.append((f"random n={n} k={k}", gens, 20_000))
+    for label, M in (("oneWayGossip(4)", family("oneWayGossip", 4)), ("catalanU(8)", catalan8)):
+        levels = np.bincount([len(w) for w in M.witness_words])
+        middle = len(levels) // 2
+        boundary = int(levels[: middle + 1].sum())
+        for cap in (1, boundary, boundary + int(levels[middle + 1]) // 2):
+            cases.append((f"{label} cap {cap}", M.generators, cap))
+    mismatched = []
+    for label, gens, cap in cases:
+        packed = _closure_run(lambda: bfs_closure(gens, element_cap=cap))
+        if packed != _closure_run(lambda: _bfs_products(list(gens), cap, (), None)):
+            mismatched.append(label)
+    elapsed = time.perf_counter() - start
+    ok = not mismatched and elapsed < 60.0
+    return _outcome(
+        "packed-vs-products",
+        ok,
+        f"{len(cases)} Boolean closures and capped partials, elements, words and "
+        f"Cayley rows equal to one product at a time; {len(mismatched)} mismatches "
+        f"{mismatched[:3]}, {elapsed:.1f}s (limit 60s)",
+    )
+
+
 # -- module-level law suites --------------------------------------------------------
 
 
@@ -771,8 +837,7 @@ def _axiom_triples(S, rng, count=200):
     ]
 
 
-def check_semiring_axioms(seed: int = 11) -> list:
-    outcomes = []
+def check_semiring_axioms(seed: int = 11):
     for spec in _AXIOM_INSTANCES:
         S = semiring_from_spec(spec)
         rng = random.Random(seed)
@@ -803,20 +868,15 @@ def check_semiring_axioms(seed: int = 11) -> list:
             for k in range(0, 33, 4):
                 if S.nat_embed(j + k) != S.add(S.nat_embed(j), S.nat_embed(k)):
                     bad.append("embedding-additivity")
-        outcomes.append(
-            _outcome(
-                f"axioms[{spec}]",
-                not bad,
-                "all laws hold" if not bad else f"violations: {sorted(set(bad))}",
-            )
+        yield _outcome(
+            f"axioms[{spec}]",
+            not bad,
+            "all laws hold" if not bad else f"violations: {sorted(set(bad))}",
         )
-    return outcomes
 
 
-def check_word_oracles(seed: int = 22) -> list:
+def check_word_oracles(seed: int = 22):
     from itertools import combinations
-
-    outcomes = []
 
     def enumeration_count(u, w):
         return sum(
@@ -832,12 +892,10 @@ def check_word_oracles(seed: int = 22) -> list:
         for u in us:
             if scattered_multiplicity(u, w) != enumeration_count(u, w):
                 bad += 1
-    outcomes.append(
-        _outcome(
-            "multiplicity-vs-enumeration",
-            bad == 0,
-            f"all {len(words2) * len(us)} pairs over a 2-letter alphabet agree",
-        )
+    yield _outcome(
+        "multiplicity-vs-enumeration",
+        bad == 0,
+        f"all {len(words2) * len(us)} pairs over a 2-letter alphabet agree",
     )
 
     rng = random.Random(seed)
@@ -856,12 +914,10 @@ def check_word_oracles(seed: int = 22) -> list:
             checked += 1
             if total != comb(len(w), k):
                 bad += 1
-    outcomes.append(
-        _outcome(
-            "multiplicity-binomial-sum",
-            bad == 0,
-            f"{checked} (word, k) combinations sum to the right binomial",
-        )
+    yield _outcome(
+        "multiplicity-binomial-sum",
+        bad == 0,
+        f"{checked} (word, k) combinations sum to the right binomial",
     )
 
     bad = 0
@@ -870,9 +926,7 @@ def check_word_oracles(seed: int = 22) -> list:
             member = u in subword_set(w, len(u))
             if member != (scattered_multiplicity(u, w) > 0):
                 bad += 1
-    outcomes.append(
-        _outcome("membership-positivity", bad == 0, "membership matches positive multiplicity")
-    )
+    yield _outcome("membership-positivity", bad == 0, "membership matches positive multiplicity")
 
     bad = 0
     pool = words_up_to("ab", 6)
@@ -882,60 +936,54 @@ def check_word_oracles(seed: int = 22) -> list:
             if simon_equivalent(w, v, k):
                 if not all(simon_equivalent(w, v, kk) for kk in range(1, k)):
                     bad += 1
-    outcomes.append(
-        _outcome(
-            "simon-refinement",
-            bad == 0,
-            "equivalence at level k implies every lower level on 300 sampled pairs",
-        )
+    yield _outcome(
+        "simon-refinement",
+        bad == 0,
+        "equivalence at level k implies every lower level on 300 sampled pairs",
     )
-    return outcomes
 
 
 # -- suites ---------------------------------------------------------------------------
+# Each suite yields its outcomes one check at a time, so run_suite can time them.
 
 
-def suite_semiring_axioms() -> list:
-    return check_semiring_axioms()
+def suite_semiring_axioms():
+    yield from check_semiring_axioms()
 
 
-def suite_word_oracles() -> list:
-    return check_word_oracles()
+def suite_word_oracles():
+    yield from check_word_oracles()
 
 
-def suite_entry_formulas() -> list:
-    return [
-        criterion_walk_entries(),
-        criterion_block_chains(),
-        criterion_aperiodicity(),
-    ]
+def suite_entry_formulas():
+    yield criterion_walk_entries()
+    yield criterion_block_chains()
+    yield criterion_aperiodicity()
 
 
-def suite_closure_counts() -> list:
-    return [
-        criterion_catalan_counts(),
-        criterion_presentation(),
-        criterion_upper_profile(),
-        criterion_inclusions(),
-        criterion_table_products(),
-    ]
+def suite_closure_counts():
+    yield criterion_catalan_counts()
+    yield criterion_presentation()
+    yield criterion_upper_profile()
+    yield criterion_inclusions()
+    yield criterion_table_products()
+    yield criterion_packed_closure()
 
 
-def suite_checker_equivalence() -> list:
-    return [
-        criterion_checker_equivalence(),
-        criterion_triangular_oracle(),
-        criterion_monogenic_variety(),
-        criterion_balanced_guard(),
-        criterion_exhaustive_kernel(),
-        criterion_batched_products(),
-        criterion_sampled_kernel(),
-        criterion_lattice_decision(),
-    ]
+def suite_checker_equivalence():
+    yield criterion_checker_equivalence()
+    yield criterion_triangular_oracle()
+    yield criterion_monogenic_variety()
+    yield criterion_balanced_guard()
+    yield criterion_exhaustive_kernel()
+    yield criterion_batched_products()
+    yield criterion_sampled_kernel()
+    yield criterion_lattice_decision()
 
 
-def suite_transfer_properties() -> list:
-    return [criterion_transfer(), criterion_transfer_n4()]
+def suite_transfer_properties():
+    yield criterion_transfer()
+    yield criterion_transfer_n4()
 
 
 SUITES = {
@@ -949,6 +997,14 @@ SUITES = {
 
 
 def run_suite(name: str) -> list:
+    """The suite's ``(outcome, elapsed_s)`` pairs in order, ``elapsed_s``
+    being the wall time that check took."""
     if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}; known: {', '.join(sorted(SUITES))}")
-    return SUITES[name]()
+    results = []
+    start = time.perf_counter()
+    for outcome in SUITES[name]():
+        now = time.perf_counter()
+        results.append((outcome, now - start))
+        start = now
+    return results

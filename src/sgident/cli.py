@@ -219,8 +219,11 @@ def _cmd_verify(args) -> int:
     all_ok = True
     results = []
     for name in names:
-        for outcome in run_suite(name):
-            results.append({"suite": name, "check": outcome.name, "ok": outcome.ok, "detail": outcome.detail})
+        for outcome, elapsed_s in run_suite(name):
+            results.append({
+                "suite": name, "check": outcome.name, "ok": outcome.ok,
+                "detail": outcome.detail, "elapsed_s": elapsed_s,
+            })
             all_ok = all_ok and outcome.ok
     if args.format == "json":
         _emit(json.dumps({"results": results, "ok": all_ok}, indent=2), args.output)

@@ -93,21 +93,6 @@ def all_ones(n: int, S: SemiringDescriptor) -> SMatrix:
     return SMatrix(S, ((S._one_payload,) * n,) * n)
 
 
-def _bool_multiply(a: SMatrix, b: SMatrix) -> SMatrix:
-    # one OR of row bitmasks per nonzero entry; measured faster than the
-    # generic row combination on the Boolean closures
-    n = a.n
-    bmask = [sum(1 << j for j, v in enumerate(row) if v) for row in b.rows]
-    out = []
-    for row in a.rows:
-        acc = 0
-        for k, v in enumerate(row):
-            if v:
-                acc |= bmask[k]
-        out.append(tuple(acc >> j & 1 == 1 for j in range(n)))
-    return SMatrix(BOOL, tuple(out))
-
-
 def multiply(a: SMatrix, b: SMatrix) -> SMatrix:
     if a.semiring is not b.semiring:
         raise InstanceMismatchError(
@@ -116,8 +101,6 @@ def multiply(a: SMatrix, b: SMatrix) -> SMatrix:
     if a.n != b.n:
         raise ValueError(f"dimension mismatch: {a.n} vs {b.n}")
     S = a.semiring
-    if S is BOOL:
-        return _bool_multiply(a, b)
     add, mul, zero = S._add, S._mul, S._zero_payload
     columns = range(a.n)
     out = []

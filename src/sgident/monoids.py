@@ -6,6 +6,14 @@ Closures are deterministic: elements appear in BFS discovery order with the
 generator list iterated in a fixed order, so witness words are the shortest
 generator words with lexicographic tie-break, and two runs with identical
 inputs produce identical results.
+
+Boolean closures run one BFS level at a time on row bitmasks, with no matrix
+products: a generator maps a row bitmask to its image row through a
+2^n-entry table, so a whole level's products are one gather per generator,
+and each element packs into one ``uint64`` key, one byte per row.  A level's
+new elements are taken in (parent, generator) order, first occurrence only,
+which is the order one product at a time would discover them in; the
+weighted instances take that per-product path.
 """
 
 from __future__ import annotations
@@ -42,7 +50,9 @@ class ClosureResult:
 
     ``elements[0]`` is the identity matrix for generated closures, and
     ``cayley_right[i][g]`` is the index of ``elements[i]`` times generator
-    ``g``; :meth:`mult_table` builds the full table from these rows.  Families
+    ``g``; :meth:`mult_table` builds the full table from these rows.  The
+    order of ``elements`` is BFS discovery order whichever path built them
+    (see :func:`bfs_closure`).  Families
     produced by direct enumeration rather than generation, and a closure cut
     off by its element cap, carry no Cayley rows, so their table takes one
     matrix product per entry.
@@ -121,7 +131,15 @@ def bfs_closure(
     labels: Optional[list] = None,
     family: Optional[str] = None,
 ) -> ClosureResult:
-    """Close a generator list under right multiplication, breadth first."""
+    """Close a generator list under right multiplication, breadth first.
+
+    Boolean generators take the packed level-by-level BFS, every other
+    instance one matrix product per (element, generator) pair; both give the
+    same elements, witness words and Cayley rows in the same order.  A
+    closure that would pass ``element_cap`` raises :class:`ClosureCapExceeded`
+    carrying the first ``element_cap`` elements and their words, with no
+    Cayley rows.
+    """
     generators = list(generators)
     if not generators:
         raise ValueError("closure needs at least one generator")
@@ -134,8 +152,26 @@ def bfs_closure(
         labels = [f"g{k + 1}" for k in range(len(generators))]
     if element_cap < 1:
         raise ValueError("element cap must be positive")
+    closure = _bfs_packed if S is BOOL and n <= _KEY_BYTES else _bfs_products
+    return closure(generators, element_cap, labels, family)
 
-    start = identity_matrix(n, S)
+
+def _closure_result(generators, labels, family, elements, words, cayley) -> ClosureResult:
+    S, n = generators[0].semiring, generators[0].n
+    return ClosureResult(
+        S, n, family, tuple(generators), tuple(labels), elements, words, cayley
+    )
+
+
+def _cap_exceeded(generators, labels, family, elements, words, element_cap):
+    partial = _closure_result(generators, labels, family, elements, words, None)
+    return ClosureCapExceeded(f"closure exceeded cap of {element_cap} elements", partial)
+
+
+def _bfs_products(generators, element_cap, labels, family) -> ClosureResult:
+    """The BFS one matrix product at a time: the closure of non-Boolean
+    instances, and the reference the packed closure is checked against."""
+    start = identity_matrix(generators[0].n, generators[0].semiring)
     elements = [start]
     words = [()]
     index = {start: 0}
@@ -150,13 +186,7 @@ def bfs_closure(
             found = index.get(result)
             if found is None:
                 if len(elements) >= element_cap:
-                    partial = ClosureResult(
-                        S, n, family, tuple(generators), tuple(labels),
-                        elements, words, None,
-                    )
-                    raise ClosureCapExceeded(
-                        f"closure exceeded cap of {element_cap} elements", partial
-                    )
+                    raise _cap_exceeded(generators, labels, family, elements, words, element_cap)
                 found = len(elements)
                 index[result] = found
                 elements.append(result)
@@ -164,9 +194,80 @@ def bfs_closure(
                 queue.append(found)
             row.append(found)
         cayley.append(row)
-    return ClosureResult(
-        S, n, family, tuple(generators), tuple(labels), elements, words, cayley
-    )
+    return _closure_result(generators, labels, family, elements, words, cayley)
+
+
+# rows per packed key: one byte each in a uint64, which covers MAX_DIMENSION
+_KEY_BYTES = 8
+
+
+def _bfs_packed(generators, element_cap, labels, family) -> ClosureResult:
+    """The Boolean BFS one level at a time on row bitmasks.
+
+    A level is an ``(F, 8)`` array of row bitmasks, zero padded past row n,
+    so each row is one byte of the element's ``uint64`` key.  ``images[m, g]``
+    is the row bitmask ``m`` times generator ``g``, the OR of ``g``'s rows at
+    the bits of ``m``, and ``images[0] = 0`` keeps the padding zero.  Known
+    keys stay sorted, with their element indices alongside, for
+    ``searchsorted``.  New elements take their rows from ``row_of_mask``,
+    one tuple per bitmask shared by all of them.
+    """
+    n, count = generators[0].n, len(generators)
+    masks = np.arange(1 << n)
+    images = np.zeros((1 << n, count), dtype=np.uint8)
+    for gi, g in enumerate(generators):
+        for k, row in enumerate(g.rows):
+            images[masks >> k & 1 == 1, gi] |= sum(1 << j for j, v in enumerate(row) if v)
+    row_of_mask = [tuple(m >> j & 1 == 1 for j in range(n)) for m in range(1 << n)]
+
+    elements = [identity_matrix(n, BOOL)]
+    words = [()]
+    cayley = []
+    level = np.zeros((1, _KEY_BYTES), dtype=np.uint8)
+    level[0, :n] = 1 << np.arange(n)
+    known = level.view(np.uint64).ravel()
+    known_index = np.zeros(1, dtype=np.int64)
+    # one int object per element index, shared by all Cayley rows as in the
+    # per-product rows: an int per entry would cost 28 bytes each
+    index_objects = np.zeros(1, dtype=object)
+    level_start = 0  # index of the level's first element
+    while len(level):
+        # one product per (parent, generator), row-major over (F, count)
+        products = np.ascontiguousarray(
+            images[level].transpose(0, 2, 1).reshape(-1, _KEY_BYTES)
+        )
+        keys = products.view(np.uint64).ravel()
+        pos = np.minimum(np.searchsorted(known, keys), len(known) - 1)
+        hit = known[pos] == keys
+        targets = np.where(hit, known_index[pos], 0)
+        missed = np.flatnonzero(~hit)
+        fresh, first_seen, inverse = np.unique(
+            keys[missed], return_index=True, return_inverse=True
+        )
+        order = np.argsort(first_seen)  # new keys by first occurrence
+        rank = np.empty_like(order)
+        rank[order] = np.arange(len(order))
+        targets[missed] = len(elements) + rank[inverse]
+        found = missed[first_seen[order]]
+        if len(elements) + len(found) > element_cap:
+            found = found[: element_cap - len(elements)]
+        new_rows = products[found, :n].tolist()
+        for c, rows in zip(found.tolist(), new_rows):
+            parent, gi = divmod(c, count)
+            words.append(words[level_start + parent] + (gi,))
+            elements.append(SMatrix(BOOL, tuple(row_of_mask[m] for m in rows)))
+        if len(found) < len(order):
+            raise _cap_exceeded(generators, labels, family, elements, words, element_cap)
+        index_objects = np.concatenate(
+            [index_objects, np.arange(len(index_objects), len(elements)).astype(object)]
+        )
+        cayley.extend(index_objects[targets].reshape(-1, count).tolist())
+        slots = np.searchsorted(known, fresh)
+        known = np.insert(known, slots, fresh)
+        known_index = np.insert(known_index, slots, len(elements) - len(found) + rank)
+        level_start += len(level)
+        level = products[found]
+    return _closure_result(generators, labels, family, elements, words, cayley)
 
 
 # -- direct enumerations ---------------------------------------------------------

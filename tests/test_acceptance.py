@@ -82,8 +82,12 @@ def test_criterion_18_lattice_decision():
     _report(18, acceptance.criterion_lattice_decision())
 
 
+def test_criterion_19_packed_closure():
+    _report(19, acceptance.criterion_packed_closure())
+
+
 def test_law_suites_hold():
-    for outcome in acceptance.suite_semiring_axioms() + acceptance.suite_word_oracles():
+    for outcome in [*acceptance.suite_semiring_axioms(), *acceptance.suite_word_oracles()]:
         status = "PASS" if outcome.ok else "FAIL"
         print(f"{status} {outcome.name}: {outcome.detail}")
         assert outcome.ok, f"{outcome.name}: {outcome.detail}"

@@ -262,3 +262,6 @@ def test_verify_subcommand(capsys):
     assert code == 0
     payload = json.loads(out)
     assert payload["ok"] and all(r["ok"] for r in payload["results"])
+    assert all(
+        isinstance(r["elapsed_s"], float) and r["elapsed_s"] >= 0 for r in payload["results"]
+    )

@@ -117,7 +117,10 @@ def test_closure_cap_carries_a_partial_result():
     gens = [one_way_call(i, j, 4) for i in range(1, 5) for j in range(1, 5) if i != j]
     with pytest.raises(ClosureCapExceeded) as err:
         bfs_closure(gens, element_cap=10)
-    assert len(err.value.partial.elements) == 10
+    partial, full = err.value.partial, bfs_closure(gens)
+    assert partial.elements == full.elements[:10]
+    assert partial.witness_words == full.witness_words[:10]
+    assert partial.cayley_right is None
 
 
 def test_double_catalan_elements_are_convex():
