@@ -11,6 +11,7 @@ import random
 import time
 from collections import defaultdict
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import islice, product as iproduct
 from math import comb
 
@@ -25,13 +26,16 @@ from .checker import (
 )
 from .errors import ClosureCapExceeded, InternalConsistencyError
 from .matrices import (
-    MorphismBatch,
     MorphismTable,
     SMatrix,
     block_chain_entry,
+    coded_agreement,
+    coded_images,
+    matrix_from_payloads,
     multiply,
     power_stabilize,
     random_reflexive,
+    random_reflexive_codes,
     random_upper_triangular,
     upper_profile,
     walk_entry,
@@ -66,11 +70,14 @@ from .semirings import (
     BOOL,
     DIAMOND,
     INF,
+    INF_CODE,
     INTERVAL01,
     MAXPLUS,
     MINPLUS01INF,
     NAT,
-    NEG_INF,
+    FiniteCarrier,
+    SemiringDescriptor,
+    SplitMix64,
     semiring_from_spec,
 )
 from .words import Identity, is_balanced, scattered_multiplicity, simon_equivalent, subword_set, words_up_to
@@ -580,10 +587,22 @@ def criterion_exhaustive_kernel() -> CheckOutcome:
 # -- criterion 16 ----------------------------------------------------------------
 
 
+def _decoded(S, images: dict, t: int) -> MorphismTable:
+    """Trial t of coded morphisms, decoded entry by entry into matrices."""
+    return MorphismTable({
+        s: matrix_from_payloads(S, [[S.code_payload(c) for c in row] for row in a[t].tolist()])
+        for s, a in images.items()
+    })
+
+
 def criterion_batched_products(trials: int = 12, seed: int = 1616) -> CheckOutcome:
-    """Batched products of random reflexive morphisms against one product per
-    morphism: every entry of both sides' images, and per morphism whether the
-    sides agree.  Words of 20 letters push max-times numerators past 2^63."""
+    """The coded products of the reflexive spot-check against one product per
+    decoded morphism: every entry of both sides' images, and per morphism
+    whether the sides agree.  Instances: bool, lattice:diamond, the chain
+    0 < 1/2 < 1 (no bitmask lattice), minplus01inf and interval01.  Over
+    minplus01inf the letters are also drawn as plain random matrices, whose
+    infinities the kernel must saturate through 20-letter words; words of
+    20 letters push max-times codes past 2^63, onto Python ints."""
     start = time.perf_counter()
     idents = [
         Identity("abcab" * 4, ("abcab" * 4)[::-1]),
@@ -592,52 +611,62 @@ def criterion_batched_products(trials: int = 12, seed: int = 1616) -> CheckOutco
         Identity("ca" * 3, "ca" * 4),
         Identity("ab" * 10, "aab"),
     ]
-    rng = random.Random(seed)
+    halves = SemiringDescriptor(
+        "halves", max, min, 0, 1,
+        idempotent=True, interval=True, carrier=FiniteCarrier((0, Fraction(1, 2), 1)),
+    )
+    gen = SplitMix64(seed)
     mismatched = []
-    compared = disagreeing = 0
+    compared = disagreeing = saturated = 0
     widest = 0
-    for S in (BOOL, DIAMOND, MAXPLUS, MINPLUS01INF, INTERVAL01):
+    for S in (BOOL, DIAMOND, halves, MINPLUS01INF, INTERVAL01):
         for n in range(2, 6):
             for ident in idents:
-                tables = [
-                    MorphismTable({s: random_reflexive(S, n, rng) for s in ident.alphabet})
-                    for _ in range(trials)
-                ]
-                batch = MorphismBatch(tables)
-                reference = {}
-                for word in (ident.lhs, ident.rhs):
-                    images, weight = batch.apply(word), S.weight(batch.scale, len(word))
-                    reference[word] = [phi.apply(word) for phi in tables]
-                    for image, got in zip(reference[word], images):
-                        # exact ints (or bools), the true payloads times the
-                        # word's weight; formal infinities stay
-                        want = [
-                            [p if p in (INF, NEG_INF) else p * weight for p in row]
-                            for row in image.rows
-                        ]
-                        finite = [x for x in got.flat if x not in (INF, NEG_INF)]
-                        widest = max([widest] + [x.bit_length() for x in finite])
-                        if any(not isinstance(x, int) for x in finite):
-                            mismatched.append(f"{S.name} n={n} {word} not ints")
-                        compared += 1
-                        if got.tolist() != want:
-                            mismatched.append(f"{S.name} n={n} {word}")
-                expected = [
-                    a == b for a, b in zip(reference[ident.lhs], reference[ident.rhs])
-                ]
-                disagreeing += expected.count(False)
-                if batch.agree(ident.lhs, ident.rhs).tolist() != expected:
-                    mismatched.append(f"{S.name} n={n} {ident} agreement")
+                letters = ident.alphabet
+                draws = [random_reflexive_codes(S, n, letters, trials, gen)]
+                if S is MINPLUS01INF:
+                    plain = S.draw_codes(gen, (trials, len(letters), n, n))
+                    draws.append({s: plain[:, i] for i, s in enumerate(letters)})
+                for images in draws:
+                    tables = [_decoded(S, images, t) for t in range(trials)]
+                    reference = {}
+                    for word in (ident.lhs, ident.rhs):
+                        got = coded_images(S, images, word)
+                        weight = 1 if S.is_finite else S.weight(S.carrier.codes.scale, len(word))
+                        reference[word] = [phi.apply(word) for phi in tables]
+                        for image, codes in zip(reference[word], got.tolist()):
+                            # the instance's codes of the true payloads, times
+                            # the word's weight over a scaled instance
+                            want = [
+                                [S.tables.code[p] if S.is_finite
+                                 else INF_CODE if p == INF else p * weight for p in row]
+                                for row in image.rows
+                            ]
+                            flat = [x for row in codes for x in row]
+                            saturated += flat.count(INF_CODE) if S is MINPLUS01INF else 0
+                            widest = max([widest] + [x.bit_length() for x in flat])
+                            if any(type(x) is not int for x in flat):
+                                mismatched.append(f"{S.name} n={n} {word} not ints")
+                            compared += 1
+                            if codes != want:
+                                mismatched.append(f"{S.name} n={n} {word}")
+                    expected = [
+                        a == b for a, b in zip(reference[ident.lhs], reference[ident.rhs])
+                    ]
+                    disagreeing += expected.count(False)
+                    if coded_agreement(S, images, ident.lhs, ident.rhs).tolist() != expected:
+                        mismatched.append(f"{S.name} n={n} {ident} agreement")
     elapsed = time.perf_counter() - start
-    ok = not mismatched and disagreeing and widest > 63 and elapsed < 60.0
+    ok = not mismatched and disagreeing and saturated and widest > 63 and elapsed < 60.0
     return _outcome(
         "batched-vs-per-morphism-products",
         ok,
         f"{compared} word images ({trials} morphisms per instance, n = 2..5 and "
-        f"identity, words of up to 20 letters, over bool, lattice:diamond, "
-        f"maxplus, minplus01inf and interval01), {disagreeing} morphisms separating the "
-        f"sides, widest scaled entry {widest} bits; {len(mismatched)} mismatches "
-        f"{mismatched[:3]}, {elapsed:.1f}s (limit 60s)",
+        f"identity, words of up to 20 letters, over bool, lattice:diamond, a "
+        f"3-element chain, minplus01inf and interval01), {disagreeing} morphisms "
+        f"separating the sides, {saturated} infinite min-plus entries, widest "
+        f"code {widest} bits; {len(mismatched)} mismatches {mismatched[:3]}, "
+        f"{elapsed:.1f}s (limit 60s)",
     )
 
 

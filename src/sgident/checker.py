@@ -22,14 +22,17 @@ import time
 from dataclasses import dataclass, field
 from typing import Optional
 
+import numpy as np
+
 from .errors import InternalConsistencyError, UnsupportedStructureError
 from .matrices import (
     MorphismTable,
-    batched_agreement,
+    coded_agreement,
     format_matrix,
     matrix_from_payloads,
-    random_reflexive,
 )
+# check_Rn draws through this name, which benchmark/tracing.py times
+from .matrices import random_reflexive_codes as random_reflexive
 from .polynomials import (
     Equivalent,
     NotEquivalent,
@@ -37,7 +40,7 @@ from .polynomials import (
     build_f_canonical,
     functionally_equivalent,
 )
-from .semirings import BOOL, Cyclic, SemiringDescriptor
+from .semirings import BOOL, Cyclic, SemiringDescriptor, SplitMix64
 from .words import (
     Identity,
     is_balanced,
@@ -307,6 +310,29 @@ def check_Un_idempotent(
     return _fails(ident, n, S, "subword-sets", evidence, u)
 
 
+# spot-check trials drawn and multiplied per step: bounds the (chunk, n, n, n)
+# entry products in memory whatever the trial count
+_TRIAL_CHUNK = 250
+
+
+def _spot_check(ident: Identity, n: int, S: SemiringDescriptor, trials: int, seed: int):
+    """Per trial, whether the two sides have the same image under a seeded
+    random reflexive morphism.  The trials come from one
+    :class:`~sgident.semirings.SplitMix64` stream, ``_TRIAL_CHUNK`` at a
+    time; the split does not change them."""
+    gen = SplitMix64(seed)
+    flags = [
+        coded_agreement(
+            S,
+            random_reflexive(S, n, ident.alphabet, min(_TRIAL_CHUNK, trials - start), gen),
+            ident.lhs,
+            ident.rhs,
+        )
+        for start in range(0, trials, _TRIAL_CHUNK)
+    ]
+    return np.concatenate(flags) if flags else np.ones(0, dtype=bool)
+
+
 def check_Rn(
     ident: Identity,
     n: int,
@@ -318,10 +344,14 @@ def check_Rn(
     """Identity check for the reflexive monoid over an interval instance.
 
     Same subword-set criterion as the unit-diagonal idempotent case; a holds
-    verdict is additionally spot-checked against seeded random reflexive
-    morphisms, all of which must agree.  They are drawn trial by trial, one
-    image per letter in alphabet order, and multiplied in batches
-    (:func:`~sgident.matrices.batched_agreement`)."""
+    verdict is additionally spot-checked against ``verify_samples`` seeded
+    random reflexive morphisms, all of which must agree.  They are drawn
+    from a seeded :class:`~sgident.semirings.SplitMix64` stream straight as
+    integer codes (the instance's
+    :meth:`~sgident.semirings.SemiringDescriptor.draw_codes`) and multiplied
+    by numpy kernels (:func:`~sgident.matrices.coded_agreement`), a chunk of
+    trials at a time.  A disagreement raises and names the first trial that
+    separates the sides."""
     if verify_samples < 0:
         raise ValueError(f"verify_samples must be >= 0, got {verify_samples}")
     if not S.is_interval:
@@ -331,16 +361,11 @@ def check_Rn(
     verdict = check_Un_idempotent(ident, n, S)
     verdict.criterion = "subword-sets-reflexive"
     if verdict.is_holds and verify_samples:
-        rng = random.Random(seed)
-        draws = (
-            MorphismTable({s: random_reflexive(S, n, rng) for s in ident.alphabet})
-            for _ in range(verify_samples)
-        )
-        agree = batched_agreement(draws, ident.lhs, ident.rhs).tolist()
-        if not all(agree):
+        agree = _spot_check(ident, n, S, verify_samples, seed)
+        if not agree.all():
             raise InternalConsistencyError(
                 f"random reflexive morphism falsified {ident} although the "
-                f"subword criterion holds (trial {agree.index(False)})"
+                f"subword criterion holds (trial {int(np.argmin(agree))})"
             )
         verdict.sampling = {"trials": verify_samples, "agreements": verify_samples}
     return verdict

@@ -1,13 +1,13 @@
 """Square matrices over a semiring: structural predicates, the entrywise
-order, call/step constructors, batched products of many morphisms at once,
-walk and block-chain entry expansions, power stabilization, and convex
-Boolean matrix machinery."""
+order, call/step constructors, many random reflexive morphisms drawn and
+multiplied at once as integer codes, walk and block-chain entry expansions,
+power stabilization, and convex Boolean matrix machinery."""
 
 from __future__ import annotations
 
 import random
-from itertools import combinations, islice, permutations
-from typing import Iterable, Optional
+from itertools import combinations, permutations
+from typing import Optional
 
 import numpy as np
 
@@ -17,7 +17,15 @@ from .errors import (
     UnsupportedStructureError,
 )
 from .polynomials import Variable, build_f_canonical, evaluate
-from .semirings import BOOL, SemiringDescriptor, Val, _normalize
+from .semirings import (
+    BOOL,
+    INF_CODE,
+    SCALING_DEGREE,
+    SemiringDescriptor,
+    SplitMix64,
+    Val,
+    _normalize,
+)
 from .words import subword_set
 
 
@@ -247,82 +255,114 @@ class MorphismTable:
         return isinstance(other, MorphismTable) and self.images == other.images
 
 
-# -- batched products ---------------------------------------------------------------
-
-# morphisms multiplied per step: bounds the (chunk, n, n, n) broadcast in memory
-_BATCH_CHUNK = 100
+# -- coded reflexive morphisms ----------------------------------------------------
 
 
-class MorphismBatch:
-    """Morphisms T_1..T_k over one instance and dimension, multiplied together.
-
-    Each letter's images are stacked into a (k, n, n) object array, so the
-    images of a word need one broadcast (k, n, n, n) multiply and one
-    reduction over the middle index per letter, through the instance's
-    ``ufuncs``.  The payloads of all letters go through the instance's
-    ``scaled_batch`` together, which gives ``scale``; the images of a word of
-    length L are then ``semiring.weight(scale, L)`` times the true ones.
-    """
-
-    def __init__(self, morphisms):
-        morphisms = list(morphisms)
-        if not morphisms:
-            raise ValueError("a batch needs at least one morphism")
-        S, n, letters = morphisms[0].semiring, morphisms[0].n, morphisms[0].images.keys()
-        for phi in morphisms:
-            if phi.semiring is not S or phi.n != n or phi.images.keys() != letters:
-                raise InstanceMismatchError(
-                    "batched morphisms must share instance, dimension and letters"
-                )
-        self.semiring, self.size = S, len(morphisms)
-        self.scale, flat = S.scaled_batch([
-            p for s in letters for phi in morphisms for row in phi.images[s].rows for p in row
-        ])
-        stacks = np.empty(len(flat), dtype=object)
-        stacks[:] = flat
-        self._stacks = dict(zip(letters, stacks.reshape(len(letters), self.size, n, n)))
-
-    def apply(self, word: str, head: Optional[np.ndarray] = None) -> np.ndarray:
-        """The (k, n, n) images of ``word``, or of ``head``'s word followed by
-        ``word`` when ``head`` holds images already computed."""
-        add, mul = self.semiring.ufuncs
-        acc = head
-        for ch in word:
-            image = self._stacks.get(ch)
-            if image is None:
-                raise MissingImageError(f"no image for letter {ch!r}")
-            if acc is None:
-                acc = image
-            else:
-                acc = add.reduce(mul(acc[:, :, :, None], image[:, None, :, :]), axis=2)
-        if acc is None:
-            raise ValueError("the empty word has no batched image; use identity_matrix")
-        return acc
-
-    def agree(self, w: str, v: str) -> np.ndarray:
-        """Per morphism, whether w and v have the same image.  A common prefix
-        is multiplied once; when the two sides' weights differ, the images
-        compare as ``N_w * weight(|v|) == N_v * weight(|w|)``."""
-        k = 0
-        while k < min(len(w), len(v)) and w[k] == v[k]:
-            k += 1
-        head = self.apply(w[:k]) if k else None
-        a, b = self.apply(w[k:], head), self.apply(v[k:], head)
-        weight_w, weight_v = (self.semiring.weight(self.scale, len(x)) for x in (w, v))
-        if weight_w != weight_v:
-            a, b = a * weight_v, b * weight_w
-        return (a == b).all(axis=(1, 2))
+def random_reflexive_codes(
+    S: SemiringDescriptor, n: int, letters: str, count: int, gen: SplitMix64
+) -> dict:
+    """``count`` seeded random reflexive morphisms as integer codes: per
+    letter, a (count, n, n) array.  One :meth:`SemiringDescriptor.draw_codes`
+    call draws them trial by trial, each trial's letters in ``letters``
+    order, so a stream gives the same trials however the count is split over
+    calls.  Diagonal draws are overwritten by the unit's code."""
+    codes = S.draw_codes(gen, (count, len(letters), n, n))
+    if S.is_finite:
+        codes, one = codes.astype(np.uint8), S.tables.code[S._one_payload]
+    else:
+        one = S._one_payload * S.carrier.codes.scale
+    diagonal = np.arange(n)
+    codes[:, :, diagonal, diagonal] = one
+    return {s: codes[:, i] for i, s in enumerate(letters)}
 
 
-def batched_agreement(morphisms: Iterable, w: str, v: str) -> np.ndarray:
-    """Per morphism, in order, whether w and v have the same image, computed
-    by :class:`MorphismBatch` ``_BATCH_CHUNK`` morphisms at a time.  The
-    morphisms are consumed lazily, one chunk ahead."""
-    morphisms = iter(morphisms)
-    parts = []
-    while chunk := list(islice(morphisms, _BATCH_CHUNK)):
-        parts.append(MorphismBatch(chunk).agree(w, v))
-    return np.concatenate(parts) if parts else np.ones(0, dtype=bool)
+def _code_dtype(S: SemiringDescriptor, length: int):
+    """The dtype of the codes of products of up to ``length`` letters and of
+    their comparisons.  A finite carrier's table codes are uint8.  Scaled
+    codes are bounded by top**length under the degree law and by
+    top*length otherwise; they are int64 while that bound is below 2^63
+    (below ``INF_CODE`` for a saturating instance, which no word held in
+    memory reaches), and Python ints past it."""
+    if S.is_finite:
+        return np.uint8
+    codes = S.carrier.codes
+    bound = codes.top**length if S.scaling == SCALING_DEGREE else codes.top * length
+    if bound < (INF_CODE if codes.saturating else 2**63):
+        return np.int64
+    if codes.saturating:
+        raise ValueError(f"{length}-letter products overflow the codes of {S.name}")
+    return object
+
+
+def _code_stacks(images: dict, dtype) -> dict:
+    """``images`` in ``dtype``, checked to share one (trials, n, n) shape."""
+    if len({a.shape for a in images.values()}) > 1:
+        raise InstanceMismatchError("coded morphisms must share trial count and dimension")
+    return {s: a.astype(dtype, copy=False) for s, a in images.items()}
+
+
+def _coded_product(S: SemiringDescriptor, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Per trial, the product of the (T, n, n) code stacks a and b: one
+    (T, n, n, n) array of entry products, reduced over the middle index."""
+    terms = (a[:, :, :, None], b[:, None, :, :])
+    if S.is_finite:
+        tables = S.tables
+        terms = tables.apply(tables.mul, *terms)
+        out = terms[:, :, 0]
+        for k in range(1, a.shape[2]):
+            out = tables.apply(tables.add, out, terms[:, :, k])
+        return out
+    codes = S.carrier.codes
+    out = codes.add.reduce(codes.mul(*terms), axis=2)
+    if codes.saturating:
+        np.minimum(out, INF_CODE, out=out)
+    return out
+
+
+def _coded_word(S, images: dict, word: str, head=None):
+    acc = head
+    for ch in word:
+        image = images.get(ch)
+        if image is None:
+            raise MissingImageError(f"no image for letter {ch!r}")
+        acc = image if acc is None else _coded_product(S, acc, image)
+    return acc
+
+
+def coded_images(S: SemiringDescriptor, images: dict, word: str) -> np.ndarray:
+    """The (T, n, n) codes of the images of a non-empty ``word`` under the
+    coded morphisms ``images`` (see :func:`random_reflexive_codes`).  Over a
+    scaled instance they are the true payloads times
+    ``S.weight(scale, len(word))``; past int64 they are Python ints."""
+    if not word:
+        raise ValueError("the empty word has no coded image; use identity_matrix")
+    dtype = _code_dtype(S, len(word))
+    return _coded_word(S, _code_stacks(images, dtype), word)
+
+
+def coded_agreement(S: SemiringDescriptor, images: dict, w: str, v: str) -> np.ndarray:
+    """Per trial, whether the non-empty words w and v have the same image
+    under the coded morphisms ``images``.  A common prefix is multiplied
+    once.  When the sides' weights differ, the lighter side is multiplied up
+    to the heavier one: ``N_w * d**(|v|-|w|) == N_v`` under the degree law,
+    which keeps every code below d**max(|w|, |v|)."""
+    if not (w and v):
+        raise ValueError("both sides need at least one letter")
+    dtype = _code_dtype(S, max(len(w), len(v)))
+    images = _code_stacks(images, dtype)
+    k = 0
+    while k < min(len(w), len(v)) and w[k] == v[k]:
+        k += 1
+    head = _coded_word(S, images, w[:k])
+    a, b = _coded_word(S, images, w[k:], head), _coded_word(S, images, v[k:], head)
+    if not S.is_finite:
+        scale = S.carrier.codes.scale
+        weight_w, weight_v = S.weight(scale, len(w)), S.weight(scale, len(v))
+        if weight_w < weight_v:
+            a = a * (weight_v // weight_w)
+        elif weight_v < weight_w:
+            b = b * (weight_w // weight_v)
+    return (a == b).all(axis=(1, 2))
 
 
 # -- walk and block-chain entry formulas ------------------------------------------

@@ -26,7 +26,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Callable, Optional, Union
+from typing import Callable, NamedTuple, Optional, Union
 
 import numpy as np
 
@@ -98,11 +98,84 @@ class FiniteCarrier:
     values: tuple
 
 
+class SplitMix64:
+    """A seeded stream of uniform integers for numpy kernels: SplitMix64
+    (Steele, Lea and Flood 2014), whose i-th output depends on the seed and
+    i alone, so any split of the stream over calls gives the same values.
+
+    Every int is a seed.  It is mapped one-to-one onto the naturals (0, 1,
+    2, ... to 0, 2, 4, ...; -1, -2, ... to 1, 3, ...); a natural below 2^64
+    is the initial state, and a larger one is folded into it 64 bits at a
+    time, each fold one SplitMix64 step.  ``numpy.random`` is not used:
+    importing it loads ``secrets``, OpenSSL and nine extension modules,
+    about 6 MB of resident memory."""
+
+    _GAMMA = np.uint64(0x9E3779B97F4A7C15)
+    _MASK = 2**64 - 1
+
+    def __init__(self, seed: int):
+        z = 2 * seed if seed >= 0 else -2 * seed - 1
+        state = np.array([z & self._MASK], dtype=np.uint64)
+        while z := z >> 64:
+            state = self._mix(state + self._GAMMA) ^ np.uint64(z & self._MASK)
+        self._state = state[0]
+        self._position = 0
+
+    @staticmethod
+    def _mix(x: np.ndarray) -> np.ndarray:
+        x = (x ^ (x >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+        x = (x ^ (x >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+        return x ^ (x >> np.uint64(31))
+
+    def raw(self, count: int) -> np.ndarray:
+        """The next ``count`` 64-bit outputs."""
+        steps = np.arange(self._position + 1, self._position + count + 1, dtype=np.uint64)
+        self._position += count
+        return self._mix(self._state + steps * self._GAMMA)
+
+    def integers(self, low: int, high: int, shape) -> np.ndarray:
+        """An array of int64 draws in ``low .. high - 1`` (the signature of
+        numpy's ``Generator.integers``).  Each value has probability
+        1/(high - low), up to a relative error below (high - low)/2^52; spans
+        of up to 2^11 values."""
+        span = high - low
+        if not 0 < span <= 2**11:
+            raise ValueError(f"spans of 1 to 2048 integers, not {span}")
+        top = self.raw(math.prod(np.atleast_1d(shape))) >> np.uint64(12)
+        drawn = (top * np.uint64(span)) >> np.uint64(52)
+        return drawn.astype(np.int64).reshape(shape) + low
+
+
+# The code that stands for the formal infinity of a saturating instance
+# (min-plus); two of them still add up within int64.
+INF_CODE = 2**61
+
+
+class IntegerCodes(NamedTuple):
+    """An infinite carrier's seeded sampler drawn as exact integer codes, for
+    numpy kernels.  A code is a payload times ``scale``; under ``saturating``
+    every code from ``INF_CODE`` up stands for the formal infinity.
+    ``draw(gen, shape)`` returns int64 codes from one ``gen.integers`` call
+    on a :class:`SplitMix64` stream.  ``add`` and ``mul`` are numpy ufuncs
+    acting on codes as the instance's operations act on payloads, under its
+    scaling law.  ``top`` bounds every finite code drawn, the unit's
+    included."""
+
+    draw: Callable[[SplitMix64, tuple], np.ndarray]
+    scale: int
+    add: np.ufunc
+    mul: np.ufunc
+    top: int
+    saturating: bool = False
+
+
 @dataclass(frozen=True)
 class InfiniteCarrier:
-    """A seeded sampler over a fixed countable subset of the carrier."""
+    """A seeded sampler over a fixed countable subset of the carrier, and
+    optionally the same distribution drawn as integer codes."""
 
     sample: Callable[[random.Random], Payload]
+    codes: Optional[IntegerCodes] = None
 
 
 class FiniteTables:
@@ -155,8 +228,9 @@ class SemiringDescriptor:
     :attr:`is_bitmask_lattice` (read off those tables), :attr:`ufuncs` (the
     raw operations as numpy object ufuncs), :meth:`scaled_batch` and
     :meth:`weight` (the scaling law); the first three are built on first use.
-    Descriptors are immutable after construction and may be shared freely
-    across workers.
+    So do the spot-check's draws: :meth:`draw_codes` draws entries as integer
+    codes, and :meth:`code_payload` reads a code back.  Descriptors are
+    immutable after construction and may be shared freely across workers.
     """
 
     def __init__(
@@ -350,6 +424,27 @@ class SemiringDescriptor:
             return _normalize(rng.choice(self.carrier.values))
         return _normalize(self.carrier.sample(rng))
 
+    def draw_codes(self, gen: SplitMix64, shape: tuple) -> np.ndarray:
+        """Seeded draws as int64 codes from one ``gen.integers`` call, so
+        that consecutive calls continue one stream whatever their shapes.  A
+        finite carrier's code is the index of a value drawn uniformly, as
+        :meth:`sample_payload` draws it, which is its code in :attr:`tables`;
+        an infinite carrier draws its :class:`IntegerCodes`."""
+        if self.is_finite:
+            return gen.integers(0, len(self.carrier.values), shape)
+        if self.carrier.codes is None:
+            raise UnsupportedStructureError(f"{self.name} declares no integer codes")
+        return self.carrier.codes.draw(gen, shape)
+
+    def code_payload(self, code: int) -> Payload:
+        """The payload that a code of :meth:`draw_codes` stands for."""
+        if self.is_finite:
+            return _normalize(self.carrier.values[code])
+        codes = self.carrier.codes
+        if codes.saturating and code >= INF_CODE:
+            return INF
+        return _normalize(Fraction(code, codes.scale))
+
     def sample_value(self, rng: random.Random) -> Val:
         return Val(self.name, self.sample_payload(rng))
 
@@ -469,9 +564,26 @@ def _minplus_sampler(rng: random.Random) -> Payload:
     return Fraction(rng.randrange(0, 25), rng.choice((1, 1, 2, 3, 4)))
 
 
+def _minplus_codes(gen: SplitMix64, shape: tuple) -> np.ndarray:
+    # _minplus_sampler's distribution from one draw in 0..999 per entry: the
+    # first eighth is inf, the rest picks the numerator and the denominator
+    r = gen.integers(0, 1000, shape)
+    numerator, pick = np.divmod(r % 125, 5)
+    return np.where(r < 125, INF_CODE, numerator * np.array((12, 12, 6, 4, 3))[pick])
+
+
 def _interval01_sampler(rng: random.Random) -> Payload:
     den = rng.choice((1, 2, 3, 4, 5, 8))
     return Fraction(rng.randrange(0, den + 1), den)
+
+
+def _interval01_codes(gen: SplitMix64, shape: tuple) -> np.ndarray:
+    # _interval01_sampler's distribution from one draw in 0..1079 per entry:
+    # the denominator, then a numerator in 0..den (180 is a multiple of each
+    # den + 1)
+    r = gen.integers(0, 1080, shape)
+    den = np.array((1, 2, 3, 4, 5, 8))[r // 180]
+    return (r % 180) * (den + 1) // 180 * (120 // den)
 
 
 def _mp_mul(a: Payload, b: Payload) -> Payload:
@@ -547,7 +659,10 @@ MINPLUS01INF = SemiringDescriptor(
     0,
     idempotent=True,
     interval=True,
-    carrier=InfiniteCarrier(_minplus_sampler),
+    carrier=InfiniteCarrier(
+        _minplus_sampler,
+        IntegerCodes(_minplus_codes, 12, np.minimum, np.add, top=288, saturating=True),
+    ),
     monogenic=Cyclic(1, 1),
     free_rank1=1,
     contains=lambda p: p == INF or (_is_rational(p) and p >= 0),
@@ -565,7 +680,10 @@ INTERVAL01 = SemiringDescriptor(
     1,
     idempotent=True,
     interval=True,
-    carrier=InfiniteCarrier(_interval01_sampler),
+    carrier=InfiniteCarrier(
+        _interval01_sampler,
+        IntegerCodes(_interval01_codes, 120, np.maximum, np.multiply, top=120),
+    ),
     monogenic=Cyclic(1, 1),
     free_rank1=Fraction(1, 2),
     contains=lambda p: _is_rational(p) and 0 <= p <= 1,

@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 
 from sgident import checker
@@ -17,7 +18,12 @@ from sgident.checker import (
     same_variety_Un,
 )
 from sgident.errors import InternalConsistencyError, UnsupportedStructureError
-from sgident.matrices import MorphismTable, is_unitriangular, random_reflexive
+from sgident.matrices import (
+    MorphismTable,
+    is_unitriangular,
+    matrix_from_payloads,
+    random_reflexive_codes,
+)
 from sgident.monoids import BruteForceHolds, brute_force_identity, enumerate_unitriangular
 from sgident.polynomials import build_f_canonical, functionally_equivalent
 from sgident.semirings import (
@@ -27,6 +33,7 @@ from sgident.semirings import (
     MAXPLUS,
     MINPLUS01INF,
     NAT,
+    SplitMix64,
     semiring_from_spec,
 )
 from sgident.words import Identity
@@ -132,22 +139,51 @@ def test_negative_sample_counts_are_rejected():
 def test_spot_check_names_the_first_separating_trial(monkeypatch):
     """A holds verdict forced onto a failing identity: the spot-check raises
     and names the first trial whose sides differ, as one product per trial
-    finds it."""
-    ident, n = Identity.parse("babab=bababaab"), 5
+    finds it: the same numpy stream drawn one trial at a time, each decoded
+    into matrices.  That trial lies past the first chunk."""
+    ident, n, seed = Identity.parse("babab=bababaab"), 5, 4
     assert check_Un_idempotent(ident, n, BOOL).is_fails
-    rng = random.Random(0)
+    gen = SplitMix64(seed)
     first = None
     for trial in range(1000):
-        phi = MorphismTable({s: random_reflexive(BOOL, n, rng) for s in ident.alphabet})
+        codes = random_reflexive_codes(BOOL, n, ident.alphabet, 1, gen)
+        phi = MorphismTable({
+            s: matrix_from_payloads(BOOL, [[BOOL.carrier.values[c] for c in row] for row in a[0].tolist()])
+            for s, a in codes.items()
+        })
         if phi.apply(ident.lhs) != phi.apply(ident.rhs):
             first = trial
             break
-    assert first == 227  # past the first two batches
+    assert first == 408 and first > checker._TRIAL_CHUNK
     monkeypatch.setattr(
         checker, "check_Un_idempotent", lambda *_: Verdict(HOLDS, "subword-sets", [])
     )
-    with pytest.raises(InternalConsistencyError, match=r"\(trial 227\)$"):
-        check_Rn(ident, n, BOOL)
+    with pytest.raises(InternalConsistencyError, match=r"\(trial 408\)$"):
+        check_Rn(ident, n, BOOL, seed=seed)
+
+
+@pytest.mark.parametrize("S", [BOOL, DIAMOND, MINPLUS01INF, INTERVAL01], ids=lambda S: S.name)
+def test_spot_check_chunks_keep_the_trials(S, monkeypatch):
+    """Trials drawn and multiplied a chunk at a time are those of one
+    unchunked run, with chunk sizes that put trials on both sides of every
+    boundary and leave a short last chunk; a disagreement names its trial
+    by its index in the whole run."""
+    ident, n, trials = Identity.parse("abb=bab"), 3, 300
+    monkeypatch.setattr(checker, "_TRIAL_CHUNK", trials)
+    whole = checker._spot_check(ident, n, S, trials, seed=4)
+    assert 0 < whole.sum() < trials
+    for chunk in (1, 7, 64):
+        monkeypatch.setattr(checker, "_TRIAL_CHUNK", chunk)
+        assert checker._spot_check(ident, n, S, trials, seed=4).tolist() == whole.tolist()
+    assert checker._spot_check(ident, n, S, 0, seed=4).size == 0
+    monkeypatch.setattr(
+        checker, "check_Un_idempotent", lambda *_: Verdict(HOLDS, "subword-sets", [])
+    )
+    # one trial per chunk: the first separating trial sits in chunk `first`
+    monkeypatch.setattr(checker, "_TRIAL_CHUNK", 1)
+    first = int(np.argmin(whole))
+    with pytest.raises(InternalConsistencyError, match=rf"\(trial {first}\)$"):
+        check_Rn(ident, n, S, verify_samples=trials, seed=4)
 
 
 def test_reflexive_check_agrees_with_the_idempotent_criterion(identity_corpus):

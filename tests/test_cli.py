@@ -233,6 +233,19 @@ def test_poly_output(capsys):
     assert out.strip() == "x(a,2) + x(a,4)"
 
 
+def test_negative_seeds_run_the_reflexive_spot_check(capsys, monkeypatch):
+    argv = ("check", "--monoid", "r", "--n", "3", "--semiring", "interval01",
+            "--stable-output", "abab=abba")
+    code, out, err = run_cli(capsys, *argv, "--seed", "-4")
+    assert code == 0 and err == ""
+    report = json.loads(out)
+    assert report["seed"] == -4
+    assert report["verdict"]["sampling"] == {"trials": 1000, "agreements": 1000}
+    monkeypatch.setenv("SGIDENT_SEED", "-4")
+    code, env_out, err = run_cli(capsys, *argv)
+    assert code == 0 and err == "" and env_out == out
+
+
 def test_seed_environment_variable(capsys, monkeypatch):
     monkeypatch.setenv("SGIDENT_SEED", "99")
     _, out, _ = run_cli(

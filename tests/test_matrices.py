@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from conftest import IDEMPOTENT_INSTANCES, INTERVAL_INSTANCES
@@ -8,14 +9,14 @@ from sgident.errors import (
     InstanceMismatchError,
     UnsupportedStructureError,
 )
-from sgident import matrices
 from sgident.matrices import (
-    MorphismBatch,
+    MissingImageError,
     MorphismTable,
     all_ones,
-    batched_agreement,
     block_chain_entry,
     catalan_generator,
+    coded_agreement,
+    coded_images,
     decompose_convex,
     double_catalan_generator,
     format_matrix,
@@ -32,6 +33,7 @@ from sgident.matrices import (
     power_stabilize,
     product,
     random_reflexive,
+    random_reflexive_codes,
     random_upper_triangular,
     two_way_call,
     upper_profile,
@@ -42,11 +44,12 @@ from sgident.semirings import (
     BOOL,
     DIAMOND,
     INF,
+    INF_CODE,
     INTERVAL01,
     MAXPLUS,
     MINPLUS01INF,
     NAT,
-    NEG_INF,
+    SplitMix64,
     semiring_from_spec,
 )
 
@@ -310,67 +313,110 @@ def test_matrix_from_payloads_checks_its_input():
         matrix_from_payloads(BOOL, [[NAT.one, False], [False, True]])
 
 
+def _decoded(S, images, t):
+    return MorphismTable({
+        s: matrix_from_payloads(S, [[S.code_payload(c) for c in row] for row in a[t].tolist()])
+        for s, a in images.items()
+    })
+
+
+def _coded(S, letters):
+    """Coded morphisms, one trial each, from per-letter rows of payloads."""
+    if S.is_finite:
+        code = lambda p: S.tables.code[p]
+    else:
+        scale = S.carrier.codes.scale
+        code = lambda p: INF_CODE if p == INF else int(p * scale)
+    return {
+        s: np.array([[[code(p) for p in row] for row in rows]], dtype=np.int64)
+        for s, rows in letters.items()
+    }
+
+
 @pytest.mark.parametrize(
     "S", [BOOL, DIAMOND, MINPLUS01INF, INTERVAL01, semiring_from_spec("nat:1,1")]
 )
-def test_batched_agreement_matches_one_product_per_morphism(S, monkeypatch):
-    # a chunk size that does not divide the count puts trials on both sides
-    # of every boundary, including a short last chunk
-    monkeypatch.setattr(matrices, "_BATCH_CHUNK", 7)
-    rng = random.Random(3)
+def test_batched_agreement_matches_one_product_per_morphism(S):
+    # draws of 7 trials at a time continue one stream: trials on both sides
+    # of every boundary, and a short last draw, are those of one draw of 30
+    whole = random_reflexive_codes(S, 3, "ab", 30, SplitMix64(3))
+    gen = SplitMix64(3)
+    parts = [random_reflexive_codes(S, 3, "ab", k, gen) for k in (7, 7, 7, 7, 2)]
+    for s in "ab":
+        assert (np.concatenate([part[s] for part in parts]) == whole[s]).all()
+    tables = [_decoded(S, whole, t) for t in range(30)]
+    assert all(is_reflexive(m) for phi in tables for m in phi.images.values())
     for w, v in (("abab", "abba"), ("aab", "aabab"), ("ba", "ab"), ("abba", "abba")):
-        tables = [
-            MorphismTable({s: random_reflexive(S, 3, rng) for s in "ab"}) for _ in range(30)
-        ]
         expected = [phi.apply(w) == phi.apply(v) for phi in tables]
-        assert batched_agreement(iter(tables), w, v).tolist() == expected
-    assert batched_agreement([], "ab", "ba").size == 0
+        assert coded_agreement(S, whole, w, v).tolist() == expected
+        chunked = np.concatenate([coded_agreement(S, part, w, v) for part in parts])
+        assert chunked.tolist() == expected
+    empty = random_reflexive_codes(S, 3, "ab", 0, gen)
+    assert coded_agreement(S, empty, "ab", "ba").size == 0
 
 
-def test_batch_scale_comes_from_the_drawn_denominators():
-    def table(S, a, b):
-        return MorphismTable({
-            "a": matrix_from_payloads(S, [[S.one, a], [S.zero, S.one]]),
-            "b": matrix_from_payloads(S, [[S.one, S.zero], [b, S.one]]),
+def test_coded_images_carry_the_instance_scale():
+    third, quarter, half = Fraction(1, 3), Fraction(3, 4), Fraction(1, 2)
+
+    def images(S, a, b):
+        return _coded(S, {
+            "a": [[S.one.payload, a], [S.zero.payload, S.one.payload]],
+            "b": [[S.one.payload, S.zero.payload], [b, S.one.payload]],
         })
 
-    third, quarter = Fraction(1, 3), Fraction(3, 4)
-    # max-times: an L-fold product carries scale^L
-    tables = [
-        table(INTERVAL01, third, 1),
-        table(INTERVAL01, 0, quarter),
-        table(INTERVAL01, Fraction(1, 2), 0),
-    ]
-    batch = MorphismBatch(tables)
-    assert batch.scale == 12 and INTERVAL01.weight(batch.scale, 3) == 12**3
-    for phi, got in zip(tables, batch.apply("aba")):
-        want = [[p * 12**3 for p in row] for row in phi.apply("aba").rows]
-        assert got.tolist() == want
-        assert all(type(x) is int for x in got.flat)
+    # max-times: codes are payloads times 120, an L-fold product carries 120^L
+    cases = [images(INTERVAL01, third, 1), images(INTERVAL01, 0, quarter),
+             images(INTERVAL01, half, 0)]
+    for coded in cases:
+        phi = _decoded(INTERVAL01, coded, 0)
+        got = coded_images(INTERVAL01, coded, "aba")
+        assert got.dtype == np.int64
+        assert got[0].tolist() == [[p * 120**3 for p in row] for row in phi.apply("aba").rows]
+        # nine letters stay on int64, ten go over to Python ints
+        assert coded_images(INTERVAL01, coded, "ab" * 4 + "a").dtype == np.int64
+        ten = coded_images(INTERVAL01, coded, "ab" * 5)
+        assert ten.dtype == object and all(type(x) is int for x in ten.flat)
+        assert ten[0].tolist() == [[p * 120**10 for p in row] for row in phi.apply("ab" * 5).rows]
     # sides of different lengths compare after cross-multiplying
-    expected = [phi.apply("ab") == phi.apply("a") for phi in tables]
+    expected = [_decoded(INTERVAL01, c, 0).apply("ab") == _decoded(INTERVAL01, c, 0).apply("a")
+                for c in cases]
     assert expected == [False, False, True]
-    assert batch.agree("ab", "a").tolist() == expected
-    # min-plus: scaling is an automorphism, and inf stays inf
-    batch = MorphismBatch([table(MINPLUS01INF, Fraction(5, 2), INF)])
-    assert batch.scale == 2 and MINPLUS01INF.weight(batch.scale, 7) == 2
-    assert batch.apply("ab").tolist() == [[[0, 5], [INF, 0]]]
-    # max-plus: an automorphism as well, negative payloads scale, -inf stays
-    batch = MorphismBatch([table(MAXPLUS, Fraction(-5, 3), NEG_INF)])
-    assert batch.scale == 3 and MAXPLUS.weight(batch.scale, 7) == 3
-    assert batch.apply("ab").tolist() == [[[0, -5], [NEG_INF, 0]]]
-    assert batch.agree("ab", "a").tolist() == [True]
-    # without a scaling law the raw payloads are multiplied
-    batch = MorphismBatch([table(BOOL, True, False)])
-    assert batch.scale == 1 and batch.apply("ab").tolist() == [[[True, True], [False, True]]]
+    assert [coded_agreement(INTERVAL01, c, "ab", "a")[0] for c in cases] == expected
+    assert [coded_agreement(INTERVAL01, c, "ab" * 5, "a")[0] for c in cases] == [
+        _decoded(INTERVAL01, c, 0).apply("ab" * 5) == _decoded(INTERVAL01, c, 0).apply("a")
+        for c in cases
+    ]
+    # min-plus: codes are payloads times 12 whatever the length, and inf
+    # saturates at INF_CODE
+    coded = images(MINPLUS01INF, Fraction(5, 2), INF)
+    assert coded_images(MINPLUS01INF, coded, "ab").tolist() == [[[0, 30], [INF_CODE, 0]]]
+    stuck = _coded(MINPLUS01INF, {"a": [[INF, INF], [INF, 0]]})
+    assert coded_images(MINPLUS01INF, stuck, "a" * 20).tolist() == [[[INF_CODE, INF_CODE], [INF_CODE, 0]]]
+    assert MINPLUS01INF.code_payload(INF_CODE) == INF
+    assert MINPLUS01INF.code_payload(30) == Fraction(5, 2)
+    # finite carriers multiply their table codes, unscaled
+    assert coded_images(BOOL, images(BOOL, True, False), "ab").tolist() == [[[1, 1], [0, 1]]]
+    coded = images(DIAMOND, 1, 2)
+    assert coded_images(DIAMOND, coded, "ab").tolist() == [[[3, 1], [2, 3]]]
+    assert coded_images(DIAMOND, coded, "ba").dtype == np.uint8
+    assert coded_images(DIAMOND, coded, "ba")[0].tolist() == list(
+        map(list, _decoded(DIAMOND, coded, 0).apply("ba").rows)
+    )
 
 
 def test_batch_rejects_mixed_morphisms():
-    rng = random.Random(1)
-    a = MorphismTable({"a": random_reflexive(INTERVAL01, 2, rng)})
+    gen = SplitMix64(1)
+    a = random_reflexive_codes(INTERVAL01, 2, "a", 4, gen)
     with pytest.raises(InstanceMismatchError):
-        MorphismBatch([a, MorphismTable({"a": random_reflexive(MINPLUS01INF, 2, rng)})])
+        coded_agreement(INTERVAL01, {**a, **random_reflexive_codes(INTERVAL01, 3, "b", 4, gen)}, "ab", "ba")
     with pytest.raises(InstanceMismatchError):
-        MorphismBatch([a, MorphismTable({"b": random_reflexive(INTERVAL01, 2, rng)})])
+        coded_images(INTERVAL01, {**a, **random_reflexive_codes(INTERVAL01, 2, "b", 5, gen)}, "ab")
+    with pytest.raises(MissingImageError):
+        coded_agreement(INTERVAL01, a, "ab", "ba")
     with pytest.raises(ValueError):
-        MorphismBatch([])
+        coded_images(INTERVAL01, a, "")
+    with pytest.raises(ValueError):
+        coded_agreement(INTERVAL01, a, "", "a")
+    # an instance without integer codes cannot be drawn
+    with pytest.raises(UnsupportedStructureError):
+        random_reflexive_codes(MAXPLUS, 2, "a", 4, gen)

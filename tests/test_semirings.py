@@ -17,6 +17,7 @@ from sgident.errors import (
 from sgident.semirings import (
     BOOL,
     INF,
+    INF_CODE,
     INTERVAL01,
     MAXPLUS,
     MINPLUS01INF,
@@ -28,6 +29,7 @@ from sgident.semirings import (
     FiniteCarrier,
     Free,
     SemiringDescriptor,
+    SplitMix64,
     semiring_from_spec,
     truncated_nat,
 )
@@ -223,6 +225,93 @@ def test_raw_draws_match_the_wrapped_draws(name):
     assert [(type(p), p) for p in raw] == [(type(p), p) for p in wrapped]
     assert raw_rng.random() == wrapped_rng.random()
     assert " ".join(S._format(p) for p in raw[:6]) == FIRST_DRAWS[name]
+
+
+def test_splitmix64_stream():
+    # the published first output of SplitMix64 from state 0
+    assert int(SplitMix64(0).raw(1)[0]) == 0xE220A8397B1DCDAF
+    # any split over calls continues one stream
+    whole = SplitMix64(11).integers(0, 1000, (6, 7))
+    gen = SplitMix64(11)
+    parts = [gen.integers(0, 1000, k) for k in (1, 5, 13, 23)]
+    assert np.concatenate(parts).tolist() == whole.ravel().tolist()
+    assert whole.dtype == np.int64 and whole.shape == (6, 7)
+    # every int is a seed of its own stream: negatives, and past 64 bits
+    seeds = (0, 1, -1, 2, -2, 2**63, -(2**63), 2**64, 2**64 + 1, -(2**64), 10**40)
+    firsts = {tuple(SplitMix64(seed).raw(4).tolist()) for seed in seeds}
+    assert len(firsts) == len(seeds)
+    drawn = SplitMix64(5).integers(-3, 4, 7000)
+    assert drawn.min() == -3 and drawn.max() == 3
+    assert all(900 < count < 1100 for count in np.bincount(drawn + 3))
+    for low, high in ((0, 0), (0, 2**11 + 1)):
+        with pytest.raises(ValueError):
+            SplitMix64(0).integers(low, high, 3)
+
+
+class _EveryDraw:
+    """A stand-in Generator whose ``integers`` returns each value once."""
+
+    def integers(self, low, high, shape):
+        return np.arange(low, high)
+
+
+def _sampler_law(name):
+    """The exact distribution of the payload sampler, payload -> probability."""
+    law = {}
+    if name == "minplus01inf":
+        law[INF] = Fraction(1, 8)
+        for num in range(25):
+            for den in (1, 1, 2, 3, 4):
+                p = Fraction(num, den)
+                law[p] = law.get(p, 0) + Fraction(7, 8) / 25 / 5
+    else:
+        for den in (1, 2, 3, 4, 5, 8):
+            for num in range(den + 1):
+                p = Fraction(num, den)
+                law[p] = law.get(p, 0) + Fraction(1, 6) / (den + 1)
+    return law
+
+
+@pytest.mark.parametrize("name", ["minplus01inf", "interval01"])
+def test_code_draws_follow_the_payload_sampler(name):
+    S = ALL_INSTANCES[name]
+    # every value of the one integer draw per entry, each equally likely
+    codes = S.draw_codes(_EveryDraw(), None).tolist()
+    law = {}
+    for c in codes:
+        p = S.code_payload(c)
+        law[p] = law.get(p, 0) + Fraction(1, len(codes))
+    assert law == _sampler_law(name)
+    assert S.carrier.codes.top == max(c for c in codes if S.code_payload(c) != INF)
+    # numpy's operations on codes are the instance's on payloads
+    rng = SplitMix64(9)
+    a, b = S.draw_codes(rng, (2, 500))
+    scale = S.carrier.codes.scale
+    added, multiplied = S.carrier.codes.add(a, b), S.carrier.codes.mul(a, b)
+    if S.carrier.codes.saturating:
+        multiplied = np.minimum(multiplied, INF_CODE)
+    for x, y, s, m in zip(a.tolist(), b.tolist(), added.tolist(), multiplied.tolist()):
+        px, py = S.code_payload(x), S.code_payload(y)
+        assert S.code_payload(s) == S._add(px, py)
+        if S.scaling == SCALING_DEGREE:  # a product of two codes carries scale^2
+            assert Fraction(m, scale**2) == S._mul(px, py)
+        else:
+            assert S.code_payload(m) == S._mul(px, py)
+
+
+@pytest.mark.parametrize("name", sorted(ALL_INSTANCES))
+def test_finite_code_draws_are_the_table_codes(name):
+    S = ALL_INSTANCES[name]
+    if not S.is_finite:
+        if S.carrier.codes is None:
+            with pytest.raises(UnsupportedStructureError):
+                S.draw_codes(SplitMix64(0), (3,))
+        return
+    c = len(S.carrier.values)
+    assert S.draw_codes(_EveryDraw(), None).tolist() == list(range(c))
+    assert [S.code_payload(k) for k in range(c)] == S.tables.payloads
+    drawn = S.draw_codes(SplitMix64(0), (4, 5))
+    assert drawn.shape == (4, 5) and drawn.dtype == np.int64
 
 
 # -- batch arithmetic ------------------------------------------------------------
