@@ -56,6 +56,7 @@ from .monoids import (
 )
 from .polynomials import (
     Equivalent,
+    FormalPolynomial,
     NotEquivalent,
     NotFalsified,
     Variable,
@@ -685,16 +686,14 @@ def _sampled_one_at_a_time(p, q, S, variables, budget, seed):
     return NotFalsified(budget), None
 
 
-def criterion_sampled_kernel(pairs: int = 60, seed: int = 1717) -> CheckOutcome:
-    """Batched sampled equivalence against a per-assignment loop: the same
-    NotFalsified count, or the same witness with the same values on both
-    sides (compared by repr too, which tells apart payloads such as True and
-    1).  Inputs at budget 256: every corpus identity against each of its
-    letters, where the tropical instances at times separate only at sample 8
-    or later, and ``pairs`` seeded corpus pairs per instance with u of length
-    at most 2, which are often not falsified.  Then Adjan's identity at
-    budget 4096."""
-    start = time.perf_counter()
+ADJAN = Identity("xyyxxyxyyx", "xyyxyxxyyx")
+
+
+def _corpus_pairs(pairs: int = 60, seed: int = 1717) -> list:
+    """``(S, u, identity, budget, seed)`` at budget 256 over nat, maxplus,
+    minplus01inf and interval01: every corpus identity against each of its
+    letters, and ``pairs`` seeded corpus pairs per instance with u of length
+    at most 2."""
     rng = random.Random(seed)
     idents = [ident for ident in corpus() if ident.lhs != ident.rhs]
     cases = []
@@ -707,9 +706,21 @@ def criterion_sampled_kernel(pairs: int = 60, seed: int = 1717) -> CheckOutcome:
                 {""} | subword_set(ident.lhs, 2) | subword_set(ident.rhs, 2)
             ))
             cases.append((S, u, ident, 256, k))
-    adjan = Identity("xyyxxyxyyx", "xyyxyxxyyx")
+    return cases
+
+
+def criterion_sampled_kernel() -> CheckOutcome:
+    """Batched sampled equivalence against a per-assignment loop: the same
+    NotFalsified count, or the same witness with the same values on both
+    sides (compared by repr too, which tells apart payloads such as True and
+    1).  Inputs: the corpus pairs (:func:`_corpus_pairs`), where the
+    tropical instances at times separate only at sample 8 or later and the
+    pairs with u of length at most 2 are often not falsified; then Adjan's
+    identity at budget 4096."""
+    start = time.perf_counter()
+    cases = _corpus_pairs()
     for S in (MINPLUS01INF, INTERVAL01):
-        cases += [(S, u, adjan, 4096, 0) for u in ("x", "y")]
+        cases += [(S, u, ADJAN, 4096, 0) for u in ("x", "y")]
     mismatched = []
     separated = late = 0
     for S, u, ident, budget, case_seed in cases:
@@ -840,6 +851,138 @@ def criterion_packed_closure(seed: int = 1919) -> CheckOutcome:
         f"{len(cases)} Boolean closures and capped partials, elements, words and "
         f"Cayley rows equal to one product at a time; {len(mismatched)} mismatches "
         f"{mismatched[:3]}, {elapsed:.1f}s (limit 60s)",
+    )
+
+
+# -- criterion 20 ----------------------------------------------------------------
+
+
+def _bicyclic_image(word: str, images: dict) -> tuple:
+    """The image of ``word`` in the bicyclic monoid, whose elements are the
+    pairs (a, b) of naturals (the words q^a p^b in p and q with pq = 1)."""
+    a, b = 0, 0
+    for ch in word:
+        c, d = images[ch]
+        top = max(b, c)
+        a, b = a - b + top, d - c + top
+    return a, b
+
+
+# UT_2 identities over {x, y}: among the pairs of distinct words of length
+# 10 that start with x and share their content and last letter, the hull
+# finds these two to hold at n = 2 (Adjan's, and one more), and the bicyclic
+# monoid confirms both
+TROPICAL_UT2_LAWS = (ADJAN, Identity("xyyxxyyxxy", "xyyxyxyxxy"))
+
+
+def _hull_pairs(count: int, rng: random.Random) -> list:
+    """Seeded polynomial pairs in three variables that the hull settles in
+    both ways: q of two to four monomials against q plus the midpoint of two
+    of them, which lies in their hull, and against q plus one of them times
+    a variable of its own, which the orthant covers and max-plus covers only
+    when it lies in q's hull."""
+    variables = [Variable("a", 1), Variable("a", 2), Variable("b", 1)]
+    pairs = []
+    while len(pairs) < count:
+        monomials = {
+            tuple((v, k) for v in variables if (k := rng.randrange(4)))
+            for _ in range(rng.randint(2, 4))
+        }
+        if len(monomials) < 2:
+            continue
+        q = FormalPolynomial.from_dict(dict.fromkeys(monomials, 1))
+        f, g = (dict(m) for m in rng.sample(sorted(monomials), 2))
+        mid = {v: f.get(v, 0) + g.get(v, 0) for v in variables}
+        if all(k % 2 == 0 for k in mid.values()):
+            middle = tuple((v, k // 2) for v, k in mid.items() if k)
+            pairs.append((FormalPolynomial.from_dict(dict.fromkeys(monomials | {middle}, 1)), q))
+        if f:
+            v = rng.choice(sorted(f))
+            above = tuple(sorted({**f, v: f[v] + 1}.items()))
+            pairs.append((FormalPolynomial.from_dict(dict.fromkeys(monomials | {above}, 1)), q))
+    return pairs
+
+
+def criterion_hull_vs_sampled(
+    pairs: int = 100, trials: int = 200, seed: int = 2020
+) -> CheckOutcome:
+    """The exact hull decision over maxplus, minplus01inf and interval01
+    against seeded sampling: no sample may separate a pair the hull says
+    holds, and every pair a sample separates must be one it says fails.
+    Inputs: the tropical corpus pairs of criterion 17 (:func:`_corpus_pairs`,
+    budget 256), u = x and u = y of ``TROPICAL_UT2_LAWS`` at budget 4096, and
+    ``pairs`` seeded pairs that the hull settles both ways
+    (:func:`_hull_pairs`, budget 256).  At budget 0 each fails carries the
+    witness built from the separating direction, which evaluate confirms.
+    Then an oracle that shares no code with the polynomials: UT_2 over the
+    tropical semiring and the bicyclic monoid satisfy the same identities
+    (Daviaud, Johnson and Kambites, J. Algebra 2018), and so does UT_2 over
+    the other two instances, where the orthant adds nothing because both
+    sides' exponent vectors have the same degree in each letter.  The UT_2
+    checks of the non-trivial corpus identities, of ``TROPICAL_UT2_LAWS``
+    and of their mirror images and letter swaps must agree with ``trials``
+    seeded substitutions into the bicyclic monoid, on exact integer pairs: a
+    holds survives all of them, and a fails is separated by one."""
+    start = time.perf_counter()
+    rng = random.Random(seed)
+    instances = (MAXPLUS, MINPLUS01INF, INTERVAL01)
+    cases = []
+    for S, u, ident, budget, case_seed in _corpus_pairs():
+        if S.tropical is not None:
+            p, q = build_f_canonical(u, ident.lhs), build_f_canonical(u, ident.rhs)
+            cases.append((S, p, q, budget, case_seed))
+    for S in instances:
+        for law in TROPICAL_UT2_LAWS:
+            cases += [
+                (S, build_f_canonical(u, law.lhs), build_f_canonical(u, law.rhs), 4096, 0)
+                for u in ("x", "y")
+            ]
+        cases += [(S, p, q, 256, k) for k, (p, q) in enumerate(_hull_pairs(pairs, rng))]
+    mismatched = []
+    by_hull = by_sample = certified = 0
+    for S, p, q, budget, case_seed in cases:
+        universe = sorted(set(p.variables()) | set(q.variables()))
+        exact = functionally_equivalent(p, q, S, variables=universe, budget=0)
+        sampled = _sampled(p, q, S, universe, budget, case_seed)
+        by_hull += exact == Equivalent("hull")
+        by_sample += isinstance(sampled, NotEquivalent)
+        certified += isinstance(exact, NotEquivalent)
+        if isinstance(exact, Equivalent) and isinstance(sampled, NotEquivalent):
+            mismatched.append(f"{S.name} {p.render()} | {q.render()}")
+    idents = {ident for ident in corpus() if ident.lhs != ident.rhs}
+    swap = str.maketrans("xy", "yx")
+    for law in TROPICAL_UT2_LAWS:
+        for w, v in ((law.lhs, law.rhs), (law.lhs[::-1], law.rhs[::-1])):
+            idents |= {Identity(w, v), Identity(w.translate(swap), v.translate(swap))}
+    holds = fails = 0
+    for ident in sorted(idents, key=str):
+        substitutions = [
+            {s: (rng.randrange(8), rng.randrange(8)) for s in ident.alphabet}
+            for _ in range(trials)
+        ]
+        agree = all(
+            _bicyclic_image(ident.lhs, images) == _bicyclic_image(ident.rhs, images)
+            for images in substitutions
+        )
+        for S in instances:
+            verdict = check_UT(ident, 2, S, budget=0)
+            holds += verdict.is_holds
+            fails += verdict.is_fails
+            if verdict.is_holds != agree or not (verdict.is_holds or verdict.is_fails):
+                mismatched.append(f"{S.name} {ident}: {verdict.outcome} in UT_2")
+    elapsed = time.perf_counter() - start
+    ok = not mismatched and by_hull and certified and holds and elapsed < 60.0
+    return _outcome(
+        "hull-vs-sampled",
+        ok,
+        f"{len(cases)} polynomial pairs over maxplus, minplus01inf and "
+        f"interval01 (corpus pairs, u = x and y of {len(TROPICAL_UT2_LAWS)} UT_2 "
+        f"laws, {pairs} constructed pairs per instance): {by_hull} equivalent "
+        f"by the hull, {certified} fails with the certificate's witness, "
+        f"{by_sample} separated by sampling; UT_2 checks of {len(idents)} "
+        f"identities per instance against {trials} bicyclic substitutions: "
+        f"{holds} holds, {fails} fails; {len(mismatched)} "
+        f"mismatches {mismatched[:3]}, {elapsed:.1f}s (limit 60s)",
     )
 
 
@@ -1008,6 +1151,7 @@ def suite_checker_equivalence():
     yield criterion_batched_products()
     yield criterion_sampled_kernel()
     yield criterion_lattice_decision()
+    yield criterion_hull_vs_sampled()
 
 
 def suite_transfer_properties():

@@ -197,9 +197,16 @@ def check_UT(
     """Identity check for the upper triangular monoid.
 
     Compares the embedding polynomials of every u of length below n over both
-    sides.  When the instance declares an element whose iterated partial sums
-    are pairwise distinct, the empty u is implied by the one-letter checks and
-    is skipped (for n >= 2).
+    sides (:func:`~sgident.polynomials.functionally_equivalent`).  When the
+    instance declares an element whose iterated partial sums are pairwise
+    distinct, the empty u is implied by the one-letter checks and is skipped
+    (for n >= 2).  Over the tropical instances (``maxplus``,
+    ``minplus01inf``, ``interval01``), the bitmask lattices and the other
+    finite carriers within the exhaustive cap every u is decided exactly, so the verdict is holds or
+    fails; ``budget`` samples decide a u only over ``nat``, over user
+    instances that declare no tropical shape and over finite carriers past
+    the cap, where a u that none of them falsifies makes the verdict
+    undetermined.
     """
     if n < 1:
         raise ValueError("n must be >= 1")

@@ -9,8 +9,10 @@ the e-fold product.  Idempotent interpretation caps coefficients at one.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
 from typing import NamedTuple, Optional
 
@@ -384,6 +386,183 @@ def _sampled(p, q, S, variables, budget, seed):
     return NotFalsified(budget)
 
 
+# -- exact hull decision over tropical instances --------------------------------
+
+
+def _simplex(rows: list, cost: list, basis: list) -> int:
+    """Minimise over a simplex tableau by Bland's rule, in place, in exact
+    integers.  ``rows`` are the constraint rows ``[a_1, ..., a_N, b]`` of
+    A x = b, x >= 0, ``basis[i]`` the column basic in row i, and each row
+    stands for itself divided by its basic entry, which stays positive.
+    ``cost`` is the reduced-cost row ``[d_1, ..., d_N, -z]`` times the
+    positive int returned (1 on entry).  A pivot cross-multiplies and divides
+    each row by the gcd of its entries, which keeps the numbers small without
+    Fractions.  Bland's rule (the entering column is the first with a
+    negative reduced cost; among the rows of least ratio, the leaving one has
+    the first basic column) cannot cycle, so degenerate pivots end too."""
+    scale = 1
+    while True:
+        j = next((j for j, d in enumerate(cost[:-1]) if d < 0), None)
+        if j is None:
+            return scale
+        ratios = [
+            (Fraction(row[-1], row[j]), basis[i], i) for i, row in enumerate(rows) if row[j] > 0
+        ]
+        if not ratios:
+            raise AlgebraError("the linear program is unbounded")
+        r = min(ratios)[2]
+        pivot = rows[r]
+        p = pivot[j]
+        for row in [*rows[:r], *rows[r + 1 :], cost]:
+            factor = row[j]
+            if factor:
+                row[:] = [x * p - factor * y for x, y in zip(row, pivot)]
+                g = math.gcd(*row)
+                if row is cost:
+                    g = math.gcd(g, scale * p)
+                    scale = scale * p // g
+                row[:] = [x // g for x in row]
+        basis[r] = j
+
+
+def phase_one(A: list, b: list) -> tuple:
+    """Exact feasibility of A x = b, x >= 0, for integer A and b >= 0:
+    ``(x, None)`` with x a feasible point, or ``(None, y)`` with y·A <= 0 and
+    y·b > 0, Farkas' proof that there is none, both in Fractions.  Each row
+    gets an artificial column, and their sum is minimised by
+    :func:`_simplex` from the artificial basis; at the optimum the rows'
+    simplex multipliers y are 1 minus the reduced costs of the artificial
+    columns."""
+    m, n = len(b), len(A[0]) if A else 0
+    rows = [list(A[i]) + [int(i == k) for k in range(m)] + [b[i]] for i in range(m)]
+    cost = [-sum(column) for column in zip(*rows)]
+    cost[n:-1] = [0] * m
+    basis = list(range(n, n + m))
+    scale = _simplex(rows, cost, basis)
+    if cost[-1]:
+        return None, [1 - Fraction(d, scale) for d in cost[n:-1]]
+    x = [Fraction(0)] * n
+    for row, j in zip(rows, basis):
+        if j < n:
+            x[j] = Fraction(row[-1], row[j])
+    return x, None
+
+
+def _hull_point(e: tuple, others: list, orthant: bool) -> tuple:
+    """Whether the exponent vector e lies in the convex hull of the members
+    of ``others`` whose support is within e's (plus the orthant, with
+    ``orthant``): ``(weights, None)`` with ``weights`` a dict from monomials
+    to the Fractions of a convex combination, or ``(None, y)`` with y a dict
+    from e's variables to Fractions, a direction in which e beats every such
+    member (y·e > y·f for all of them; y >= 0 and y·e < y·f with
+    ``orthant``).  e itself, or with ``orthant`` a member below e, needs no
+    linear program, and no member at all gives y = 0."""
+    exponents = dict(e)
+    near = [f for f in others if all(var in exponents for var, _ in f)]
+    below = (
+        f for f in near
+        if f == e or (orthant and all(k <= exponents[var] for var, k in f))
+    )
+    first = next(below, None)
+    if first is not None:
+        return {first: Fraction(1)}, None
+    if not near:
+        return None, dict.fromkeys(exponents, Fraction(0))
+    axes = list(exponents)
+    columns = [dict(f) for f in near]
+    # with the orthant, one slack column per variable: the weighted sum of
+    # the members plus the slacks is e
+    slacks = len(axes) if orthant else 0
+    A = [
+        [f.get(var, 0) for f in columns] + [int(i == k) for k in range(slacks)]
+        for i, var in enumerate(axes)
+    ]
+    A.append([1] * len(near) + [0] * slacks)
+    x, y = phase_one(A, [exponents[var] for var in axes] + [1])
+    if y is not None:
+        sign = -1 if orthant else 1
+        return None, {var: sign * c for var, c in zip(axes, y)}
+    return {f: c for f, c in zip(near, x) if c}, None
+
+
+def _certifies(e: tuple, weights: dict, orthant: bool) -> bool:
+    """Whether ``weights`` is a convex combination of monomials supported
+    within e's support that is e (at most e, with ``orthant``)."""
+    exponents = dict(e)
+    if any(c < 0 for c in weights.values()) or sum(weights.values()) != 1:
+        return False
+    total = dict.fromkeys(exponents, Fraction(0))
+    for f, c in weights.items():
+        for var, k in f:
+            if var not in total:
+                return False
+            total[var] += c * k
+    return all(
+        total[var] <= k if orthant else total[var] == k for var, k in exponents.items()
+    )
+
+
+def _integral(y: dict) -> dict:
+    """y scaled by a positive factor to coprime integers."""
+    d = math.lcm(*(c.denominator for c in y.values()))
+    ints = {var: int(c * d) for var, c in y.items()}
+    g = math.gcd(*ints.values()) or 1
+    return {var: k // g for var, k in ints.items()}
+
+
+def _separation(p, q, S):
+    """The separating direction of the first exponent vector, p's in order
+    and then q's, outside the other side's hull (see :func:`_hull_point`),
+    or None when there is none, each convex combination re-checked."""
+    orthant = S.tropical.orthant
+    for side, other in ((p, q), (q, p)):
+        others = [f for f, _ in other.terms]
+        for e, _ in side.terms:
+            weights, y = _hull_point(e, others, orthant)
+            if y is not None:
+                return y
+            if not _certifies(e, weights, orthant):
+                raise InternalConsistencyError(
+                    f"{S.name}: the convex combination {weights} does not certify {e}"
+                )
+    return None
+
+
+def _by_hull(p, q, S, variables, budget, seed):
+    """Exact decision over an instance with a tropical shape (see
+    :class:`~sgident.semirings.TropicalShape`).  p <= q as functions (the
+    order of the max, or of the min with the orthant) exactly when every
+    exponent vector e of p lies in the convex hull of the exponent vectors of
+    q supported within supp(e), plus the orthant where declared: setting the
+    variables outside supp(e) to the zero element leaves q only those
+    vectors, and a direction y that separates e from their hull is an
+    assignment, on supp(e), where p exceeds q.  The sides are equal when
+    this holds both ways.  Each convex combination is re-checked by
+    :func:`_certifies`.  On fails the seeded search of :func:`_sampled`
+    runs as it would without this decision, and only when it comes back
+    empty is the witness built from the separating direction, scaled to
+    coprime integers: ``point(y)`` on supp(e), the zero element elsewhere;
+    :func:`evaluate` recomputes both sides."""
+    y = _separation(p, q, S)
+    if y is None:
+        return Equivalent("hull")
+    sampled = _sampled(p, q, S, variables, budget, seed)
+    if isinstance(sampled, NotEquivalent):
+        return sampled
+    coordinates = _integral(y)
+    zero = S._wrap(S._zero_payload)
+    witness = {
+        v: S._wrap(S.tropical.point(coordinates[v])) if v in coordinates else zero
+        for v in variables
+    }
+    lhs, rhs = evaluate(p, witness, S), evaluate(q, witness, S)
+    if lhs == rhs:
+        raise InternalConsistencyError(
+            f"{S.name}: the separating direction {coordinates} gives {lhs!r} on both sides"
+        )
+    return NotEquivalent(witness, lhs, rhs)
+
+
 def functionally_equivalent(
     p: FormalPolynomial,
     q: FormalPolynomial,
@@ -396,11 +575,23 @@ def functionally_equivalent(
     """Decide whether p and q define the same function on assignments over S.
 
     Identical canonical forms (coefficients capped when S is idempotent) are
-    equivalent over any instance.  Finite carriers are settled exactly, with
-    method ``exhaustive``.  A bitmask lattice (``bool``, ``lattice:diamond``,
-    ``nat:1,1``; see :attr:`SemiringDescriptor.is_bitmask_lattice`) has no
-    cap: there both sides are monotone Boolean functions, equal exactly when
-    their antichains of minimal supports are, so the decision takes time
+    equivalent over any instance.  An instance that declares a tropical
+    shape (``maxplus``, ``minplus01inf``, ``interval01``; see
+    :class:`~sgident.semirings.TropicalShape`) is settled exactly by
+    :func:`_by_hull`: each exponent vector of one side must lie in the convex
+    hull of the other side's vectors supported within its own (plus the
+    orthant under min-plus), checked by an exact simplex over Fractions only
+    where the vector is not itself on the other side (or, under min-plus,
+    above one of its vectors).  A holds comes back as method ``hull`` with
+    every convex combination re-checked; a fails keeps the sampled witness
+    below, and only when ``budget`` samples find none takes the one built
+    from the separating direction.  So over these instances ``budget``
+    chooses among witnesses and never decides a verdict.  Finite carriers
+    are settled exactly, with method ``exhaustive``.  A bitmask lattice
+    (``bool``, ``lattice:diamond``, ``nat:1,1``; see
+    :attr:`SemiringDescriptor.is_bitmask_lattice`) has no cap: there both
+    sides are monotone Boolean functions, equal exactly when their
+    antichains of minimal supports are, so the decision takes time
     polynomial in the terms, not in the c^k assignments.  Other finite
     carriers are evaluated at all assignments up to ``EXHAUSTIVE_CAP`` of
     them: both sides over a tensor with one axis of size c per variable, each
@@ -435,6 +626,8 @@ def functionally_equivalent(
     if identical:
         return Equivalent("identical-form")
     universe = sorted(universe)
+    if S.tropical is not None:
+        return _by_hull(p, q, S, universe, budget, seed)
     if S.is_finite:
         result = _exhaustive(p, q, S, universe, EXHAUSTIVE_CAP)
         if result is not None:

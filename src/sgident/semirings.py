@@ -169,6 +169,21 @@ class IntegerCodes(NamedTuple):
     saturating: bool = False
 
 
+class TropicalShape(NamedTuple):
+    """How an idempotent instance reads as a tropical semiring, which the
+    exact hull decision of :func:`sgident.polynomials.functionally_equivalent`
+    runs on.  A polynomial there is, monomial by monomial, the linear form
+    of its exponent vector, and a variable at the zero element drops every
+    monomial that holds it.  Without ``orthant`` the polynomial is the max
+    of its forms over all rationals (max-plus, no recession cone); with it,
+    the min over the non-negative rationals (min-plus, the orthant as
+    recession cone).  ``point(y)`` is the payload at which a variable takes
+    the integer coordinate y (y >= 0 under ``orthant``)."""
+
+    orthant: bool
+    point: Callable[[int], Payload]
+
+
 @dataclass(frozen=True)
 class InfiniteCarrier:
     """A seeded sampler over a fixed countable subset of the carrier, and
@@ -179,8 +194,8 @@ class InfiniteCarrier:
 
 
 class FiniteTables:
-    """A finite carrier coded as 0..c-1 with flat numpy add/mul tables for
-    bulk evaluation: the sum of codes a and b is ``add[a * c + b]``."""
+    """A finite carrier coded as 0..c-1 with (c, c) numpy add/mul tables for
+    bulk evaluation: the sum of codes a and b is ``add[a, b]``."""
 
     def __init__(self, S: SemiringDescriptor):
         payloads = list(S.carrier.values)
@@ -189,22 +204,21 @@ class FiniteTables:
         self.payloads = payloads
         self.code = {p: i for i, p in enumerate(payloads)}
         c = len(payloads)
-        self.add = np.zeros(c * c, dtype=np.uint8)
-        self.mul = np.zeros(c * c, dtype=np.uint8)
+        self.add = np.zeros((c, c), dtype=np.uint8)
+        self.mul = np.zeros((c, c), dtype=np.uint8)
         for i, a in enumerate(payloads):
             for j, b in enumerate(payloads):
-                self.add[i * c + j] = self.code[_normalize(S._add(a, b))]
-                self.mul[i * c + j] = self.code[_normalize(S._mul(a, b))]
+                self.add[i, j] = self.code[_normalize(S._add(a, b))]
+                self.mul[i, j] = self.code[_normalize(S._mul(a, b))]
         self.zero_code = self.code[S._zero_payload]
         self.size = c
-        # the narrowest unsigned type that holds every flat index a * c + b
-        self.index_type = np.min_scalar_type(c * c - 1)
         self.powers = {1: np.arange(c, dtype=np.uint8)}
 
     def apply(self, table: np.ndarray, a, b) -> np.ndarray:
-        """table[a, b] elementwise, broadcasting a against b."""
-        t = self.index_type
-        return table.take(np.add(np.multiply(a, self.size, dtype=t), b, dtype=t))
+        """table[a, b] elementwise, broadcasting a against b.  The codes index
+        the 2-D table as they are: a flat index a * c + b would be one more
+        array, of intp, 8 bytes per entry."""
+        return table[a, b]
 
     def power(self, exponent: int) -> np.ndarray:
         """The codes of x^exponent for x = 0..c-1."""
@@ -223,7 +237,8 @@ class SemiringDescriptor:
     ``add``/``mul`` work on raw payloads; the public methods wrap results in
     tagged values and reject operands from other instances.  ``scaling``
     declares how the instance's rational payloads scale (``SCALING_*``), or
-    is None.  The array arithmetic of batched evaluation lives here too:
+    is None; ``tropical`` declares a :class:`TropicalShape`, or is None.
+    The array arithmetic of batched evaluation lives here too:
     :attr:`tables` (coded tables of a finite carrier),
     :attr:`is_bitmask_lattice` (read off those tables), :attr:`ufuncs` (the
     raw operations as numpy object ufuncs), :meth:`scaled_batch` and
@@ -252,6 +267,7 @@ class SemiringDescriptor:
         parse_payload: Optional[Callable[[str], Payload]] = None,
         interval_sample: Optional[tuple] = None,
         scaling: Optional[str] = None,
+        tropical: Optional[TropicalShape] = None,
     ):
         self.name = name
         self._add = add
@@ -272,6 +288,9 @@ class SemiringDescriptor:
         if scaling not in (None, SCALING_AUTOMORPHISM, SCALING_DEGREE):
             raise ValueError(f"{name}: unknown scaling law {scaling!r}")
         self.scaling = scaling
+        if tropical is not None and not idempotent:
+            raise ValueError(f"{name}: a tropical shape needs an idempotent instance")
+        self.tropical = tropical
         self._embed_cache: dict = {}
         self.monogenic = self._establish_monogenic(monogenic)
 
@@ -476,7 +495,7 @@ class SemiringDescriptor:
         c = tables.size
         if c < 2 or c & (c - 1) or tables.zero_code != 0:
             return False
-        a, b = np.divmod(np.arange(c * c), c)
+        a, b = np.ogrid[:c, :c]
         return bool((tables.add == a | b).all() and (tables.mul == a & b).all())
 
     @cached_property
@@ -649,6 +668,7 @@ MAXPLUS = SemiringDescriptor(
     format_payload=_format_extended,
     parse_payload=lambda t: NEG_INF if t == "-inf" else Fraction(t),
     scaling=SCALING_AUTOMORPHISM,
+    tropical=TropicalShape(orthant=False, point=int),
 )
 
 MINPLUS01INF = SemiringDescriptor(
@@ -670,6 +690,7 @@ MINPLUS01INF = SemiringDescriptor(
     parse_payload=lambda t: INF if t == "inf" else Fraction(t),
     interval_sample=(0, 1, 8),
     scaling=SCALING_AUTOMORPHISM,
+    tropical=TropicalShape(orthant=True, point=int),
 )
 
 INTERVAL01 = SemiringDescriptor(
@@ -690,6 +711,8 @@ INTERVAL01 = SemiringDescriptor(
     parse_payload=Fraction,
     interval_sample=(1, Fraction(1, 2), Fraction(1, 16)),
     scaling=SCALING_DEGREE,
+    # max-times on [0, 1] is min-plus on [0, inf] through x -> -log2(x)
+    tropical=TropicalShape(orthant=True, point=lambda y: Fraction(1, 2**y)),
 )
 
 _DIAMOND_NAMES = {0: "0", 1: "a", 2: "b", 3: "1"}

@@ -86,6 +86,10 @@ def test_criterion_19_packed_closure():
     _report(19, acceptance.criterion_packed_closure())
 
 
+def test_criterion_20_hull_vs_sampled():
+    _report(20, acceptance.criterion_hull_vs_sampled())
+
+
 def test_law_suites_hold():
     for outcome in [*acceptance.suite_semiring_axioms(), *acceptance.suite_word_oracles()]:
         status = "PASS" if outcome.ok else "FAIL"

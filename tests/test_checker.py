@@ -1,8 +1,13 @@
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import sgident
 from sgident import checker
 from sgident.checker import (
     HOLDS,
@@ -73,10 +78,18 @@ def test_triangular_check_examples():
 
 
 def test_triangular_check_over_the_tropical_instance():
-    verdict = check_UT(ADJAN, 2, MAXPLUS, budget=256)
-    assert verdict.outcome == "undetermined"
-    assert verdict.sampling["inconclusive_u"] == ["x", "y"]
-    assert check_UT(ADJAN, 3, MAXPLUS, budget=256).is_fails
+    # Adjan's identity holds in UT_2 over the tropical semiring, and every u
+    # but the empty word is settled by the exact hull decision, at any budget
+    for S in (MAXPLUS, MINPLUS01INF, INTERVAL01):
+        for budget in (0, 256):
+            verdict = check_UT(ADJAN, 2, S, budget=budget)
+            assert verdict.is_holds and verdict.sampling is None
+            methods = {e["u"]: e["method"] for e in verdict.evidence}
+            assert {u: m for u, m in methods.items() if u} == {"x": "hull", "y": "hull"}
+        failing = check_UT(ADJAN, 3, S, budget=256)
+        assert failing.is_fails and failing.distinguishing_u == "xx"
+        methods = {e["u"]: e.get("method") for e in failing.evidence}
+        assert (methods["x"], methods["y"]) == ("hull", "hull")
     assert check_UT(ADJAN, 2, BOOL).is_holds
 
 
@@ -281,3 +294,22 @@ def test_run_check_reports():
     assert set(witness["images"]) == {"a", "b"}
     with pytest.raises(ValueError):
         run_check("m", ABAB, 3, BOOL)
+
+
+def test_tropical_checks_import_no_solver_or_numpy_random():
+    # the hull decision runs its own exact simplex: scipy and sympy are test
+    # oracles only, and numpy.random alone costs about 6 MB of resident memory
+    script = (
+        "import sys, sgident\n"
+        "from sgident.checker import check_UT\n"
+        "from sgident.semirings import INTERVAL01\n"
+        "ident = sgident.Identity.parse('xyyxxyxyyx=xyyxyxxyyx')\n"
+        "assert check_UT(ident, 2, INTERVAL01).is_holds\n"
+        "print(sorted(m for m in ('scipy', 'sympy', 'numpy.random') if m in sys.modules))\n"
+    )
+    src = str(Path(sgident.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    out = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
+    ).stdout
+    assert out.strip() == "[]"

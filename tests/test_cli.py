@@ -78,7 +78,7 @@ GOLDEN = Path(__file__).parent / "golden"
 @pytest.mark.parametrize(
     "golden, expected, argv",
     [
-        # not falsified by 64 samples at u = x and at u = y
+        # settled exactly at u = x and at u = y, whatever the budget
         ("check_ut2_interval01_adjan_budget64.json", 0, (
             "--semiring", "interval01", "--budget", "64", "xyyxxyxyyx=xyyxyxxyyx",
         )),
@@ -92,6 +92,27 @@ def test_sampled_checks_keep_their_bytes(golden, expected, argv, capsys):
     # the files hold the reports of the one-assignment-at-a-time sampler
     code, out, _ = run_cli(
         capsys, "check", "--monoid", "ut", "--n", "2", "--stable-output", *argv
+    )
+    assert code == expected
+    assert out == (GOLDEN / golden).read_text()
+
+
+@pytest.mark.parametrize(
+    "golden, expected, argv",
+    [
+        # holds: u = x and u = y settled by the hull
+        ("check_ut2_maxplus_adjan.json", 0, ("--n", "2", "--semiring", "maxplus")),
+        ("check_ut2_minplus01inf_adjan.json", 0, ("--n", "2", "--semiring", "minplus01inf")),
+        # fails at u = xx, with the sampled witness the check gave before the
+        # hull decision settled u = x and u = y
+        ("check_ut3_maxplus_adjan.json", 1, ("--n", "3", "--semiring", "maxplus")),
+        ("check_ut3_minplus01inf_adjan.json", 1, ("--n", "3", "--semiring", "minplus01inf")),
+        ("check_ut3_interval01_adjan.json", 1, ("--n", "3", "--semiring", "interval01")),
+    ],
+)
+def test_tropical_adjan_checks_keep_their_bytes(golden, expected, argv, capsys):
+    code, out, _ = run_cli(
+        capsys, "check", "--monoid", "ut", *argv, "--stable-output", "xyyxxyxyyx=xyyxyxxyyx"
     )
     assert code == expected
     assert out == (GOLDEN / golden).read_text()

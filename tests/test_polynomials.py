@@ -1,4 +1,6 @@
+import math
 import random
+from fractions import Fraction as F
 
 import pytest
 
@@ -23,8 +25,13 @@ from sgident.polynomials import (
 from sgident.semirings import (
     BOOL,
     DIAMOND,
+    INTERVAL01,
     MAXPLUS,
+    MINPLUS01INF,
     NAT,
+    NEG_INF,
+    SCALING_AUTOMORPHISM,
+    Cyclic,
     FiniteCarrier,
     SemiringDescriptor,
     Val,
@@ -190,13 +197,254 @@ def test_finite_tables_follow_the_descriptor_not_its_name():
 
 def test_tropical_absorption_is_not_falsified():
     # x^2 + x + 1 and x^2 + 1 define the same max-plus function: x can never
-    # exceed both x^2 and 1
+    # exceed both x^2 and 1, since the exponent 1 is the midpoint of 0 and 2
     v = Variable("a", 1)
     with_middle = poly({(): 1, ((v, 1),): 1, ((v, 2),): 1})
     without = poly({(): 1, ((v, 2),): 1})
-    result = functionally_equivalent(with_middle, without, MAXPLUS, budget=512)
-    assert isinstance(result, NotFalsified)
-    assert result.samples == 512
+    for S in (MAXPLUS, MINPLUS01INF, INTERVAL01):
+        assert functionally_equivalent(with_middle, without, S, budget=512) == Equivalent("hull")
+    # the same arithmetic without a declared tropical shape is only sampled
+    undeclared = SemiringDescriptor(
+        "maxplus", max, MAXPLUS._mul, NEG_INF, 0, idempotent=True, interval=False,
+        carrier=MAXPLUS.carrier, monogenic=Cyclic(1, 1), scaling=SCALING_AUTOMORPHISM,
+    )
+    assert undeclared.tropical is None
+    result = functionally_equivalent(with_middle, without, undeclared, budget=512)
+    assert result == NotFalsified(512)
+
+
+def test_hull_decisions_over_the_tropical_instances():
+    v, w = Variable("a", 1), Variable("b", 1)
+    x, x2, one = ((v, 1),), ((v, 2),), ()
+    cases = (
+        # x over [0, inf] min-plus is min(x, 2x), and over [0, 1] max(x, x^2):
+        # the orthant covers 2x beyond x, but max-plus x^2 exceeds x at x = 1
+        (poly({x: 1}), poly({x: 1, x2: 1}), (False, True, True)),
+        # 1 + x^2 is not x where x is the zero element, under any of them
+        (poly({one: 1, x2: 1}), poly({x: 1}), (False, False, False)),
+        # x*y needs both variables; x + y is never x*y
+        (poly({((v, 1), (w, 1)): 1}), poly({x: 1, ((w, 1),): 1}), (False, False, False)),
+        # the zero polynomial against a constant
+        (ZERO_POLYNOMIAL, poly({one: 1}), (False, False, False)),
+    )
+    for p, q, expected in cases:
+        for S, equal in zip((MAXPLUS, MINPLUS01INF, INTERVAL01), expected):
+            for budget in (0, 64):
+                result = functionally_equivalent(p, q, S, budget=budget)
+                if equal:
+                    assert result == Equivalent("hull")
+                    continue
+                # at budget 0 the witness comes from the separating direction
+                assert isinstance(result, NotEquivalent)
+                assert result.lhs_value != result.rhs_value
+                assert evaluate(p, result.witness, S) == result.lhs_value
+                assert evaluate(q, result.witness, S) == result.rhs_value
+
+
+def test_hull_fails_keep_the_sampled_witness():
+    # where sampling separates the sides, its witness is returned unchanged
+    p, q = SEPARATING_PAIRS[2]
+    for spec in ("maxplus", "minplus01inf", "interval01"):
+        S = semiring_from_spec(spec)
+        universe = sorted(set(p.variables()) | set(q.variables()))
+        want = _sampled(p, q, S, universe, 64, 4)
+        assert isinstance(want, NotEquivalent)
+        assert_same_result(functionally_equivalent(p, q, S, budget=64, seed=4), want)
+
+
+def test_hull_witness_from_the_separating_direction():
+    v, w = Variable("a", 1), Variable("b", 1)
+    # x*y is the midpoint of x^2 and y^2, so it never exceeds both
+    square_sum = poly({((v, 2),): 1, ((w, 2),): 1})
+    both = poly({((v, 2),): 1, ((w, 2),): 1, ((v, 1), (w, 1)): 1})
+    assert functionally_equivalent(both, square_sum, MAXPLUS) == Equivalent("hull")
+    # x^2 has no monomial of x*y within its support: x = 0 and y = -inf
+    product = poly({((v, 1), (w, 1)): 1})
+    result = functionally_equivalent(square_sum, product, MAXPLUS, budget=0)
+    assert result == NotEquivalent(
+        {v: MAXPLUS.val(0), w: MAXPLUS.zero}, MAXPLUS.val(0), MAXPLUS.zero
+    )
+    # (1, 2) lies off the segment from (2, 1) to (0, 2): a linear program
+    # finds the direction, and the witness takes coprime integers on it
+    off = poly({((v, 1), (w, 2)): 1, ((v, 2), (w, 1)): 1, ((w, 2),): 1})
+    segment = poly({((v, 2), (w, 1)): 1, ((w, 2),): 1})
+    result = functionally_equivalent(off, segment, MAXPLUS, budget=0)
+    assert isinstance(result, NotEquivalent)
+    coordinates = [val.payload for val in result.witness.values()]
+    assert all(isinstance(c, int) for c in coordinates) and math.gcd(*coordinates) == 1
+    # over interval01 the witness is 2^-y on the support, 0 elsewhere
+    x_only = poly({((v, 1),): 1})
+    result = functionally_equivalent(x_only, poly({((v, 2),): 1}), INTERVAL01, budget=0)
+    assert result.witness[v] == INTERVAL01.val(F(1, 2))
+    result = functionally_equivalent(x_only, poly({((w, 1),): 1}), INTERVAL01, budget=0)
+    assert result.witness == {v: INTERVAL01.val(1), w: INTERVAL01.val(0)}
+
+
+def _tableau_value(A, b, x):
+    return all(sum(a * c for a, c in zip(row, x)) == r for row, r in zip(A, b))
+
+
+def _farkas(A, b, y):
+    columns = zip(*A) if A and A[0] else ()
+    return all(sum(c * yi for c, yi in zip(col, y)) <= 0 for col in columns) and (
+        sum(bi * yi for bi, yi in zip(b, y)) > 0
+    )
+
+
+def test_phase_one_on_degenerate_programs():
+    feasible = (
+        ([[1, 1], [1, 1]], [0, 0]),  # only x = 0, every pivot degenerate
+        ([[1, 1, 0], [2, 2, 0], [0, 0, 1]], [1, 2, 0]),  # a redundant row
+        ([[1, -1], [0, 0]], [0, 0]),  # a zero row and an unbounded ray
+        ([[]], [0]),  # no columns at all
+    )
+    for A, b in feasible:
+        x, y = polynomials.phase_one(A, b)
+        assert y is None and all(c >= 0 for c in x) and _tableau_value(A, b, x)
+    infeasible = (
+        ([[1, 1], [1, 1]], [1, 2]),
+        ([[1, -1], [-1, 1]], [1, 1]),
+        ([[]], [1]),
+    )
+    for A, b in infeasible:
+        x, y = polynomials.phase_one(A, b)
+        assert x is None and _farkas(A, b, y)
+
+
+# Chvatal's example (Linear Programming, 1983, p. 31), its first two rows
+# doubled to integers: from the slack basis, the largest-coefficient rule
+# with ties broken by the first row returns to that basis after six
+# degenerate pivots
+CYCLING = (
+    [[1, -11, -5, 18, 2, 0, 0], [1, -3, -1, 2, 0, 2, 0], [1, 0, 0, 0, 0, 0, 1]],
+    [0, 0, 1],
+    [-10, 57, 9, 24, 0, 0, 0],
+)
+
+
+def test_blands_rule_finishes_where_the_largest_coefficient_cycles():
+    A, b, c = CYCLING
+    rows = [row + [r] for row, r in zip(A, b)]
+    cost = c + [0]
+    basis = [4, 5, 6]
+    trial_rows = [[F(x) for x in row] for row in rows]
+    trial_cost = [F(x) for x in cost]
+    seen = []
+    for _ in range(6):
+        j = min(range(7), key=lambda k: (trial_cost[k], k))
+        r = min((row[-1] / row[j], i) for i, row in enumerate(trial_rows) if row[j] > 0)[1]
+        trial_rows[r] = [x / trial_rows[r][j] for x in trial_rows[r]]
+        for row in [*trial_rows[:r], *trial_rows[r + 1 :], trial_cost]:
+            row[:] = [x - row[j] * y for x, y in zip(row, trial_rows[r])]
+        basis[r] = j
+        seen.append(tuple(sorted(basis)))
+    assert seen[-1] == (4, 5, 6) and len(set(seen)) == 6  # back where it began
+    basis = [4, 5, 6]
+    scale = polynomials._simplex(rows, cost, basis)
+    # the optimum of 10*x1 - 57*x2 - 9*x3 - 24*x4 is 1, at x1 = x3 = 1
+    assert F(cost[-1], scale) == 1
+    x = [F(0)] * 7
+    for row, j in zip(rows, basis):
+        x[j] = F(row[-1], row[j])
+    assert _tableau_value(A, b, x) and sum(a * v for a, v in zip(c, x)) == -1
+    # as a feasibility question: the objective can reach 1, not 2
+    for target, reachable in ((1, True), (2, False)):
+        A_goal, b_goal = A + [[10, -57, -9, -24, 0, 0, 0]], b + [target]
+        x, y = polynomials.phase_one(A_goal, b_goal)
+        assert (x is not None) == reachable
+        assert _tableau_value(A_goal, b_goal, x) if reachable else _farkas(A_goal, b_goal, y)
+
+
+def test_tampered_certificates_are_rejected(monkeypatch):
+    v, w = Variable("a", 1), Variable("b", 1)
+    e = ((v, 1), (w, 1))
+    f, g = ((v, 2),), ((w, 2),)
+    half = F(1, 2)
+    assert polynomials._certifies(e, {f: half, g: half}, False)
+    tampered = (
+        {f: half, g: F(1, 3)},  # weights do not sum to 1
+        {f: F(3, 2), g: F(-1, 2)},  # a negative weight
+        {f: F(1, 3), g: F(2, 3)},  # the wrong point
+        {f: half, ((v, 2), (Variable("c", 1), 2)): half},  # support beyond e's
+    )
+    for weights in tampered:
+        assert not polynomials._certifies(e, weights, False)
+    # with the orthant a point below e certifies it, and one above does not
+    assert polynomials._certifies(((v, 2),), {((v, 1),): F(1)}, True)
+    assert not polynomials._certifies(((v, 1),), {((v, 2),): F(1)}, True)
+    # a decision whose certificate does not check is an error, not a holds
+    p, q = poly({e: 1, f: 1, g: 1}), poly({f: 1, g: 1})
+    assert functionally_equivalent(p, q, MAXPLUS) == Equivalent("hull")
+    original = polynomials._hull_point
+
+    def skewed(e, others, orthant):
+        weights, y = original(e, others, orthant)
+        if weights is not None and len(weights) > 1:
+            weights = {m: c * 2 for m, c in weights.items()}
+        return weights, y
+
+    monkeypatch.setattr(polynomials, "_hull_point", skewed)
+    with pytest.raises(InternalConsistencyError, match="does not certify"):
+        functionally_equivalent(p, q, MAXPLUS)
+
+
+def test_phase_one_agrees_with_scipy_on_random_programs():
+    optimize = pytest.importorskip("scipy.optimize")
+    rng = random.Random(12)
+    outcomes = set()
+    for _ in range(300):
+        m, n = rng.randint(1, 4), rng.randint(1, 5)
+        A = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(m)]
+        b = [rng.randint(0, 4) for _ in range(m)]
+        x, y = polynomials.phase_one(A, b)
+        reference = optimize.linprog([0] * n, A_eq=A, b_eq=b, bounds=(0, None), method="highs")
+        assert reference.status in (0, 2)
+        assert (x is not None) == (reference.status == 0)
+        if x is not None:
+            assert all(c >= 0 for c in x) and _tableau_value(A, b, x)
+        else:
+            assert _farkas(A, b, y)
+        outcomes.add(x is not None)
+    assert outcomes == {True, False}
+
+
+def test_hull_points_agree_with_scipy():
+    optimize = pytest.importorskip("scipy.optimize")
+    rng = random.Random(13)
+    variables = [Variable("a", 1), Variable("a", 2), Variable("b", 1)]
+    outcomes = set()
+    for _ in range(200):
+        e = tuple((v, k) for v in variables if (k := rng.randrange(4)))
+        others = sorted({
+            tuple((v, k) for v in variables if (k := rng.randrange(4)))
+            for _ in range(rng.randint(1, 5))
+        })
+        for orthant in (False, True):
+            weights, y = polynomials._hull_point(e, others, orthant)
+            exps = dict(e)
+            near = [f for f in others if all(v in exps for v, _ in f)]
+            if near:
+                A = [[dict(f).get(v, 0) for f in near] for v in exps] + [[1] * len(near)]
+                rhs = [exps[v] for v in exps] + [1]
+                kind = {"A_ub": [row for row in A[:-1]], "b_ub": rhs[:-1]} if orthant else {}
+                equalities = A[-1:] if orthant else A
+                reference = optimize.linprog(
+                    [0] * len(near), A_eq=equalities, b_eq=rhs[-len(equalities):],
+                    bounds=(0, None), method="highs", **kind,
+                ).status == 0
+            else:
+                reference = False
+            assert (weights is not None) == reference
+            if weights is not None:
+                assert polynomials._certifies(e, weights, orthant)
+            else:
+                sign = 1 if orthant else -1
+                value = sum(y[v] * k for v, k in e)
+                for f in near:
+                    assert sign * (sum(y[v] * k for v, k in f) - value) > 0
+                assert not orthant or all(c >= 0 for c in y.values())
+            outcomes.add(weights is not None)
+    assert outcomes == {True, False}
 
 
 def test_sampling_over_naturals_finds_a_witness():
