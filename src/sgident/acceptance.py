@@ -59,6 +59,7 @@ from .polynomials import (
     FormalPolynomial,
     NotEquivalent,
     NotFalsified,
+    EXHAUSTIVE_CAP,
     Variable,
     _by_supports,
     _by_tensor,
@@ -596,6 +597,14 @@ def _decoded(S, images: dict, t: int) -> MorphismTable:
     })
 
 
+# the chain 0 < 1/2 < 1 under max and min: a finite carrier that is no
+# bitmask lattice
+HALVES = SemiringDescriptor(
+    "halves", max, min, 0, 1,
+    idempotent=True, interval=True, carrier=FiniteCarrier((0, Fraction(1, 2), 1)),
+)
+
+
 def criterion_batched_products(trials: int = 12, seed: int = 1616) -> CheckOutcome:
     """The coded products of the reflexive spot-check against one product per
     decoded morphism: every entry of both sides' images, and per morphism
@@ -612,15 +621,11 @@ def criterion_batched_products(trials: int = 12, seed: int = 1616) -> CheckOutco
         Identity("ca" * 3, "ca" * 4),
         Identity("ab" * 10, "aab"),
     ]
-    halves = SemiringDescriptor(
-        "halves", max, min, 0, 1,
-        idempotent=True, interval=True, carrier=FiniteCarrier((0, Fraction(1, 2), 1)),
-    )
     gen = SplitMix64(seed)
     mismatched = []
     compared = disagreeing = saturated = 0
     widest = 0
-    for S in (BOOL, DIAMOND, halves, MINPLUS01INF, INTERVAL01):
+    for S in (BOOL, DIAMOND, HALVES, MINPLUS01INF, INTERVAL01):
         for n in range(2, 6):
             for ident in idents:
                 letters = ident.alphabet
@@ -633,7 +638,7 @@ def criterion_batched_products(trials: int = 12, seed: int = 1616) -> CheckOutco
                     reference = {}
                     for word in (ident.lhs, ident.rhs):
                         got = coded_images(S, images, word)
-                        weight = 1 if S.is_finite else S.weight(S.carrier.codes.scale, len(word))
+                        weight = 1 if S.is_finite else S.carrier.codes.weight(len(word))
                         reference[word] = [phi.apply(word) for phi in tables]
                         for image, codes in zip(reference[word], got.tolist()):
                             # the instance's codes of the true payloads, times
@@ -688,16 +693,24 @@ def _sampled_one_at_a_time(p, q, S, variables, budget, seed):
 
 ADJAN = Identity("xyyxxyxyyx", "xyyxyxxyyx")
 
+# a q^e c = a q^(e+6) c over nat:2,3 at n = 3: at |u| = 2 its 9 variables
+# take 5^9 assignments, past the exhaustive cap; the sides separate at u = aa
+# for a(ab)^2c and at u = ba for a(aab)^2c, and at no u within 256 samples
+# for a(ab)^3c
+PAST_CAP_LAWS = tuple(
+    Identity("a" + q * e + "c", "a" + q * (e + 6) + "c")
+    for q, e in (("ab", 2), ("ab", 3), ("aab", 2))
+)
 
-def _corpus_pairs(pairs: int = 60, seed: int = 1717) -> list:
-    """``(S, u, identity, budget, seed)`` at budget 256 over nat, maxplus,
-    minplus01inf and interval01: every corpus identity against each of its
-    letters, and ``pairs`` seeded corpus pairs per instance with u of length
-    at most 2."""
+
+def _corpus_pairs(instances, pairs: int = 60, seed: int = 1717) -> list:
+    """``(S, u, identity, budget, seed)`` at budget 256 over ``instances``:
+    every corpus identity against each of its letters, and ``pairs`` seeded
+    corpus pairs per instance with u of length at most 2."""
     rng = random.Random(seed)
     idents = [ident for ident in corpus() if ident.lhs != ident.rhs]
     cases = []
-    for S in (NAT, MAXPLUS, MINPLUS01INF, INTERVAL01):
+    for S in instances:
         for k, ident in enumerate(idents):
             cases += [(S, u, ident, 256, k) for u in sorted(set(ident.lhs + ident.rhs))]
         for k in range(pairs):
@@ -710,39 +723,66 @@ def _corpus_pairs(pairs: int = 60, seed: int = 1717) -> list:
 
 
 def criterion_sampled_kernel() -> CheckOutcome:
-    """Batched sampled equivalence against a per-assignment loop: the same
-    NotFalsified count, or the same witness with the same values on both
-    sides (compared by repr too, which tells apart payloads such as True and
-    1).  Inputs: the corpus pairs (:func:`_corpus_pairs`), where the
-    tropical instances at times separate only at sample 8 or later and the
-    pairs with u of length at most 2 are often not falsified; then Adjan's
-    identity at budget 4096."""
+    """Coded sampled equivalence over finite carriers against a
+    per-assignment loop: the same NotFalsified count, or the same witness
+    with the same values on both sides (compared by repr too, which tells
+    apart payloads such as True and 1).  Inputs: the corpus pairs
+    (:func:`_corpus_pairs`) over bool, lattice:diamond, nat:2,3 and the
+    3-element chain 0 < 1/2 < 1, sampled directly, of which some separate
+    only at sample 8 or later; then every u that ``check_UT`` samples past
+    the exhaustive cap for ``PAST_CAP_LAWS``, where most pairs are not
+    falsified, and whose evidence must be what the loop gives."""
     start = time.perf_counter()
-    cases = _corpus_pairs()
-    for S in (MINPLUS01INF, INTERVAL01):
-        cases += [(S, u, ADJAN, 4096, 0) for u in ("x", "y")]
     mismatched = []
-    separated = late = 0
-    for S, u, ident, budget, case_seed in cases:
-        p, q = build_f_canonical(u, ident.lhs), build_f_canonical(u, ident.rhs)
-        universe = sorted(set(p.variables()) | set(q.variables()))
-        got = _sampled(p, q, S, universe, budget, case_seed)
-        want, index = _sampled_one_at_a_time(p, q, S, universe, budget, case_seed)
+    compared = separated = late = 0
+
+    def compare(S, p, q, universe, budget, seed, label):
+        nonlocal compared, separated, late
+        got = _sampled(p, q, S, universe, budget, seed)
+        want, index = _sampled_one_at_a_time(p, q, S, universe, budget, seed)
+        compared += 1
         separated += index is not None
         late += index is not None and index >= 8
         if got != want or repr(got) != repr(want):
-            mismatched.append(f"{S.name} u={u!r} {ident}")
+            mismatched.append(label)
+        return want
+
+    S = semiring_from_spec("nat:2,3")
+    for T, u, ident, budget, case_seed in _corpus_pairs((BOOL, DIAMOND, S, HALVES)):
+        p, q = build_f_canonical(u, ident.lhs), build_f_canonical(u, ident.rhs)
+        universe = sorted(set(p.variables()) | set(q.variables()))
+        compare(T, p, q, universe, budget, case_seed, f"{T.name} u={u!r} {ident}")
+    past_cap = 0
+    for ident in PAST_CAP_LAWS:
+        verdict = check_UT(ident, 3, S, budget=256)
+        for entry in verdict.evidence:
+            u = entry["u"]
+            universe = [Variable(s, v) for s in ident.alphabet for v in range(1, len(u) + 2)]
+            if S.tables.size ** len(universe) <= EXHAUSTIVE_CAP:
+                continue
+            p, q = build_f_canonical(u, ident.lhs), build_f_canonical(u, ident.rhs)
+            if entry["result"] == "equivalent":
+                # identical forms never reach the sampler
+                if entry["method"] != "identical-form" or p != q:
+                    mismatched.append(f"{ident} in UT_3 at u={u!r}: {entry}")
+                continue
+            past_cap += 1
+            want = compare(S, p, q, universe, 256, 0, f"{S.name} u={u!r} {ident} in UT_3")
+            result = "not-equivalent" if isinstance(want, NotEquivalent) else "not-falsified"
+            if entry["result"] != result:
+                mismatched.append(f"{ident} in UT_3 at u={u!r}: {entry['result']}")
     elapsed = time.perf_counter() - start
-    unfalsified = len(cases) - separated
-    ok = not mismatched and late and unfalsified and elapsed < 60.0
+    unfalsified = compared - separated
+    ok = not mismatched and late and unfalsified and past_cap and elapsed < 60.0
     return _outcome(
         "sampled-vs-assignment-loop",
         ok,
-        f"{len(cases)} polynomial pairs (corpus pairs at budget 256 over nat, "
-        f"maxplus, minplus01inf and interval01; Adjan's identity at budget 4096 "
-        f"over minplus01inf and interval01), {separated} separated, {late} of them "
-        f"at sample 8 or later, {unfalsified} not falsified; {len(mismatched)} "
-        f"mismatches {mismatched[:3]}, {elapsed:.1f}s (limit 60s)",
+        f"{compared} polynomial pairs (corpus pairs at budget 256 over bool, "
+        f"lattice:diamond, nat:2,3 and a 3-element chain; {past_cap} pairs that "
+        f"check_UT samples past the exhaustive cap over nat:2,3), {separated} "
+        f"separated, {late} of them at sample 8 or later, {unfalsified} not "
+        f"falsified; {len(mismatched)} mismatches {mismatched[:3]}, "
+        f"{elapsed:.1f}s (limit 60s)",
     )
 
 
@@ -909,7 +949,7 @@ def criterion_hull_vs_sampled(
     """The exact hull decision over maxplus, minplus01inf and interval01
     against seeded sampling: no sample may separate a pair the hull says
     holds, and every pair a sample separates must be one it says fails.
-    Inputs: the tropical corpus pairs of criterion 17 (:func:`_corpus_pairs`,
+    Inputs: the corpus pairs over the three instances (:func:`_corpus_pairs`,
     budget 256), u = x and u = y of ``TROPICAL_UT2_LAWS`` at budget 4096, and
     ``pairs`` seeded pairs that the hull settles both ways
     (:func:`_hull_pairs`, budget 256).  At budget 0 each fails carries the
@@ -927,8 +967,9 @@ def criterion_hull_vs_sampled(
     rng = random.Random(seed)
     instances = (MAXPLUS, MINPLUS01INF, INTERVAL01)
     cases = []
-    for S, u, ident, budget, case_seed in _corpus_pairs():
-        if S.tropical is not None:
+    # drawn after nat's, which are dropped
+    for S, u, ident, budget, case_seed in _corpus_pairs((NAT, *instances)):
+        if S is not NAT:
             p, q = build_f_canonical(u, ident.lhs), build_f_canonical(u, ident.rhs)
             cases.append((S, p, q, budget, case_seed))
     for S in instances:

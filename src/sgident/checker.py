@@ -206,7 +206,10 @@ def check_UT(
     fails; ``budget`` samples decide a u only over ``nat``, over user
     instances that declare no tropical shape and over finite carriers past
     the cap, where a u that none of them falsifies makes the verdict
-    undetermined.
+    undetermined.  A finite carrier's samples are evaluated a chunk at a
+    time on its coded tables, the others' one at a time by
+    :func:`~sgident.polynomials.evaluate` (see
+    :func:`~sgident.polynomials._sampled`).
     """
     if n < 1:
         raise ValueError("n must be >= 1")

@@ -20,7 +20,6 @@ from .polynomials import Variable, build_f_canonical, evaluate
 from .semirings import (
     BOOL,
     INF_CODE,
-    SCALING_DEGREE,
     SemiringDescriptor,
     SplitMix64,
     Val,
@@ -279,14 +278,15 @@ def random_reflexive_codes(
 def _code_dtype(S: SemiringDescriptor, length: int):
     """The dtype of the codes of products of up to ``length`` letters and of
     their comparisons.  A finite carrier's table codes are uint8.  Scaled
-    codes are bounded by top**length under the degree law and by
+    codes are bounded by top**length under the degree law (see
+    :class:`~sgident.semirings.IntegerCodes`) and by
     top*length otherwise; they are int64 while that bound is below 2^63
     (below ``INF_CODE`` for a saturating instance, which no word held in
     memory reaches), and Python ints past it."""
     if S.is_finite:
         return np.uint8
     codes = S.carrier.codes
-    bound = codes.top**length if S.scaling == SCALING_DEGREE else codes.top * length
+    bound = codes.top**length if codes.degree else codes.top * length
     if bound < (INF_CODE if codes.saturating else 2**63):
         return np.int64
     if codes.saturating:
@@ -307,10 +307,10 @@ def _coded_product(S: SemiringDescriptor, a: np.ndarray, b: np.ndarray) -> np.nd
     terms = (a[:, :, :, None], b[:, None, :, :])
     if S.is_finite:
         tables = S.tables
-        terms = tables.apply(tables.mul, *terms)
+        terms = tables.mul[terms]
         out = terms[:, :, 0]
         for k in range(1, a.shape[2]):
-            out = tables.apply(tables.add, out, terms[:, :, k])
+            out = tables.add[out, terms[:, :, k]]
         return out
     codes = S.carrier.codes
     out = codes.add.reduce(codes.mul(*terms), axis=2)
@@ -333,7 +333,8 @@ def coded_images(S: SemiringDescriptor, images: dict, word: str) -> np.ndarray:
     """The (T, n, n) codes of the images of a non-empty ``word`` under the
     coded morphisms ``images`` (see :func:`random_reflexive_codes`).  Over a
     scaled instance they are the true payloads times
-    ``S.weight(scale, len(word))``; past int64 they are Python ints."""
+    ``codes.weight(len(word))`` (see :class:`~sgident.semirings.IntegerCodes`);
+    past int64 they are Python ints."""
     if not word:
         raise ValueError("the empty word has no coded image; use identity_matrix")
     dtype = _code_dtype(S, len(word))
@@ -356,8 +357,7 @@ def coded_agreement(S: SemiringDescriptor, images: dict, w: str, v: str) -> np.n
     head = _coded_word(S, images, w[:k])
     a, b = _coded_word(S, images, w[k:], head), _coded_word(S, images, v[k:], head)
     if not S.is_finite:
-        scale = S.carrier.codes.scale
-        weight_w, weight_v = S.weight(scale, len(w)), S.weight(scale, len(v))
+        weight_w, weight_v = (S.carrier.codes.weight(len(x)) for x in (w, v))
         if weight_w < weight_v:
             a = a * (weight_v // weight_w)
         elif weight_v < weight_w:

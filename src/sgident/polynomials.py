@@ -200,35 +200,52 @@ class NotFalsified:
     samples: int
 
 
-def _eval_codes(p: FormalPolynomial, var_pos: dict, S) -> np.ndarray:
-    """The codes of p at every assignment, as a (c,)*k tensor with one axis per
-    variable.  A monomial is built over its own axes only; adding it into the
-    total broadcasts it over the rest."""
+def _not_equivalent(p, q, S, witness: dict, found: str) -> NotEquivalent:
+    """The verdict that ``witness`` separates p and q, both sides recomputed
+    by :func:`evaluate`.  Every fails is built here, whatever chose its
+    witness (``found`` names it): when evaluate gives both sides one value,
+    that choice was wrong, and the error says so instead."""
+    lhs, rhs = evaluate(p, witness, S), evaluate(q, witness, S)
+    if lhs == rhs:
+        raise InternalConsistencyError(
+            f"{S.name}: {found} separates the sides, but evaluate gives {lhs!r} on both"
+        )
+    return NotEquivalent(witness, lhs, rhs)
+
+
+def _eval_codes(p: FormalPolynomial, codes: dict, S) -> np.ndarray:
+    """The codes of p over a finite carrier at the assignments held as one
+    uint8 code array per variable, broadcast against each other: aranges on
+    their own axes give every assignment (:func:`_by_tensor`), columns of
+    drawn codes a chunk of samples (:func:`_sampled`).  A monomial is built
+    from its own variables' arrays only; adding it into the total broadcasts
+    it over the rest."""
     tables = S.tables
-    c = tables.size
-    k = len(var_pos)
-    total = np.full((c,) * k, tables.zero_code, dtype=np.uint8)
+    shape = np.broadcast_shapes(*(a.shape for a in codes.values()))
+    total = np.full(shape, tables.zero_code, dtype=np.uint8)
     for mono, coeff in p.terms:
         acc = np.uint8(tables.code[S.payload_of(S.nat_embed(coeff))])
         for var, e in mono:
-            shape = [1] * k
-            shape[var_pos[var]] = c
-            acc = tables.apply(tables.mul, acc, tables.power(e).reshape(shape))
-        total = tables.apply(tables.add, total, acc)
+            acc = tables.mul[acc, tables.power(e)[codes[var]]]
+        total = tables.add[total, acc]
     return total
 
 
 def _by_tensor(p, q, S, variables):
-    """Both sides' codes at all c^k assignments (:func:`_eval_codes`); the
-    witness is the first differing entry in C order."""
-    var_pos = {v: i for i, v in enumerate(variables)}
-    diff = _eval_codes(p, var_pos, S) != _eval_codes(q, var_pos, S)
+    """Both sides' codes at all c^k assignments (:func:`_eval_codes`), one
+    axis per variable; the witness is the first differing entry in C order."""
+    c, k = S.tables.size, len(variables)
+    axis = np.arange(c, dtype=np.uint8)
+    codes = {
+        v: axis.reshape((1,) * i + (c,) + (1,) * (k - i - 1)) for i, v in enumerate(variables)
+    }
+    diff = _eval_codes(p, codes, S) != _eval_codes(q, codes, S)
     if not diff.any():
         return Equivalent("exhaustive")
     # C order on the tensor is the canonical enumeration: first variable slowest
-    first = np.unravel_index(int(np.argmax(diff)), diff.shape)
-    witness = {v: S._wrap(S.tables.payloads[int(i)]) for v, i in zip(variables, first)}
-    return NotEquivalent(witness, evaluate(p, witness, S), evaluate(q, witness, S))
+    first = [int(i) for i in np.unravel_index(int(np.argmax(diff)), diff.shape)]
+    witness = {v: S._wrap(S.tables.payloads[i]) for v, i in zip(variables, first)}
+    return _not_equivalent(p, q, S, witness, f"the coded assignment {first}")
 
 
 def _minimal(supports) -> frozenset:
@@ -275,13 +292,7 @@ def _by_supports(p, q, S, variables):
             a, b = _minimal(s & ~m for s in a), _minimal(s & ~m for s in b)
             codes.append(1)
     witness = {v: S._wrap(S.tables.payloads[c]) for v, c in zip(variables, codes)}
-    lhs, rhs = evaluate(p, witness, S), evaluate(q, witness, S)
-    if lhs == rhs:
-        raise InternalConsistencyError(
-            f"{S.name}: the minimal supports differ but the built assignment "
-            f"gives {lhs!r} on both sides"
-        )
-    return NotEquivalent(witness, lhs, rhs)
+    return _not_equivalent(p, q, S, witness, "the assignment built from the minimal supports")
 
 
 # total assignments up to which a finite carrier other than a bitmask lattice
@@ -297,11 +308,9 @@ def _exhaustive(p, q, S, variables, cap):
         # one assignment only; a tensor with one axis per variable would also
         # run into numpy's limit on the number of axes
         only = {v: S._wrap(tables.payloads[0]) for v in variables}
-        a = evaluate(p, only, S)
-        b = evaluate(q, only, S)
-        if a == b:
+        if evaluate(p, only, S) == evaluate(q, only, S):
             return Equivalent("exhaustive")
-        return NotEquivalent(only, a, b)
+        return _not_equivalent(p, q, S, only, "the only assignment")
     if S.is_bitmask_lattice:
         return _by_supports(p, q, S, variables)
     if tables.size ** len(variables) > cap:
@@ -309,78 +318,46 @@ def _exhaustive(p, q, S, variables, cap):
     return _by_tensor(p, q, S, variables)
 
 
-# assignments drawn and evaluated per step of the sampled check: the first
-# chunk holds one, because most inequivalent pairs separate at the first
-# sample and a larger first chunk would draw and evaluate samples that are
-# never needed; each next chunk doubles up to the cap, which bounds the
-# object columns in memory
+# assignments drawn and evaluated per step of the sampled check over a
+# finite carrier: the first chunk holds one, because most inequivalent pairs
+# separate at the first sample and a larger first chunk would draw and
+# evaluate samples that are never needed; each next chunk doubles up to the
+# cap, which bounds the code columns in memory
 _SAMPLE_CHUNK_FIRST = 1
 _SAMPLE_CHUNK_CAP = 1024
 
 
-def _degree(mono) -> int:
-    return sum(e for _, e in mono)
-
-
-def _eval_columns(terms, columns: dict, ufuncs, powers: dict, zeros: np.ndarray):
-    """The payloads of a polynomial, given as (coefficient payload, monomial)
-    pairs, at a chunk of assignments held as one object column per variable.
-    ``powers`` caches the columns' powers across both sides."""
-    add, mul = ufuncs
-    total = zeros
-    for acc, mono in terms:
-        for var, exponent in mono:
-            power = powers.get((var, exponent))
-            if power is None:
-                power = column = columns[var]
-                for _ in range(exponent - 1):
-                    power = mul(power, column)
-                powers[var, exponent] = power
-            acc = mul(acc, power)
-        total = add(total, acc)
-    return total
-
-
 def _sampled(p, q, S, variables, budget, seed):
     """Seeded sampling: ``budget`` assignments, each drawn one variable at a
-    time in universe order, evaluated a chunk at a time, column-wise.  A
-    chunk's payloads go through :meth:`SemiringDescriptor.scaled_batch`; when
-    that scales them by some d > 1, a term of degree e comes out
-    ``S.weight(d, e)`` times too large, so its coefficient is multiplied by
-    ``S.weight(d, top - e)`` to bring every term of both sides to the weight
-    of the common top degree.  The first differing sample is the witness;
-    :func:`evaluate` recomputes its values."""
+    time in universe order; the first that separates the sides is the
+    witness.  Over a finite carrier a value is drawn as its code,
+    ``rng.randrange(c)``, which is the draw ``rng.choice`` makes over the
+    values; the codes are drawn a chunk of assignments at a time and
+    evaluated as one code column per variable by :func:`_eval_codes`.  Over
+    an infinite carrier each assignment is drawn by
+    :meth:`~sgident.semirings.SemiringDescriptor.sample_value` and
+    evaluated by :func:`evaluate`."""
     rng = random.Random(seed)
+    if not S.is_finite:
+        for index in range(budget):
+            witness = {v: S.sample_value(rng) for v in variables}
+            if evaluate(p, witness, S) != evaluate(q, witness, S):
+                return _not_equivalent(p, q, S, witness, f"sample {index}")
+        return NotFalsified(budget)
+    tables = S.tables
     width = len(variables)
-    sides = [[(S.payload_of(S.nat_embed(c)), m) for m, c in poly.terms] for poly in (p, q)]
-    top = max((_degree(m) for side in sides for _, m in side), default=0)
     done, size = 0, _SAMPLE_CHUNK_FIRST
     while done < budget:
         size = min(size, budget - done)
-        draws = [S.sample_payload(rng) for _ in range(size * width)]
-        scale, picked = S.scaled_batch(draws)
-        terms = sides
-        if scale > 1:
-            terms = [
-                [(c * S.weight(scale, top - _degree(m)), m) for c, m in side]
-                for side in sides
-            ]
-        table = np.array(picked, dtype=object).reshape(size, width)
-        columns = {var: table[:, j] for j, var in enumerate(variables)}
-        zeros, powers = np.full(size, S._zero_payload, dtype=object), {}
-        lhs, rhs = (_eval_columns(side, columns, S.ufuncs, powers, zeros) for side in terms)
-        diff = lhs != rhs
+        drawn = [rng.randrange(tables.size) for _ in range(size * width)]
+        table = np.array(drawn, dtype=np.uint8).reshape(size, width)
+        codes = {v: table[:, j] for j, v in enumerate(variables)}
+        diff = _eval_codes(p, codes, S) != _eval_codes(q, codes, S)
         if diff.any():
             first = int(np.argmax(diff))
-            row = draws[first * width : (first + 1) * width]
-            witness = {v: S._wrap(x) for v, x in zip(variables, row)}
-            a, b = evaluate(p, witness, S), evaluate(q, witness, S)
-            if a == b:
-                raise InternalConsistencyError(
-                    f"{S.name}: sample {done + first} separates the batched "
-                    f"evaluations but not evaluate, which gives {a!r} on both sides"
-                )
-            return NotEquivalent(witness, a, b)
+            row = drawn[first * width : (first + 1) * width]
+            witness = {v: S._wrap(tables.payloads[c]) for v, c in zip(variables, row)}
+            return _not_equivalent(p, q, S, witness, f"sample {done + first}")
         done += size
         size = min(2 * size, _SAMPLE_CHUNK_CAP)
     return NotFalsified(budget)
@@ -555,12 +532,7 @@ def _by_hull(p, q, S, variables, budget, seed):
         v: S._wrap(S.tropical.point(coordinates[v])) if v in coordinates else zero
         for v in variables
     }
-    lhs, rhs = evaluate(p, witness, S), evaluate(q, witness, S)
-    if lhs == rhs:
-        raise InternalConsistencyError(
-            f"{S.name}: the separating direction {coordinates} gives {lhs!r} on both sides"
-        )
-    return NotEquivalent(witness, lhs, rhs)
+    return _not_equivalent(p, q, S, witness, f"the separating direction {coordinates}")
 
 
 def functionally_equivalent(
@@ -597,14 +569,16 @@ def functionally_equivalent(
     them: both sides over a tensor with one axis of size c per variable, each
     monomial over its own axes and broadcast over the rest, so memory is
     c^k bytes per array.  Otherwise seeded sampling either produces a
-    falsifying witness or reports NotFalsified: ``budget`` assignments are
-    drawn one variable at a time in universe order, as a one-at-a-time loop
-    would draw them, and evaluated a chunk at a time (``_SAMPLE_CHUNK_FIRST``
-    first, doubling up to ``_SAMPLE_CHUNK_CAP``), one object column per
-    variable, through the instance's batch arithmetic (see
-    :class:`~sgident.semirings.SemiringDescriptor`).
-    The witness is always the first falsifying assignment in the canonical
-    enumeration (or sampling) order, so verdicts are reproducible.
+    falsifying witness or reports NotFalsified (:func:`_sampled`): ``budget``
+    assignments are drawn one variable at a time in universe order.  A
+    finite carrier past the cap draws them as codes, a chunk at a time
+    (``_SAMPLE_CHUNK_FIRST`` first, doubling up to ``_SAMPLE_CHUNK_CAP``),
+    and evaluates each chunk on the coded tables as the tensor is evaluated;
+    an infinite carrier evaluates one assignment at a time.  Every fails is
+    re-checked: :func:`evaluate` recomputes both sides at the witness, and
+    an internal consistency error is raised when they agree.  The witness is
+    always the first falsifying assignment in the canonical enumeration (or
+    sampling) order, so verdicts are reproducible.
     """
     if budget < 0:
         raise ValueError(f"budget must be >= 0, got {budget}")

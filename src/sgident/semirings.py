@@ -42,18 +42,6 @@ NEG_INF = -math.inf
 
 Payload = Union[bool, int, Fraction, float]
 
-# How x -> d*x, for a positive integer d, acts on the rational payloads of an
-# instance (formal infinities stay put).  Under SCALING_AUTOMORPHISM it is an
-# automorphism (min-plus and max-plus: it respects min or max, and +).  Under
-# SCALING_DEGREE it respects addition and the order, and a product of L scaled
-# factors is d^L times the product of the unscaled ones (max-times).  Either
-# way, multiplying every payload of a batch by the lcm of its denominators
-# turns the batch's arithmetic into arithmetic on exact ints; see
-# SemiringDescriptor.scaled_batch and SemiringDescriptor.weight.
-SCALING_AUTOMORPHISM = "automorphism"
-SCALING_DEGREE = "degree"
-
-
 def _normalize(payload: Payload) -> Payload:
     # bool first: bool is a subclass of int
     if isinstance(payload, bool):
@@ -157,9 +145,14 @@ class IntegerCodes(NamedTuple):
     every code from ``INF_CODE`` up stands for the formal infinity.
     ``draw(gen, shape)`` returns int64 codes from one ``gen.integers`` call
     on a :class:`SplitMix64` stream.  ``add`` and ``mul`` are numpy ufuncs
-    acting on codes as the instance's operations act on payloads, under its
-    scaling law.  ``top`` bounds every finite code drawn, the unit's
-    included."""
+    acting on codes as the instance's operations act on payloads, up to the
+    scale.  ``top`` bounds every finite code drawn, the unit's included.
+
+    The scaling law: without ``degree``, x -> scale*x is an automorphism of
+    the rational payloads (min-plus: it respects min and +), so a product of
+    codes is the code of the product.  With ``degree`` it respects addition
+    and the order, but a product of k codes is scale^k times the product of
+    the payloads (max-times).  :meth:`weight` gives that factor."""
 
     draw: Callable[[SplitMix64, tuple], np.ndarray]
     scale: int
@@ -167,6 +160,12 @@ class IntegerCodes(NamedTuple):
     mul: np.ufunc
     top: int
     saturating: bool = False
+    degree: bool = False
+
+    def weight(self, k: int) -> int:
+        """The payloads' factor in a product of k codes: scale**k under
+        ``degree``, else scale."""
+        return self.scale**k if self.degree else self.scale
 
 
 class TropicalShape(NamedTuple):
@@ -195,7 +194,9 @@ class InfiniteCarrier:
 
 class FiniteTables:
     """A finite carrier coded as 0..c-1 with (c, c) numpy add/mul tables for
-    bulk evaluation: the sum of codes a and b is ``add[a, b]``."""
+    bulk evaluation: the sum of codes a and b is ``add[a, b]``, and arrays of
+    codes index a table as they are, broadcast against each other (a flat
+    index a * c + b would be one more array, of intp, 8 bytes per entry)."""
 
     def __init__(self, S: SemiringDescriptor):
         payloads = list(S.carrier.values)
@@ -214,19 +215,13 @@ class FiniteTables:
         self.size = c
         self.powers = {1: np.arange(c, dtype=np.uint8)}
 
-    def apply(self, table: np.ndarray, a, b) -> np.ndarray:
-        """table[a, b] elementwise, broadcasting a against b.  The codes index
-        the 2-D table as they are: a flat index a * c + b would be one more
-        array, of intp, 8 bytes per entry."""
-        return table[a, b]
-
     def power(self, exponent: int) -> np.ndarray:
         """The codes of x^exponent for x = 0..c-1."""
         vec = self.powers.get(exponent)
         if vec is None:
             base = vec = self.powers[1]
             for _ in range(exponent - 1):
-                vec = self.apply(self.mul, vec, base)
+                vec = self.mul[vec, base]
             self.powers[exponent] = vec
         return vec
 
@@ -235,17 +230,15 @@ class SemiringDescriptor:
     """A commutative semiring instance with exact, total operations.
 
     ``add``/``mul`` work on raw payloads; the public methods wrap results in
-    tagged values and reject operands from other instances.  ``scaling``
-    declares how the instance's rational payloads scale (``SCALING_*``), or
-    is None; ``tropical`` declares a :class:`TropicalShape`, or is None.
-    The array arithmetic of batched evaluation lives here too:
-    :attr:`tables` (coded tables of a finite carrier),
-    :attr:`is_bitmask_lattice` (read off those tables), :attr:`ufuncs` (the
-    raw operations as numpy object ufuncs), :meth:`scaled_batch` and
-    :meth:`weight` (the scaling law); the first three are built on first use.
-    So do the spot-check's draws: :meth:`draw_codes` draws entries as integer
-    codes, and :meth:`code_payload` reads a code back.  Descriptors are
-    immutable after construction and may be shared freely across workers.
+    tagged values and reject operands from other instances.  ``tropical``
+    declares a :class:`TropicalShape`, or is None.  The array arithmetic of
+    coded evaluation lives here too: :attr:`tables` (coded tables of a
+    finite carrier) and :attr:`is_bitmask_lattice` (read off those tables),
+    both built on first use.  So do the spot-check's draws: :meth:`draw_codes`
+    draws entries as integer codes (an infinite carrier's
+    :class:`IntegerCodes`, which also hold its scaling law), and
+    :meth:`code_payload` reads a code back.  Descriptors are immutable after
+    construction and may be shared freely across workers.
     """
 
     def __init__(
@@ -266,7 +259,6 @@ class SemiringDescriptor:
         format_payload: Optional[Callable[[Payload], str]] = None,
         parse_payload: Optional[Callable[[str], Payload]] = None,
         interval_sample: Optional[tuple] = None,
-        scaling: Optional[str] = None,
         tropical: Optional[TropicalShape] = None,
     ):
         self.name = name
@@ -285,9 +277,6 @@ class SemiringDescriptor:
         )
         self.partial_sums_distinct = partial_sums_distinct
         self._interval_sample = interval_sample
-        if scaling not in (None, SCALING_AUTOMORPHISM, SCALING_DEGREE):
-            raise ValueError(f"{name}: unknown scaling law {scaling!r}")
-        self.scaling = scaling
         if tropical is not None and not idempotent:
             raise ValueError(f"{name}: a tropical shape needs an idempotent instance")
         self.tropical = tropical
@@ -298,7 +287,15 @@ class SemiringDescriptor:
 
     def _establish_monogenic(self, declared: Optional[Monogenic]) -> Monogenic:
         if isinstance(self.carrier, FiniteCarrier):
-            computed = self._classify_by_iteration(len(self.carrier.values) + 2)
+            limit = len(self.carrier.values) + 2
+            repeat = self._first_repeat(limit + 1)
+            if repeat is None:
+                raise InternalConsistencyError(
+                    f"{self.name}: no repetition among the first {limit} sums of 1 "
+                    "in a finite carrier"
+                )
+            m, first = repeat
+            computed = Cyclic(index=first, period=m - first)
             if declared is not None and declared != computed:
                 raise InternalConsistencyError(
                     f"{self.name}: declared monogenic class {declared} but "
@@ -307,51 +304,33 @@ class SemiringDescriptor:
             return computed
         if declared is None:
             raise ValueError(f"{self.name}: infinite carriers must declare a monogenic class")
-        if isinstance(declared, Free):
-            self._verify_distinct_embeds(64)
-        else:
-            self._verify_distinct_embeds(declared.index + declared.period)
-            lo = self._embed_by_addition(declared.index)
-            hi = self._embed_by_addition(declared.index + declared.period)
-            if lo != hi:
-                raise InternalConsistencyError(
-                    f"{self.name}: declared collision at index {declared.index}, "
-                    f"period {declared.period} does not hold"
-                )
+        # a declared collision is checked at the first sum past the distinct ones
+        distinct = 64 if isinstance(declared, Free) else declared.index + declared.period
+        repeat = self._first_repeat(distinct + isinstance(declared, Cyclic))
+        if repeat is not None and repeat[0] < distinct:
+            raise InternalConsistencyError(
+                f"{self.name}: sums of 1 repeat before index {repeat[0]}, "
+                "contradicting the declared monogenic class"
+            )
+        if isinstance(declared, Cyclic) and repeat != (distinct, declared.index):
+            raise InternalConsistencyError(
+                f"{self.name}: declared collision at index {declared.index}, "
+                f"period {declared.period} does not hold"
+            )
         return declared
 
-    def _classify_by_iteration(self, limit: int) -> Monogenic:
+    def _first_repeat(self, count: int) -> Optional[tuple]:
+        """``(m, first)`` for the first m < ``count`` whose m-fold sum of 1
+        (built by adding 1 to the last) is the first-fold one, first < m, or
+        None when the first ``count`` sums are distinct."""
         seen: dict = {}
-        current = self._zero_payload
-        m = 0
-        while m <= limit:
-            if current in seen:
-                first = seen[current]
-                return Cyclic(index=first, period=m - first)
-            seen[current] = m
-            current = _normalize(self._add(current, self._one_payload))
-            m += 1
-        raise InternalConsistencyError(
-            f"{self.name}: no repetition among the first {limit} sums of 1 in a finite carrier"
-        )
-
-    def _embed_by_addition(self, m: int) -> Payload:
-        current = self._zero_payload
-        for _ in range(m):
-            current = _normalize(self._add(current, self._one_payload))
-        return current
-
-    def _verify_distinct_embeds(self, count: int) -> None:
-        seen = set()
         current = self._zero_payload
         for m in range(count):
             if current in seen:
-                raise InternalConsistencyError(
-                    f"{self.name}: sums of 1 repeat before index {m}, "
-                    "contradicting the declared monogenic class"
-                )
-            seen.add(current)
+                return m, seen[current]
+            seen[current] = m
             current = _normalize(self._add(current, self._one_payload))
+        return None
 
     # -- values ---------------------------------------------------------------
 
@@ -473,7 +452,7 @@ class SemiringDescriptor:
             return None
         return tuple(self._wrap(p) for p in self._interval_sample)
 
-    # -- batch arithmetic -----------------------------------------------------
+    # -- coded arithmetic -----------------------------------------------------
 
     @cached_property
     def tables(self) -> FiniteTables:
@@ -497,30 +476,6 @@ class SemiringDescriptor:
             return False
         a, b = np.ogrid[:c, :c]
         return bool((tables.add == a | b).all() and (tables.mul == a & b).all())
-
-    @cached_property
-    def ufuncs(self) -> tuple:
-        """``(add, mul)``: the raw operations as numpy object ufuncs."""
-        return np.frompyfunc(self._add, 2, 1), np.frompyfunc(self._mul, 2, 1)
-
-    def scaled_batch(self, payloads: list) -> tuple:
-        """``(d, payloads * d)`` under a scaling law: d is the lcm of the
-        payloads' denominators, every rational payload times d comes back as
-        an exact int, and formal infinities stay as they are.  ``(1,
-        payloads)``, untouched, without a law."""
-        if self.scaling is None:
-            return 1, payloads
-        d = math.lcm(*{getattr(p, "denominator", 1) for p in payloads})
-        return d, [
-            p if isinstance(p, float) else p.numerator * (d // p.denominator)
-            for p in payloads
-        ]
-
-    def weight(self, d: int, k: int) -> int:
-        """The factor by which a product of k payloads scaled by d exceeds
-        the true product scaled back: d**k under the degree law, d
-        otherwise (and d is 1 without a law)."""
-        return d**k if self.scaling == SCALING_DEGREE else d
 
     # -- text -----------------------------------------------------------------
 
@@ -667,7 +622,6 @@ MAXPLUS = SemiringDescriptor(
     contains=lambda p: p == NEG_INF or _is_rational(p),
     format_payload=_format_extended,
     parse_payload=lambda t: NEG_INF if t == "-inf" else Fraction(t),
-    scaling=SCALING_AUTOMORPHISM,
     tropical=TropicalShape(orthant=False, point=int),
 )
 
@@ -689,7 +643,6 @@ MINPLUS01INF = SemiringDescriptor(
     format_payload=_format_extended,
     parse_payload=lambda t: INF if t == "inf" else Fraction(t),
     interval_sample=(0, 1, 8),
-    scaling=SCALING_AUTOMORPHISM,
     tropical=TropicalShape(orthant=True, point=int),
 )
 
@@ -703,14 +656,13 @@ INTERVAL01 = SemiringDescriptor(
     interval=True,
     carrier=InfiniteCarrier(
         _interval01_sampler,
-        IntegerCodes(_interval01_codes, 120, np.maximum, np.multiply, top=120),
+        IntegerCodes(_interval01_codes, 120, np.maximum, np.multiply, top=120, degree=True),
     ),
     monogenic=Cyclic(1, 1),
     free_rank1=Fraction(1, 2),
     contains=lambda p: _is_rational(p) and 0 <= p <= 1,
     parse_payload=Fraction,
     interval_sample=(1, Fraction(1, 2), Fraction(1, 16)),
-    scaling=SCALING_DEGREE,
     # max-times on [0, 1] is min-plus on [0, inf] through x -> -log2(x)
     tropical=TropicalShape(orthant=True, point=lambda y: Fraction(1, 2**y)),
 )

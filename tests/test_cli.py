@@ -141,6 +141,18 @@ def test_lattice_checks_past_the_exhaustive_cap_keep_their_bytes(golden, expecte
     assert out == (GOLDEN / golden).read_text()
 
 
+def test_finite_check_past_the_exhaustive_cap_keeps_its_bytes(capsys):
+    # a(aab)^2c = a(aab)^8c: at |u| = 2 there are 5^9 assignments, so each u
+    # is sampled; none of 4096 samples separates u = aa, ab, ac, and sample
+    # 41 separates u = ba
+    code, out, _ = run_cli(
+        capsys, "check", "--monoid", "ut", "--n", "3", "--semiring", "nat:2,3",
+        "--stable-output", "a" + "aab" * 2 + "c=a" + "aab" * 8 + "c",
+    )
+    assert code == 1
+    assert out == (GOLDEN / "check_ut3_nat23_aab_law_over_cap.json").read_text()
+
+
 def test_usage_errors_exit_two(capsys):
     assert run_cli(capsys, "check", "--monoid", "u", "--n", "3", "--semiring", "nope", "x=x")[0] == 2
     assert run_cli(capsys, "check", "--monoid", "u", "--n", "3", "--semiring", "bool", "x==")[0] == 2

@@ -2,6 +2,7 @@ import math
 import random
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 
 from conftest import ALL_INSTANCES
@@ -30,7 +31,6 @@ from sgident.semirings import (
     MINPLUS01INF,
     NAT,
     NEG_INF,
-    SCALING_AUTOMORPHISM,
     Cyclic,
     FiniteCarrier,
     SemiringDescriptor,
@@ -172,7 +172,8 @@ def test_coded_values_match_evaluate_at_every_assignment(spec):
     x, y = Variable("a", 1), Variable("b", 1)
     p = poly({((x, 1), (y, 3)): 1, ((x, 3), (y, 1)): 1, ((x, 2),): 13, (): 15})
     tables = S.tables
-    codes = _eval_codes(p, {x: 0, y: 1}, S)
+    axis = np.arange(tables.size, dtype=np.uint8)
+    codes = _eval_codes(p, {x: axis[:, None], y: axis[None, :]}, S)
     for i, a in enumerate(S.carrier.values):
         for j, b in enumerate(S.carrier.values):
             expected = evaluate(p, {x: S.val(a), y: S.val(b)}, S)
@@ -206,7 +207,7 @@ def test_tropical_absorption_is_not_falsified():
     # the same arithmetic without a declared tropical shape is only sampled
     undeclared = SemiringDescriptor(
         "maxplus", max, MAXPLUS._mul, NEG_INF, 0, idempotent=True, interval=False,
-        carrier=MAXPLUS.carrier, monogenic=Cyclic(1, 1), scaling=SCALING_AUTOMORPHISM,
+        carrier=MAXPLUS.carrier, monogenic=Cyclic(1, 1),
     )
     assert undeclared.tropical is None
     result = functionally_equivalent(with_middle, without, undeclared, budget=512)
@@ -540,9 +541,7 @@ def test_batched_sampling_edge_cases(spec):
 
 @pytest.mark.parametrize("spec", ["interval01", "minplus01inf", "maxplus", "nat"])
 def test_sampling_compares_terms_of_different_degrees(spec):
-    # x + x^2 is x over [0, 1] under max-times and under min-plus; scaled by
-    # d under max-times, x^2 gains d^2 and x only d unless the terms are
-    # brought to one degree
+    # x + x^2 is x over [0, 1] under max-times and under min-plus
     S = semiring_from_spec(spec)
     x = poly({((X, 1),): 1})
     with_square = poly({((X, 1),): 1, ((X, 2),): 1})
@@ -554,25 +553,47 @@ def test_sampling_compares_terms_of_different_degrees(spec):
         assert _sampled(x, with_square, S, [X], 4096, 0) == NotFalsified(4096)
 
 
-def test_batched_sampling_witness_is_rechecked(monkeypatch):
-    # a batch that separates the sides where evaluate does not is an error
-    # in the batched arithmetic, never a witness
+def _corrupt_eval_codes(monkeypatch, entry):
+    """Replace _eval_codes by one that changes, on every second call (the
+    right side), the code at ``entry(calls, total)`` when that gives an
+    index, to a code other than the true one."""
     calls = []
-    original = polynomials._eval_columns
+    original = polynomials._eval_codes
 
     def corrupted(*args):
-        # the right side's value at sample 11, whichever chunk holds it
         total = original(*args)
-        calls.append(len(total))
-        start = sum(calls[:-2:2])
-        if len(calls) % 2 == 0 and start <= 11 < start + len(total):
-            total[11 - start] = "corrupted"
+        calls.append(total.size)
+        index = entry(calls, total) if len(calls) % 2 == 0 else None
+        if index is not None:
+            total[index] = (total[index] + 1) % args[2].tables.size
         return total
 
-    monkeypatch.setattr(polynomials, "_eval_columns", corrupted)
+    monkeypatch.setattr(polynomials, "_eval_codes", corrupted)
+
+
+def test_batched_sampling_witness_is_rechecked(monkeypatch):
+    # a chunk of coded samples that separates the sides where evaluate does
+    # not is an error in the coded arithmetic, never a witness
+    def sample_11(calls, total):
+        # the right side's value at sample 11, whichever chunk holds it
+        start = sum(calls[:-2:2])
+        return 11 - start if start <= 11 < start + total.size else None
+
+    _corrupt_eval_codes(monkeypatch, sample_11)
+    S = semiring_from_spec("nat:2,3")
     p = poly({((X, 1),): 1})
     with pytest.raises(InternalConsistencyError, match="sample 11 "):
-        _sampled(p, p, NAT, [X], 64, 0)
+        _sampled(p, p, S, [X], 64, 0)
+
+
+def test_tensor_witness_is_rechecked(monkeypatch):
+    # the same over every assignment: a corrupted entry of the coded tensor
+    # is the first difference in C order, and evaluate refutes it
+    _corrupt_eval_codes(monkeypatch, lambda calls, total: (2, 1, 0))
+    S = semiring_from_spec("nat:2,3")
+    p = poly({((X, 1), (Y, 1)): 1, ((Z, 1),): 1})
+    with pytest.raises(InternalConsistencyError, match=r"coded assignment \[2, 1, 0\] "):
+        polynomials._by_tensor(p, p, S, [X, Y, Z])
 
 
 def test_variable_universe_must_cover_polynomials():

@@ -1,4 +1,4 @@
-import math
+import functools
 import random
 from fractions import Fraction
 from itertools import product
@@ -23,11 +23,10 @@ from sgident.semirings import (
     MINPLUS01INF,
     NAT,
     NEG_INF,
-    SCALING_AUTOMORPHISM,
-    SCALING_DEGREE,
     Cyclic,
     FiniteCarrier,
     Free,
+    IntegerCodes,
     SemiringDescriptor,
     SplitMix64,
     semiring_from_spec,
@@ -293,7 +292,7 @@ def test_code_draws_follow_the_payload_sampler(name):
     for x, y, s, m in zip(a.tolist(), b.tolist(), added.tolist(), multiplied.tolist()):
         px, py = S.code_payload(x), S.code_payload(y)
         assert S.code_payload(s) == S._add(px, py)
-        if S.scaling == SCALING_DEGREE:  # a product of two codes carries scale^2
+        if S.carrier.codes.degree:  # a product of two codes carries scale^2
             assert Fraction(m, scale**2) == S._mul(px, py)
         else:
             assert S.code_payload(m) == S._mul(px, py)
@@ -314,26 +313,16 @@ def test_finite_code_draws_are_the_table_codes(name):
     assert drawn.shape == (4, 5) and drawn.dtype == np.int64
 
 
-# -- batch arithmetic ------------------------------------------------------------
+# -- coded arithmetic ------------------------------------------------------------
 
-# the scaling law each shipped instance declares; the others declare none
-LAWS = {
-    "interval01": SCALING_DEGREE,
-    "maxplus": SCALING_AUTOMORPHISM,
-    "minplus01inf": SCALING_AUTOMORPHISM,
-}
+# whether each instance with integer codes declares the degree law; the
+# others have none
+DEGREE_LAW = {"interval01": True, "minplus01inf": False}
 
 
 @pytest.mark.parametrize("name", sorted(ALL_INSTANCES))
 def test_batch_arithmetic_is_built_once(name):
     S = ALL_INSTANCES[name]
-    assert S.ufuncs is S.ufuncs
-    rng = random.Random(5)
-    a, b = ([S.sample_payload(rng) for _ in range(40)] for _ in range(2))
-    add, mul = S.ufuncs
-    xs, ys = np.array(a, dtype=object), np.array(b, dtype=object)
-    assert add(xs, ys).tolist() == [S._add(x, y) for x, y in zip(a, b)]
-    assert mul(xs, ys).tolist() == [S._mul(x, y) for x, y in zip(a, b)]
     if S.is_finite:
         assert S.tables is S.tables
         assert S.tables.payloads == list(S.carrier.values)
@@ -344,51 +333,60 @@ def test_batch_arithmetic_is_built_once(name):
 
 @pytest.mark.parametrize("name", sorted(ALL_INSTANCES))
 def test_scaled_batch_follows_the_declared_law(name):
+    # a product of k drawn codes is the code of the payloads' product times
+    # weight(k): scale**k under the degree law, scale under an automorphism
     S = ALL_INSTANCES[name]
-    law = LAWS.get(name)
-    assert S.scaling == law
-    rng = random.Random(11)
-    payloads = [S.sample_payload(rng) for _ in range(200)]
-    d, scaled = S.scaled_batch(payloads)
-    if law is None:
-        # the same list back: bools stay bools
-        assert d == 1 and scaled is payloads
-        assert S.weight(d, 5) == 1
+    codes = None if S.is_finite else S.carrier.codes
+    if name not in DEGREE_LAW:
+        assert codes is None
         return
-    infinite = (INF, NEG_INF)
-    assert d > 1
-    assert d == math.lcm(*(Fraction(p).denominator for p in payloads if p not in infinite))
-    for p, x in zip(payloads, scaled):
-        if p in infinite:
-            assert x == p
-        else:
-            assert type(x) is int and x == p * d
-    assert S.weight(d, 5) == (d**5 if law == SCALING_DEGREE else d)
-    assert S.weight(d, 0) == (1 if law == SCALING_DEGREE else d)
+    assert codes.degree == DEGREE_LAW[name]
+    drawn = S.draw_codes(SplitMix64(11), (3, 200))
+    for k in (1, 2, 3):
+        products = codes.mul.reduce(drawn[:k], axis=0)
+        if codes.saturating:
+            products = np.minimum(products, INF_CODE)
+        for column, code in zip(drawn[:k].T.tolist(), products.tolist()):
+            want = functools.reduce(S._mul, [S.code_payload(c) for c in column])
+            if want == INF:
+                assert code == INF_CODE
+            else:
+                assert Fraction(code, codes.weight(k)) == want
+    assert codes.weight(5) == (codes.scale**5 if codes.degree else codes.scale)
+    assert codes.weight(0) == (1 if codes.degree else codes.scale)
 
 
 @pytest.mark.parametrize(
     "S, payloads, expected",
     [
-        (INTERVAL01, [Fraction(1, 2), Fraction(2, 3), 1], (6, [3, 4, 6])),
-        (MINPLUS01INF, [INF, Fraction(3, 2), 0], (2, [INF, 3, 0])),
-        (MAXPLUS, [Fraction(-5, 4), NEG_INF, 2], (4, [-5, NEG_INF, 8])),
-        (INTERVAL01, [], (1, [])),
+        # (the payloads' codes, the code of their product)
+        (INTERVAL01, [Fraction(1, 2), Fraction(2, 3), 1], ([60, 80, 120], 576000)),
+        (MINPLUS01INF, [INF, Fraction(3, 2), 0], ([INF_CODE, 18, 0], INF_CODE)),
+        (MINPLUS01INF, [Fraction(3, 2), Fraction(1, 3), 0], ([18, 4, 0], 22)),
+        (INTERVAL01, [], ([], 1)),
     ],
 )
 def test_scaled_batch_examples(S, payloads, expected):
-    assert S.scaled_batch(payloads) == expected
+    codes = S.carrier.codes
+    want_codes, want_product = expected
+    assert [INF_CODE if p == INF else p * codes.scale for p in payloads] == want_codes
+    assert [S.code_payload(c) for c in want_codes] == payloads
+    product = int(codes.mul.reduce(np.array(want_codes, dtype=np.int64)))
+    assert (min(product, INF_CODE) if codes.saturating else product) == want_product
 
 
 def test_scaled_batch_leaves_a_user_instance_without_a_law_untouched():
+    # a finite carrier's codes are its table codes, never scaled
     halves = SemiringDescriptor(
         "halves", max, min, 0, 1,
         idempotent=True, interval=True, carrier=FiniteCarrier((0, Fraction(1, 2), 1)),
     )
-    payloads = list(halves.carrier.values)
-    d, scaled = halves.scaled_batch(payloads)
-    assert d == 1 and scaled is payloads
-    assert halves.weight(d, 9) == 1
+    assert halves.draw_codes(_EveryDraw(), None).tolist() == [0, 1, 2]
+    assert [halves.code_payload(k) for k in range(3)] == list(halves.carrier.values)
+    # integer codes declared without the degree law weigh every product alike
+    codes = IntegerCodes(lambda gen, shape: gen.integers(0, 9, shape), 4, np.maximum, np.add, 8)
+    assert not codes.degree
+    assert [codes.weight(k) for k in range(4)] == [4, 4, 4, 4]
 
 
 def _finite(name, add, mul, carrier, zero, one):
