@@ -72,7 +72,6 @@ from .semirings import (
     BOOL,
     DIAMOND,
     INF,
-    INF_CODE,
     INTERVAL01,
     MAXPLUS,
     MINPLUS01INF,
@@ -592,7 +591,7 @@ def criterion_exhaustive_kernel() -> CheckOutcome:
 def _decoded(S, images: dict, t: int) -> MorphismTable:
     """Trial t of coded morphisms, decoded entry by entry into matrices."""
     return MorphismTable({
-        s: matrix_from_payloads(S, [[S.code_payload(c) for c in row] for row in a[t].tolist()])
+        s: matrix_from_payloads(S, [[S.codes.payload(c) for c in row] for row in a[t].tolist()])
         for s, a in images.items()
     })
 
@@ -626,35 +625,33 @@ def criterion_batched_products(trials: int = 12, seed: int = 1616) -> CheckOutco
     compared = disagreeing = saturated = 0
     widest = 0
     for S in (BOOL, DIAMOND, HALVES, MINPLUS01INF, INTERVAL01):
+        codes = S.codes
         for n in range(2, 6):
             for ident in idents:
                 letters = ident.alphabet
                 draws = [random_reflexive_codes(S, n, letters, trials, gen)]
                 if S is MINPLUS01INF:
-                    plain = S.draw_codes(gen, (trials, len(letters), n, n))
+                    plain = codes.draw(gen, (trials, len(letters), n, n))
                     draws.append({s: plain[:, i] for i, s in enumerate(letters)})
                 for images in draws:
                     tables = [_decoded(S, images, t) for t in range(trials)]
                     reference = {}
                     for word in (ident.lhs, ident.rhs):
                         got = coded_images(S, images, word)
-                        weight = 1 if S.is_finite else S.carrier.codes.weight(len(word))
+                        lift = codes.weight(len(word)) // codes.weight(1)
                         reference[word] = [phi.apply(word) for phi in tables]
-                        for image, codes in zip(reference[word], got.tolist()):
-                            # the instance's codes of the true payloads, times
-                            # the word's weight over a scaled instance
-                            want = [
-                                [S.tables.code[p] if S.is_finite
-                                 else INF_CODE if p == INF else p * weight for p in row]
-                                for row in image.rows
-                            ]
-                            flat = [x for row in codes for x in row]
-                            saturated += flat.count(INF_CODE) if S is MINPLUS01INF else 0
+                        for image, coded in zip(reference[word], got.tolist()):
+                            # the true payloads' codes; under the degree law,
+                            # those of p * lift, the word's weight over one letter's
+                            want = [[codes.encode(p * lift if lift > 1 else p) for p in row]
+                                    for row in image.rows]
+                            flat = [x for row in coded for x in row]
+                            saturated += flat.count(codes.encode(INF)) if S is MINPLUS01INF else 0
                             widest = max([widest] + [x.bit_length() for x in flat])
                             if any(type(x) is not int for x in flat):
                                 mismatched.append(f"{S.name} n={n} {word} not ints")
                             compared += 1
-                            if codes != want:
+                            if coded != want:
                                 mismatched.append(f"{S.name} n={n} {word}")
                     expected = [
                         a == b for a, b in zip(reference[ident.lhs], reference[ident.rhs])

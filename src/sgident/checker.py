@@ -27,6 +27,7 @@ import numpy as np
 from .errors import InternalConsistencyError, UnsupportedStructureError
 from .matrices import (
     MorphismTable,
+    check_dimension,
     coded_agreement,
     format_matrix,
     matrix_from_payloads,
@@ -301,7 +302,9 @@ def check_Un_idempotent(
     ident: Identity, n: int, S: SemiringDescriptor = BOOL
 ) -> Verdict:
     """Identity check for unit-diagonal matrices over an idempotent instance:
-    both sides must have the same subwords of length below n."""
+    both sides must have the same subwords of length below n.  Over the
+    one-element semiring (zero equal to one) every matrix is the zero
+    matrix, and every identity holds."""
     if n < 2:
         raise ValueError("n must be >= 2")
     if not S.is_idempotent:
@@ -314,7 +317,7 @@ def check_Un_idempotent(
     evidence = [
         {"lhs_subwords": len(left), "rhs_subwords": len(right), "k": k}
     ]
-    if left == right:
+    if left == right or S._zero_payload == S._one_payload:
         return Verdict(HOLDS, "subword-sets", evidence)
     u = min(left ^ right, key=lambda s: (len(s), s))
     return _fails(ident, n, S, "subword-sets", evidence, u)
@@ -357,8 +360,8 @@ def check_Rn(
     verdict is additionally spot-checked against ``verify_samples`` seeded
     random reflexive morphisms, all of which must agree.  They are drawn
     from a seeded :class:`~sgident.semirings.SplitMix64` stream straight as
-    integer codes (the instance's
-    :meth:`~sgident.semirings.SemiringDescriptor.draw_codes`) and multiplied
+    codes of the instance's code object
+    (:attr:`~sgident.semirings.SemiringDescriptor.codes`) and multiplied
     by numpy kernels (:func:`~sgident.matrices.coded_agreement`), a chunk of
     trials at a time.  A disagreement raises and names the first trial that
     separates the sides."""
@@ -440,6 +443,8 @@ def run_check(
         raise ValueError(
             f"budget and verify_samples must be >= 0, got {budget} and {verify_samples}"
         )
+    # a fails verdict builds n x n witness matrices; refuse n before deciding
+    check_dimension(n)
     if monoid == "ut":
         verdict = check_UT(ident, n, S, budget=budget, seed=seed)
         us = [e["u"] for e in verdict.evidence]

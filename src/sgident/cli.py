@@ -72,7 +72,7 @@ def _add_check_args(parser):
     parser.add_argument("--monoid", required=True, choices=("ut", "u", "r"))
     parser.add_argument("--n", required=True, type=int)
     parser.add_argument("--semiring", required=True, help="bool | nat | nat:<i>,<p> | maxplus | minplus01inf | interval01 | lattice:diamond")
-    parser.add_argument("--budget", type=int, default=4096, help="sample budget for equivalence testing over infinite instances")
+    parser.add_argument("--budget", type=int, default=4096, help="samples per u for ut checks over nat, instances without a tropical shape and finite carriers past the exhaustive cap; over the tropical instances it only bounds the witness search")
     parser.add_argument("--verify-samples", type=int, default=1000, help="random morphisms backing a holds verdict on the reflexive monoid")
     parser.add_argument("identity", help="identity as <word>=<word> over a-z")
     parser.add_argument("--seed", type=int, default=None, help="RNG seed (default: $SGIDENT_SEED or 0)")
@@ -123,21 +123,26 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _cmd_check(args) -> int:
+def _run_check(args):
+    """The report for the identity, monoid, instance, seed and counts of a
+    ``check`` or ``witness`` command line."""
     seed = args.seed if args.seed is not None else _default_seed()
     S = semiring_from_spec(args.semiring)
-    ident = Identity.parse(args.identity)
-    report = run_check(
-        args.monoid, ident, args.n, S,
+    return run_check(
+        args.monoid, Identity.parse(args.identity), args.n, S,
         seed=seed, budget=args.budget, verify_samples=args.verify_samples,
     )
+
+
+def _cmd_check(args) -> int:
+    report = _run_check(args)
     if args.format == "json":
         payload = report.to_dict(stable=args.stable_output)
         _emit(json.dumps(payload, indent=2, sort_keys=True), args.output)
     else:
         lines = [
-            f"identity: {ident}",
-            f"monoid: {args.monoid}  n: {args.n}  semiring: {S.name}",
+            f"identity: {report.identity}",
+            f"monoid: {args.monoid}  n: {args.n}  semiring: {report.semiring}",
             f"outcome: {report.verdict.outcome}  ({report.verdict.criterion})",
         ]
         if report.verdict.distinguishing_u is not None:
@@ -147,24 +152,18 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_witness(args) -> int:
-    seed = args.seed if args.seed is not None else _default_seed()
-    S = semiring_from_spec(args.semiring)
-    ident = Identity.parse(args.identity)
-    report = run_check(
-        args.monoid, ident, args.n, S,
-        seed=seed, budget=args.budget, verify_samples=args.verify_samples,
-    )
-    verdict = report.verdict
+    report = _run_check(args)
+    ident, verdict = report.identity, report.verdict
     if not verdict.is_fails:
         _emit(
-            f"identity {ident} does not fail in {args.monoid}_{args.n}({S.name}) "
+            f"identity {ident} does not fail in {args.monoid}_{args.n}({report.semiring}) "
             f"(outcome: {verdict.outcome}); no witness",
             args.output,
         )
         return EXIT_OK
     lines = [
         f"identity: {ident}",
-        f"monoid: {args.monoid}  n: {args.n}  semiring: {S.name}",
+        f"monoid: {args.monoid}  n: {args.n}  semiring: {report.semiring}",
         f"distinguishing u: {verdict.distinguishing_u or ''}",
         f"entry: {verdict.witness_entry[0]} {verdict.witness_entry[1]}",
     ]

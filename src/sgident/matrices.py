@@ -19,7 +19,6 @@ from .errors import (
 from .polynomials import Variable, build_f_canonical, evaluate
 from .semirings import (
     BOOL,
-    INF_CODE,
     SemiringDescriptor,
     SplitMix64,
     Val,
@@ -30,6 +29,15 @@ from .words import subword_set
 
 # desk scale: the identity criteria only ever need subword lengths below this
 MAX_DIMENSION = 8
+
+
+def check_dimension(n: int) -> None:
+    """Raise ValueError when n x n matrices are above ``MAX_DIMENSION``."""
+    if n > MAX_DIMENSION:
+        raise ValueError(
+            f"n={n} above the dimension cap {MAX_DIMENSION}; "
+            "raise sgident.matrices.MAX_DIMENSION if you mean it"
+        )
 
 
 class SMatrix:
@@ -45,11 +53,7 @@ class SMatrix:
     __slots__ = ("semiring", "rows", "_hash")
 
     def __init__(self, semiring: SemiringDescriptor, rows: tuple):
-        if len(rows) > MAX_DIMENSION:
-            raise ValueError(
-                f"n={len(rows)} above the dimension cap {MAX_DIMENSION}; "
-                "raise sgident.matrices.MAX_DIMENSION if you mean it"
-            )
+        check_dimension(len(rows))
         self.semiring = semiring
         self.rows = rows
         self._hash = None
@@ -260,38 +264,16 @@ class MorphismTable:
 def random_reflexive_codes(
     S: SemiringDescriptor, n: int, letters: str, count: int, gen: SplitMix64
 ) -> dict:
-    """``count`` seeded random reflexive morphisms as integer codes: per
-    letter, a (count, n, n) array.  One :meth:`SemiringDescriptor.draw_codes`
-    call draws them trial by trial, each trial's letters in ``letters``
-    order, so a stream gives the same trials however the count is split over
-    calls.  Diagonal draws are overwritten by the unit's code."""
-    codes = S.draw_codes(gen, (count, len(letters), n, n))
-    if S.is_finite:
-        codes, one = codes.astype(np.uint8), S.tables.code[S._one_payload]
-    else:
-        one = S._one_payload * S.carrier.codes.scale
+    """``count`` seeded random reflexive morphisms as codes of ``S.codes``:
+    per letter, a (count, n, n) array.  One ``draw`` call draws them trial
+    by trial, each trial's letters in ``letters`` order, so a stream gives
+    the same trials however the count is split over calls.  Diagonal draws
+    are overwritten by the unit's code."""
+    codes = S.codes
+    drawn = codes.draw(gen, (count, len(letters), n, n))
     diagonal = np.arange(n)
-    codes[:, :, diagonal, diagonal] = one
-    return {s: codes[:, i] for i, s in enumerate(letters)}
-
-
-def _code_dtype(S: SemiringDescriptor, length: int):
-    """The dtype of the codes of products of up to ``length`` letters and of
-    their comparisons.  A finite carrier's table codes are uint8.  Scaled
-    codes are bounded by top**length under the degree law (see
-    :class:`~sgident.semirings.IntegerCodes`) and by
-    top*length otherwise; they are int64 while that bound is below 2^63
-    (below ``INF_CODE`` for a saturating instance, which no word held in
-    memory reaches), and Python ints past it."""
-    if S.is_finite:
-        return np.uint8
-    codes = S.carrier.codes
-    bound = codes.top**length if codes.degree else codes.top * length
-    if bound < (INF_CODE if codes.saturating else 2**63):
-        return np.int64
-    if codes.saturating:
-        raise ValueError(f"{length}-letter products overflow the codes of {S.name}")
-    return object
+    drawn[:, :, diagonal, diagonal] = codes.encode(S._one_payload)
+    return {s: drawn[:, i] for i, s in enumerate(letters)}
 
 
 def _code_stacks(images: dict, dtype) -> dict:
@@ -301,44 +283,25 @@ def _code_stacks(images: dict, dtype) -> dict:
     return {s: a.astype(dtype, copy=False) for s, a in images.items()}
 
 
-def _coded_product(S: SemiringDescriptor, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Per trial, the product of the (T, n, n) code stacks a and b: one
-    (T, n, n, n) array of entry products, reduced over the middle index."""
-    terms = (a[:, :, :, None], b[:, None, :, :])
-    if S.is_finite:
-        tables = S.tables
-        terms = tables.mul[terms]
-        out = terms[:, :, 0]
-        for k in range(1, a.shape[2]):
-            out = tables.add[out, terms[:, :, k]]
-        return out
-    codes = S.carrier.codes
-    out = codes.add.reduce(codes.mul(*terms), axis=2)
-    if codes.saturating:
-        np.minimum(out, INF_CODE, out=out)
-    return out
-
-
-def _coded_word(S, images: dict, word: str, head=None):
+def _coded_word(codes, images: dict, word: str, head=None):
     acc = head
     for ch in word:
         image = images.get(ch)
         if image is None:
             raise MissingImageError(f"no image for letter {ch!r}")
-        acc = image if acc is None else _coded_product(S, acc, image)
+        acc = image if acc is None else codes.product(acc, image)
     return acc
 
 
 def coded_images(S: SemiringDescriptor, images: dict, word: str) -> np.ndarray:
     """The (T, n, n) codes of the images of a non-empty ``word`` under the
-    coded morphisms ``images`` (see :func:`random_reflexive_codes`).  Over a
-    scaled instance they are the true payloads times
-    ``codes.weight(len(word))`` (see :class:`~sgident.semirings.IntegerCodes`);
-    past int64 they are Python ints."""
+    coded morphisms ``images`` (see :func:`random_reflexive_codes`), in
+    ``S.codes.dtype(len(word))``; scaled codes carry the word's weight (see
+    :class:`~sgident.semirings.IntegerCodes`)."""
     if not word:
         raise ValueError("the empty word has no coded image; use identity_matrix")
-    dtype = _code_dtype(S, len(word))
-    return _coded_word(S, _code_stacks(images, dtype), word)
+    codes = S.codes
+    return _coded_word(codes, _code_stacks(images, codes.dtype(len(word))), word)
 
 
 def coded_agreement(S: SemiringDescriptor, images: dict, w: str, v: str) -> np.ndarray:
@@ -349,19 +312,18 @@ def coded_agreement(S: SemiringDescriptor, images: dict, w: str, v: str) -> np.n
     which keeps every code below d**max(|w|, |v|)."""
     if not (w and v):
         raise ValueError("both sides need at least one letter")
-    dtype = _code_dtype(S, max(len(w), len(v)))
-    images = _code_stacks(images, dtype)
+    codes = S.codes
+    images = _code_stacks(images, codes.dtype(max(len(w), len(v))))
     k = 0
     while k < min(len(w), len(v)) and w[k] == v[k]:
         k += 1
-    head = _coded_word(S, images, w[:k])
-    a, b = _coded_word(S, images, w[k:], head), _coded_word(S, images, v[k:], head)
-    if not S.is_finite:
-        weight_w, weight_v = (S.carrier.codes.weight(len(x)) for x in (w, v))
-        if weight_w < weight_v:
-            a = a * (weight_v // weight_w)
-        elif weight_v < weight_w:
-            b = b * (weight_w // weight_v)
+    head = _coded_word(codes, images, w[:k])
+    a, b = _coded_word(codes, images, w[k:], head), _coded_word(codes, images, v[k:], head)
+    weight_w, weight_v = codes.weight(len(w)), codes.weight(len(v))
+    if weight_w < weight_v:
+        a = a * (weight_v // weight_w)
+    elif weight_v < weight_w:
+        b = b * (weight_w // weight_v)
     return (a == b).all(axis=(1, 2))
 
 

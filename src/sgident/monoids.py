@@ -600,6 +600,8 @@ def brute_force_identity(
     returned.  Both modes fold the words through ``M.mult_table()``,
     ``_FOLD_CHUNK`` assignments at a time.
     """
+    if sample is not None and sample < 0:
+        raise ValueError(f"sample must be >= 0, got {sample}")
     letters = sorted(set(ident.lhs) | set(ident.rhs))
     m = len(M.elements)
     if sample is None:

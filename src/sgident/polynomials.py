@@ -552,9 +552,9 @@ def functionally_equivalent(
     :class:`~sgident.semirings.TropicalShape`) is settled exactly by
     :func:`_by_hull`: each exponent vector of one side must lie in the convex
     hull of the other side's vectors supported within its own (plus the
-    orthant under min-plus), checked by an exact simplex over Fractions only
-    where the vector is not itself on the other side (or, under min-plus,
-    above one of its vectors).  A holds comes back as method ``hull`` with
+    orthant under min-plus), checked by an exact simplex on an integer
+    tableau (:func:`phase_one`) only where the vector is not itself on the
+    other side (or, under min-plus, above one of its vectors).  A holds comes back as method ``hull`` with
     every convex combination re-checked; a fails keeps the sampled witness
     below, and only when ``budget`` samples find none takes the one built
     from the separating direction.  So over these instances ``budget``

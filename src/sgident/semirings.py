@@ -162,10 +162,38 @@ class IntegerCodes(NamedTuple):
     saturating: bool = False
     degree: bool = False
 
+    def encode(self, payload: Payload) -> int:
+        if self.saturating and payload == INF:
+            return INF_CODE
+        code = Fraction(payload) * self.scale
+        if code.denominator != 1:
+            raise ValueError(f"{payload} is no multiple of 1/{self.scale}")
+        return code.numerator
+
+    def payload(self, code: int) -> Payload:
+        if self.saturating and code >= INF_CODE:
+            return INF
+        return _normalize(Fraction(code, self.scale))
+
     def weight(self, k: int) -> int:
         """The payloads' factor in a product of k codes: scale**k under
         ``degree``, else scale."""
         return self.scale**k if self.degree else self.scale
+
+    def dtype(self, length: int):
+        """The dtype of products of up to ``length`` codes, which are below
+        top**length under ``degree``, else top*length: int64 while that is
+        below 2^63 (``INF_CODE`` under ``saturating``, so that a finite code
+        and the infinite one still add within int64), else Python ints."""
+        bound = self.top**length if self.degree else self.top * length
+        return np.int64 if bound < (INF_CODE if self.saturating else 2**63) else object
+
+    def product(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """Per trial, the product of (T, n, n) code stacks, clamped if saturating."""
+        out = self.add.reduce(self.mul(a[:, :, :, None], b[:, None, :, :]), axis=2)
+        if self.saturating:
+            np.minimum(out, INF_CODE, out=out)
+        return out
 
 
 class TropicalShape(NamedTuple):
@@ -225,6 +253,30 @@ class FiniteTables:
             self.powers[exponent] = vec
         return vec
 
+    def draw(self, gen: SplitMix64, shape: tuple) -> np.ndarray:
+        """Uniform codes, as :meth:`SemiringDescriptor.sample_payload` draws."""
+        return gen.integers(0, self.size, shape).astype(np.uint8)
+
+    def encode(self, payload: Payload) -> int:
+        return self.code[payload]
+
+    def payload(self, code: int) -> Payload:
+        return _normalize(self.payloads[code])
+
+    def weight(self, k: int) -> int:
+        return 1
+
+    def dtype(self, length: int):
+        return np.uint8
+
+    def product(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """Per trial, the product of (T, n, n) code stacks, by table gathers."""
+        terms = self.mul[a[:, :, :, None], b[:, None, :, :]]
+        out = terms[:, :, 0]
+        for k in range(1, a.shape[2]):
+            out = self.add[out, terms[:, :, k]]
+        return out
+
 
 class SemiringDescriptor:
     """A commutative semiring instance with exact, total operations.
@@ -234,11 +286,11 @@ class SemiringDescriptor:
     declares a :class:`TropicalShape`, or is None.  The array arithmetic of
     coded evaluation lives here too: :attr:`tables` (coded tables of a
     finite carrier) and :attr:`is_bitmask_lattice` (read off those tables),
-    both built on first use.  So do the spot-check's draws: :meth:`draw_codes`
-    draws entries as integer codes (an infinite carrier's
-    :class:`IntegerCodes`, which also hold its scaling law), and
-    :meth:`code_payload` reads a code back.  Descriptors are immutable after
-    construction and may be shared freely across workers.
+    both built on first use.  So does :attr:`codes`, the code object that
+    the spot-check draws and multiplies with: the :attr:`tables`, or an
+    infinite carrier's :class:`IntegerCodes`, which also hold its scaling
+    law.  Descriptors are immutable after construction and may be shared
+    freely across workers.
     """
 
     def __init__(
@@ -422,27 +474,6 @@ class SemiringDescriptor:
             return _normalize(rng.choice(self.carrier.values))
         return _normalize(self.carrier.sample(rng))
 
-    def draw_codes(self, gen: SplitMix64, shape: tuple) -> np.ndarray:
-        """Seeded draws as int64 codes from one ``gen.integers`` call, so
-        that consecutive calls continue one stream whatever their shapes.  A
-        finite carrier's code is the index of a value drawn uniformly, as
-        :meth:`sample_payload` draws it, which is its code in :attr:`tables`;
-        an infinite carrier draws its :class:`IntegerCodes`."""
-        if self.is_finite:
-            return gen.integers(0, len(self.carrier.values), shape)
-        if self.carrier.codes is None:
-            raise UnsupportedStructureError(f"{self.name} declares no integer codes")
-        return self.carrier.codes.draw(gen, shape)
-
-    def code_payload(self, code: int) -> Payload:
-        """The payload that a code of :meth:`draw_codes` stands for."""
-        if self.is_finite:
-            return _normalize(self.carrier.values[code])
-        codes = self.carrier.codes
-        if codes.saturating and code >= INF_CODE:
-            return INF
-        return _normalize(Fraction(code, codes.scale))
-
     def sample_value(self, rng: random.Random) -> Val:
         return Val(self.name, self.sample_payload(rng))
 
@@ -460,6 +491,17 @@ class SemiringDescriptor:
         if not self.is_finite:
             raise UnsupportedStructureError(f"{self.name} has an infinite carrier")
         return FiniteTables(self)
+
+    @cached_property
+    def codes(self) -> Union[FiniteTables, IntegerCodes]:
+        """The spot-check's code object: :attr:`tables`, else the declared
+        :class:`IntegerCodes`; both answer ``draw``, ``encode``,
+        ``payload``, ``dtype``, ``weight`` and ``product``."""
+        if self.is_finite:
+            return self.tables
+        if self.carrier.codes is None:
+            raise UnsupportedStructureError(f"{self.name} declares no integer codes")
+        return self.carrier.codes
 
     @cached_property
     def is_bitmask_lattice(self) -> bool:

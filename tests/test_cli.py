@@ -51,6 +51,29 @@ def test_one_element_carrier_with_more_variables_than_numpy_axes(capsys):
     assert json.loads(out)["verdict"]["outcome"] == "holds"
 
 
+def test_one_element_carrier_satisfies_every_reflexive_identity(capsys):
+    # over nat:0,1 zero is one, so every matrix is the zero matrix
+    code, out, _ = run_cli(
+        capsys, "check", "--monoid", "r", "--n", "3", "--semiring", "nat:0,1", "ab=ba"
+    )
+    assert code == 0
+    assert json.loads(out)["verdict"]["outcome"] == "holds"
+    code, out, _ = run_cli(
+        capsys, "witness", "--monoid", "r", "--n", "3", "--semiring", "nat:0,1", "ab=ba"
+    )
+    assert code == 0 and "no witness" in out
+
+
+@pytest.mark.parametrize("monoid", ["ut", "u", "r"])
+def test_dimension_cap_is_checked_before_the_verdict(monoid, capsys):
+    # ab=ab holds and ab=ba fails; both are refused the same way
+    for identity in ("ab=ab", "ab=ba"):
+        code, out, err = run_cli(
+            capsys, "check", "--monoid", monoid, "--n", "9", "--semiring", "bool", identity
+        )
+        assert code == 2 and out == "" and "n=9 above the dimension cap 8" in err
+
+
 def test_reports_validate_against_the_schema(capsys):
     schema = load_schema()
     for argv in (

@@ -9,6 +9,7 @@ from sgident.errors import (
     InstanceMismatchError,
     UnsupportedStructureError,
 )
+from sgident.acceptance import HALVES
 from sgident.matrices import (
     MissingImageError,
     MorphismTable,
@@ -315,22 +316,73 @@ def test_matrix_from_payloads_checks_its_input():
 
 def _decoded(S, images, t):
     return MorphismTable({
-        s: matrix_from_payloads(S, [[S.code_payload(c) for c in row] for row in a[t].tolist()])
+        s: matrix_from_payloads(S, [[S.codes.payload(c) for c in row] for row in a[t].tolist()])
         for s, a in images.items()
     })
 
 
 def _coded(S, letters):
     """Coded morphisms, one trial each, from per-letter rows of payloads."""
-    if S.is_finite:
-        code = lambda p: S.tables.code[p]
-    else:
-        scale = S.carrier.codes.scale
-        code = lambda p: INF_CODE if p == INF else int(p * scale)
     return {
-        s: np.array([[[code(p) for p in row] for row in rows]], dtype=np.int64)
+        s: np.array([[[S.codes.encode(p) for p in row] for row in rows]], dtype=np.int64)
         for s, rows in letters.items()
     }
+
+
+# random_reflexive_codes(S, 3, "ab", 4, SplitMix64(0)) per letter, as the
+# spot-check drew it before its code format moved behind S.codes
+PINNED_DRAWS = {
+    "bool": {
+        "a": [[[1, 0, 0], [1, 1, 0], [0, 1, 1]], [[1, 1, 1], [1, 1, 0], [1, 1, 1]],
+              [[1, 0, 0], [0, 1, 0], [0, 0, 1]], [[1, 1, 0], [1, 1, 1], [1, 0, 1]]],
+        "b": [[[1, 0, 1], [1, 1, 1], [1, 0, 1]], [[1, 1, 1], [1, 1, 0], [0, 1, 1]],
+              [[1, 0, 0], [0, 1, 1], [1, 0, 1]], [[1, 0, 0], [0, 1, 0], [1, 1, 1]]],
+    },
+    "interval01": {
+        "a": [[[120, 80, 0], [105, 120, 120], [0, 72, 120]],
+              [[120, 0, 15], [120, 120, 120], [15, 60, 120]],
+              [[120, 60, 80], [120, 120, 0], [0, 0, 120]],
+              [[120, 90, 0], [120, 120, 48], [75, 0, 120]]],
+        "b": [[[120, 40, 72], [0, 120, 24], [0, 120, 120]],
+              [[120, 120, 75], [75, 120, 0], [0, 120, 120]],
+              [[120, 60, 40], [120, 120, 45], [30, 120, 120]],
+              [[120, 120, 60], [60, 120, 0], [90, 75, 120]]],
+    },
+}
+
+
+@pytest.mark.parametrize(
+    "S",
+    [BOOL, DIAMOND, semiring_from_spec("nat:1,1"), semiring_from_spec("nat:2,3"),
+     HALVES, MINPLUS01INF, INTERVAL01],
+    ids=lambda S: S.name,
+)
+def test_code_object_round_trips_multiplies_and_keeps_its_draws(S):
+    codes = S.codes
+    if S.is_finite:
+        assert codes is S.tables
+        payloads = list(S.carrier.values)
+    else:
+        rng = random.Random(5)
+        payloads = [S.sample_payload(rng) for _ in range(200)]
+    assert [codes.payload(codes.encode(p)) for p in payloads] == payloads
+    if not S.is_finite:
+        with pytest.raises(ValueError):
+            codes.encode(Fraction(1, 7))  # no multiple of 1/scale
+    # one trial of two plain draws: the kernel's product against multiply on
+    # the decoded matrices, whose payloads a 2-letter product carries times
+    # weight(2) // weight(1) under the degree law
+    a, b = codes.draw(SplitMix64(2), (2, 1, 3, 3)).astype(codes.dtype(2))
+    phi = _decoded(S, {"a": a, "b": b}, 0)
+    lift = codes.weight(2) // codes.weight(1)
+    want = [
+        [codes.encode(p * lift if lift > 1 else p) for p in row]
+        for row in multiply(phi.image("a"), phi.image("b")).rows
+    ]
+    assert codes.product(a, b)[0].tolist() == want
+    if S.name in PINNED_DRAWS:
+        drawn = random_reflexive_codes(S, 3, "ab", 4, SplitMix64(0))
+        assert {s: d.tolist() for s, d in drawn.items()} == PINNED_DRAWS[S.name]
 
 
 @pytest.mark.parametrize(
@@ -392,8 +444,8 @@ def test_coded_images_carry_the_instance_scale():
     assert coded_images(MINPLUS01INF, coded, "ab").tolist() == [[[0, 30], [INF_CODE, 0]]]
     stuck = _coded(MINPLUS01INF, {"a": [[INF, INF], [INF, 0]]})
     assert coded_images(MINPLUS01INF, stuck, "a" * 20).tolist() == [[[INF_CODE, INF_CODE], [INF_CODE, 0]]]
-    assert MINPLUS01INF.code_payload(INF_CODE) == INF
-    assert MINPLUS01INF.code_payload(30) == Fraction(5, 2)
+    assert MINPLUS01INF.codes.payload(INF_CODE) == INF
+    assert MINPLUS01INF.codes.payload(30) == Fraction(5, 2)
     # finite carriers multiply their table codes, unscaled
     assert coded_images(BOOL, images(BOOL, True, False), "ab").tolist() == [[[1, 1], [0, 1]]]
     coded = images(DIAMOND, 1, 2)

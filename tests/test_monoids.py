@@ -219,6 +219,11 @@ def test_brute_force_counterexamples_are_canonical():
     assert a.assignment == b.assignment
 
 
+def test_brute_force_refuses_a_negative_sample():
+    with pytest.raises(ValueError, match="sample"):
+        brute_force_identity(Identity.parse("ab=ba"), family("catalanU", 3), sample=-5)
+
+
 def test_brute_force_budget_gate(monkeypatch):
     big = family("reflexiveBool", 3)
     monkeypatch.setattr(monoids, "ASSIGNMENT_CAP", 1000)

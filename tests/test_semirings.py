@@ -275,27 +275,27 @@ def _sampler_law(name):
 def test_code_draws_follow_the_payload_sampler(name):
     S = ALL_INSTANCES[name]
     # every value of the one integer draw per entry, each equally likely
-    codes = S.draw_codes(_EveryDraw(), None).tolist()
+    codes = S.codes.draw(_EveryDraw(), None).tolist()
     law = {}
     for c in codes:
-        p = S.code_payload(c)
+        p = S.codes.payload(c)
         law[p] = law.get(p, 0) + Fraction(1, len(codes))
     assert law == _sampler_law(name)
-    assert S.carrier.codes.top == max(c for c in codes if S.code_payload(c) != INF)
+    assert S.carrier.codes.top == max(c for c in codes if S.codes.payload(c) != INF)
     # numpy's operations on codes are the instance's on payloads
     rng = SplitMix64(9)
-    a, b = S.draw_codes(rng, (2, 500))
+    a, b = S.codes.draw(rng, (2, 500))
     scale = S.carrier.codes.scale
     added, multiplied = S.carrier.codes.add(a, b), S.carrier.codes.mul(a, b)
     if S.carrier.codes.saturating:
         multiplied = np.minimum(multiplied, INF_CODE)
     for x, y, s, m in zip(a.tolist(), b.tolist(), added.tolist(), multiplied.tolist()):
-        px, py = S.code_payload(x), S.code_payload(y)
-        assert S.code_payload(s) == S._add(px, py)
+        px, py = S.codes.payload(x), S.codes.payload(y)
+        assert S.codes.payload(s) == S._add(px, py)
         if S.carrier.codes.degree:  # a product of two codes carries scale^2
             assert Fraction(m, scale**2) == S._mul(px, py)
         else:
-            assert S.code_payload(m) == S._mul(px, py)
+            assert S.codes.payload(m) == S._mul(px, py)
 
 
 @pytest.mark.parametrize("name", sorted(ALL_INSTANCES))
@@ -304,13 +304,13 @@ def test_finite_code_draws_are_the_table_codes(name):
     if not S.is_finite:
         if S.carrier.codes is None:
             with pytest.raises(UnsupportedStructureError):
-                S.draw_codes(SplitMix64(0), (3,))
+                S.codes.draw(SplitMix64(0), (3,))
         return
     c = len(S.carrier.values)
-    assert S.draw_codes(_EveryDraw(), None).tolist() == list(range(c))
-    assert [S.code_payload(k) for k in range(c)] == S.tables.payloads
-    drawn = S.draw_codes(SplitMix64(0), (4, 5))
-    assert drawn.shape == (4, 5) and drawn.dtype == np.int64
+    assert S.codes.draw(_EveryDraw(), None).tolist() == list(range(c))
+    assert [S.codes.payload(k) for k in range(c)] == S.tables.payloads
+    drawn = S.codes.draw(SplitMix64(0), (4, 5))
+    assert drawn.shape == (4, 5) and drawn.dtype == np.uint8
 
 
 # -- coded arithmetic ------------------------------------------------------------
@@ -341,13 +341,13 @@ def test_scaled_batch_follows_the_declared_law(name):
         assert codes is None
         return
     assert codes.degree == DEGREE_LAW[name]
-    drawn = S.draw_codes(SplitMix64(11), (3, 200))
+    drawn = S.codes.draw(SplitMix64(11), (3, 200))
     for k in (1, 2, 3):
         products = codes.mul.reduce(drawn[:k], axis=0)
         if codes.saturating:
             products = np.minimum(products, INF_CODE)
         for column, code in zip(drawn[:k].T.tolist(), products.tolist()):
-            want = functools.reduce(S._mul, [S.code_payload(c) for c in column])
+            want = functools.reduce(S._mul, [S.codes.payload(c) for c in column])
             if want == INF:
                 assert code == INF_CODE
             else:
@@ -370,7 +370,7 @@ def test_scaled_batch_examples(S, payloads, expected):
     codes = S.carrier.codes
     want_codes, want_product = expected
     assert [INF_CODE if p == INF else p * codes.scale for p in payloads] == want_codes
-    assert [S.code_payload(c) for c in want_codes] == payloads
+    assert [S.codes.payload(c) for c in want_codes] == payloads
     product = int(codes.mul.reduce(np.array(want_codes, dtype=np.int64)))
     assert (min(product, INF_CODE) if codes.saturating else product) == want_product
 
@@ -381,8 +381,8 @@ def test_scaled_batch_leaves_a_user_instance_without_a_law_untouched():
         "halves", max, min, 0, 1,
         idempotent=True, interval=True, carrier=FiniteCarrier((0, Fraction(1, 2), 1)),
     )
-    assert halves.draw_codes(_EveryDraw(), None).tolist() == [0, 1, 2]
-    assert [halves.code_payload(k) for k in range(3)] == list(halves.carrier.values)
+    assert halves.codes.draw(_EveryDraw(), None).tolist() == [0, 1, 2]
+    assert [halves.codes.payload(k) for k in range(3)] == list(halves.carrier.values)
     # integer codes declared without the degree law weigh every product alike
     codes = IntegerCodes(lambda gen, shape: gen.integers(0, 9, shape), 4, np.maximum, np.add, 8)
     assert not codes.degree
