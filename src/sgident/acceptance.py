@@ -12,7 +12,7 @@ import time
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice, product as iproduct
+from itertools import combinations, islice, product as iproduct
 from math import comb
 
 import numpy as np
@@ -55,6 +55,7 @@ from .monoids import (
     family,
 )
 from .polynomials import (
+    EmbeddingForms,
     Equivalent,
     FormalPolynomial,
     NotEquivalent,
@@ -65,6 +66,7 @@ from .polynomials import (
     _by_tensor,
     _sampled,
     build_f_canonical,
+    equivalent_by_forms,
     evaluate,
     functionally_equivalent,
 )
@@ -1024,6 +1026,88 @@ def criterion_hull_vs_sampled(
     )
 
 
+# -- criterion 21 ----------------------------------------------------------------
+
+# p q^e r = p q^(e+1) r as (n, q, e), p and r the first and last letters of
+# q: laws for e >= n, Simon (n-1)-congruent pairs that fail in UT_n(bool)
+# for e = n-1, and shorter ones that fail earlier
+FORM_LAWS = (
+    (3, "ab", 1), (3, "ab", 2), (3, "abc", 3), (4, "ab", 3), (4, "aab", 4),
+    (5, "abc", 4), (5, "ab", 5), (6, "ab", 6), (6, "abc", 6),
+)
+
+
+def _packed(p: FormalPolynomial, alphabet: str, width: int):
+    """The monomials of p packed as :class:`EmbeddingForms` packs exponent
+    vectors, or None when p is zero."""
+    rank = {s: i for i, s in enumerate(sorted(alphabet))}
+    if p.is_zero():
+        return None
+    return frozenset(
+        sum(e << width * ((var.vertex - 1) * len(rank) + rank[var.letter]) for var, e in mono)
+        for mono, _ in p.terms
+    )
+
+
+def criterion_embedding_forms() -> CheckOutcome:
+    """The lazy forms of :class:`EmbeddingForms` against
+    ``build_f_canonical``: at every u of ``words_up_to(alphabet, n - 1,
+    include_empty=True)`` the form is the set of exponent vectors of the
+    built polynomial, whose coefficients are all 1, and None exactly when
+    that polynomial is zero; and at every u where the forms of two sides
+    settle (:func:`equivalent_by_forms`), ``functionally_equivalent`` on the
+    built polynomials gives the same :class:`Equivalent`.  Inputs: criterion
+    15's words (over {x, y}, of length <= 5) at n = 3, every pair of them,
+    and the ``FORM_LAWS`` instances at n = 3..6, over bool,
+    lattice:diamond, nat:1,1, nat:2,3, nat and minplus01inf."""
+    start = time.perf_counter()
+    instances = (BOOL, DIAMOND, *map(semiring_from_spec, ("nat:1,1", "nat:2,3")), NAT, MINPLUS01INF)
+    words = words_up_to("xy", 5)
+    groups = [(3, "xy", words, list(combinations(words, 2)))]
+    for n, q, e in FORM_LAWS:
+        law = Identity(q[0] + q * e + q[-1], q[0] + q * (e + 1) + q[-1])
+        groups.append((n, law.alphabet, [law.lhs, law.rhs], [(law.lhs, law.rhs)]))
+    mismatched = []
+    forms_compared = built = 0
+    settled = defaultdict(int)
+    for n, alphabet, sides, pairs in groups:
+        width = max(map(len, sides)).bit_length()
+        forms = {w: EmbeddingForms(w, alphabet, n, width) for w in sides}
+        us = words_up_to(alphabet, n - 1, include_empty=True)
+        for w in sides:
+            for u in us:
+                forms_compared += 1
+                p = build_f_canonical(u, w)
+                if forms[w].form(u) != _packed(p, alphabet, width) or any(c != 1 for _, c in p.terms):
+                    mismatched.append(f"form of u={u!r} in {w}")
+        for u in us:
+            universe = [Variable(s, v) for s in alphabet for v in range(1, len(u) + 2)]
+            for w, v in pairs:
+                for S in instances:
+                    want = equivalent_by_forms(forms[w].form(u), forms[v].form(u), S, forms[w])
+                    if want is None:
+                        built += 1
+                        continue
+                    settled[want.method] += 1
+                    got = functionally_equivalent(
+                        build_f_canonical(u, w), build_f_canonical(u, v), S, variables=universe
+                    )
+                    if got != want:
+                        mismatched.append(f"{S.name} u={u!r} {w}={v}: {want} by forms, {got} built")
+    elapsed = time.perf_counter() - start
+    ok = not mismatched and len(settled) == 2 and built and elapsed < 60.0
+    return _outcome(
+        "embedding-forms-vs-build_f",
+        ok,
+        f"{forms_compared} forms equal to the built polynomials "
+        f"(criterion-15 words at n = 3, {len(FORM_LAWS)} laws p q^e r at "
+        f"n = 3..6); over {', '.join(S.name for S in instances)}, "
+        f"(pair, u, instance) cases settled by the forms as the built "
+        f"polynomials are: {dict(settled)}, {built} left to be built; {len(mismatched)} "
+        f"mismatches {mismatched[:3]}, {elapsed:.1f}s (limit 60s)",
+    )
+
+
 # -- module-level law suites --------------------------------------------------------
 
 
@@ -1190,6 +1274,7 @@ def suite_checker_equivalence():
     yield criterion_sampled_kernel()
     yield criterion_lattice_decision()
     yield criterion_hull_vs_sampled()
+    yield criterion_embedding_forms()
 
 
 def suite_transfer_properties():

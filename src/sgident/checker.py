@@ -12,7 +12,9 @@ Each checker reduces the identity to a finite combinatorial comparison:
 
 A ``fails`` verdict always carries a small canonical witness morphism (unit
 or assigned diagonal, a path of ones along the distinguishing u) which is
-re-multiplied and re-compared before being returned.
+re-multiplied and re-compared before being returned.  Since that witness is
+n x n, every checker refuses n above ``matrices.MAX_DIMENSION`` before it
+decides, whatever the verdict would be.
 """
 
 from __future__ import annotations
@@ -35,10 +37,12 @@ from .matrices import (
 # check_Rn draws through this name, which benchmark/tracing.py times
 from .matrices import random_reflexive_codes as random_reflexive
 from .polynomials import (
+    EmbeddingForms,
     Equivalent,
     NotEquivalent,
     Variable,
     build_f_canonical,
+    equivalent_by_forms,
     functionally_equivalent,
 )
 from .semirings import BOOL, Cyclic, SemiringDescriptor, SplitMix64
@@ -64,6 +68,8 @@ class Verdict:
     witness: Optional[MorphismTable] = None
     witness_entry: Optional[tuple] = None
     sampling: Optional[dict] = None
+    # work counts of the check, reported outside --stable-output
+    counters: Optional[dict] = field(default=None, compare=False)
 
     @property
     def is_holds(self) -> bool:
@@ -119,6 +125,8 @@ class CheckReport:
         }
         if not stable:
             out["elapsed_ms"] = round(self.elapsed_ms, 3)
+            if self.verdict.counters is not None:
+                out["counters"] = self.verdict.counters
         return out
 
 
@@ -198,7 +206,18 @@ def check_UT(
     """Identity check for the upper triangular monoid.
 
     Compares the embedding polynomials of every u of length below n over both
-    sides (:func:`~sgident.polynomials.functionally_equivalent`).  When the
+    sides, in :func:`~sgident.words.words_up_to` order.  Each u first gets
+    both sides' forms from lazy :class:`~sgident.polynomials.EmbeddingForms`
+    builders; equal forms (both sides zero included) settle it as
+    ``identical-form`` over any instance, and over a bitmask lattice equal
+    antichains of minimal supports settle it as ``exhaustive``
+    (:func:`~sgident.polynomials.equivalent_by_forms`).  Only the other u
+    build both polynomials with ``build_f_canonical`` and go to
+    :func:`~sgident.polynomials.functionally_equivalent`, which would answer
+    the same for the settled ones; so the first failing u, its witness and
+    every evidence entry are what building every u would give.  The
+    verdict's ``counters`` count the u examined, those the forms settled
+    and the polynomials built.  When the
     instance declares an element whose iterated partial sums are pairwise
     distinct, the empty u is implied by the one-letter checks and is skipped
     (for n >= 2).  Over the tropical instances (``maxplus``,
@@ -214,6 +233,7 @@ def check_UT(
     """
     if n < 1:
         raise ValueError("n must be >= 1")
+    check_dimension(n)
     if budget < 0:
         raise ValueError(f"budget must be >= 0, got {budget}")
     alphabet = ident.alphabet
@@ -228,19 +248,27 @@ def check_UT(
         [Variable(s, v) for s in alphabet for v in range(1, length + 2)]
         for length in range(n)
     ]
+    width = max(len(ident.lhs), len(ident.rhs)).bit_length()
+    forms = [EmbeddingForms(side, alphabet, n, width) for side in (ident.lhs, ident.rhs)]
+    counters = dict.fromkeys(("u_examined", "settled_by_forms", "polynomials_built"), 0)
     evidence = []
     failure = None
     inconclusive = []
     for u in us:
         if u == "" and skip_empty:
             continue
-        universe = universes[len(u)]
-        fu_w = build_f_canonical(u, ident.lhs)
-        fu_v = build_f_canonical(u, ident.rhs)
-        result = functionally_equivalent(
-            fu_w, fu_v, S,
-            variables=universe, budget=budget, seed=seed,
-        )
+        counters["u_examined"] += 1
+        result = equivalent_by_forms(forms[0].form(u), forms[1].form(u), S, forms[0])
+        if result is not None:
+            counters["settled_by_forms"] += 1
+        else:
+            counters["polynomials_built"] += 2
+            result = functionally_equivalent(
+                build_f_canonical(u, ident.lhs),
+                build_f_canonical(u, ident.rhs),
+                S,
+                variables=universes[len(u)], budget=budget, seed=seed,
+            )
         if isinstance(result, Equivalent):
             evidence.append({"u": u, "result": "equivalent", "method": result.method})
         elif isinstance(result, NotEquivalent):
@@ -255,15 +283,18 @@ def check_UT(
         diagonal = {
             (var.letter, var.vertex): value for var, value in result.witness.items()
         }
-        return _fails(ident, n, S, "triangular-polynomials", evidence, u, diagonal)
-    if inconclusive:
-        return Verdict(
+        verdict = _fails(ident, n, S, "triangular-polynomials", evidence, u, diagonal)
+    elif inconclusive:
+        verdict = Verdict(
             UNDETERMINED,
             "triangular-polynomials",
             evidence,
             sampling={"budget": budget, "inconclusive_u": inconclusive},
         )
-    return Verdict(HOLDS, "triangular-polynomials", evidence)
+    else:
+        verdict = Verdict(HOLDS, "triangular-polynomials", evidence)
+    verdict.counters = counters
+    return verdict
 
 
 def _reduced_equal(S: SemiringDescriptor, a: int, b: int) -> bool:
@@ -285,6 +316,7 @@ def check_Un(ident: Identity, n: int, S: SemiringDescriptor) -> Verdict:
     through the instance's repeated-sums-of-1 arithmetic.  Always decisive."""
     if n < 2:
         raise ValueError("n must be >= 2")
+    check_dimension(n)
     evidence = []
     for u in _candidate_us(ident, n - 1):
         mw = scattered_multiplicity(u, ident.lhs)
@@ -307,6 +339,7 @@ def check_Un_idempotent(
     matrix, and every identity holds."""
     if n < 2:
         raise ValueError("n must be >= 2")
+    check_dimension(n)
     if not S.is_idempotent:
         raise UnsupportedStructureError(
             f"{S.name} is not idempotent; use the multiplicity check instead"
@@ -365,6 +398,7 @@ def check_Rn(
     by numpy kernels (:func:`~sgident.matrices.coded_agreement`), a chunk of
     trials at a time.  A disagreement raises and names the first trial that
     separates the sides."""
+    check_dimension(n)
     if verify_samples < 0:
         raise ValueError(f"verify_samples must be >= 0, got {verify_samples}")
     if not S.is_interval:
@@ -443,8 +477,6 @@ def run_check(
         raise ValueError(
             f"budget and verify_samples must be >= 0, got {budget} and {verify_samples}"
         )
-    # a fails verdict builds n x n witness matrices; refuse n before deciding
-    check_dimension(n)
     if monoid == "ut":
         verdict = check_UT(ident, n, S, budget=budget, seed=seed)
         us = [e["u"] for e in verdict.evidence]

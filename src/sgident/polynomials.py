@@ -159,6 +159,119 @@ def build_f_canonical(u: str, w: str) -> FormalPolynomial:
     return _build_f(u, tuple(range(1, len(u) + 2)), w)
 
 
+class EmbeddingForms:
+    """The forms of f_{u,w} (:func:`build_f_canonical`) for the words u over
+    ``alphabet`` shorter than n, each built when first asked for, from the
+    row of u[:-1].
+
+    :meth:`form` gives the set of exponent vectors of f_{u,w}, or None when
+    u does not embed in w.  That set is the whole polynomial: an embedding's
+    segment lengths fix its positions, so no two embeddings give one
+    monomial and every coefficient is 1.  A vector is packed into one int,
+    ``width`` bits per variable x(s, v), at field (v - 1)·|alphabet| + (the
+    rank of s); so two builders of one alphabet and width give equal forms
+    exactly when the polynomials are equal.  ``width`` must hold |w|: to
+    compare the sides of an identity, give both the longer side's.
+
+    Entry j of u's row holds the vectors of the embeddings of u into w[:j],
+    the letters after the last embedded one counted at vertex |u|+1, so
+
+        row_u[j+1] = row_u[j]·x(w_j, |u|+1) ∪ [w_j = last letter of u]·row_{u[:-1]}[j]
+
+    and f_{u,w} is the last entry.  The entries before the end of the
+    leftmost embedding are empty and are skipped: a u whose last letter does
+    not occur after the leftmost embedding of u[:-1] gets None with no set
+    built, and so does every u whose prefix got None.  Rows are kept for
+    the last two lengths built, which is all that a walk in
+    :func:`~sgident.words.words_up_to` order reads again; ``built`` counts
+    the rows built."""
+
+    def __init__(self, w: str, alphabet: str, n: int, width: Optional[int] = None):
+        self.w, self.n = w, n
+        self.width = len(w).bit_length() if width is None else width
+        if len(w) >= 1 << self.width:
+            raise ValueError(f"width {self.width} cannot hold exponents up to {len(w)}")
+        rank = {s: i for i, s in enumerate(sorted(set(alphabet)))}
+        # the field of x(s, v) is that of x(s, 1) moved by (v - 1)·|alphabet|
+        self._vertex = self.width * len(rank)
+        self._units = [1 << (self.width * rank[s]) for s in w]
+        self._low = sum(1 << (self.width * i) for i in range(n * len(rank)))
+        entries, acc = [frozenset([0])], 0
+        for unit in self._units:
+            acc += unit
+            entries.append(frozenset([acc]))
+        self._empty = (0, entries)  # (index of the first non-empty entry, entries)
+        self._rows = {}
+        self._length = 0
+        self.built = 1
+
+    def _row(self, u: str) -> Optional[tuple]:
+        if not u:
+            return self._empty
+        if u in self._rows:
+            return self._rows[u]
+        parent = self._row(u[:-1])
+        row = None
+        if parent is not None:
+            last = u[-1]
+            first = self.w.find(last, parent[0])
+            if first >= 0:
+                below, shift = parent[1], self._vertex * len(u)
+                entries = [frozenset()] * (first + 1)
+                entry = set()
+                for j in range(first, len(self.w)):
+                    step = self._units[j] << shift
+                    entry = {m + step for m in entry}
+                    if self.w[j] == last:
+                        entry |= below[j]
+                    entries.append(entry)
+                entries[-1] = frozenset(entry)
+                row = (first + 1, entries)
+                self.built += 1
+        if len(u) > self._length:
+            self._length = len(u)
+            self._rows = {v: r for v, r in self._rows.items() if len(v) >= len(u) - 1}
+        self._rows[u] = row
+        return row
+
+    def form(self, u: str) -> Optional[frozenset]:
+        if len(u) >= self.n:
+            raise ValueError(f"|u|={len(u)} exceeds n-1={self.n - 1}")
+        row = self._row(u)
+        return None if row is None else row[1][-1]
+
+    def minimal_supports(self, form: Optional[frozenset]) -> frozenset:
+        """:func:`_minimal` of the forms' supports, one bit per variable (the
+        lowest of its field)."""
+        supports = []
+        for m in form or ():
+            folded = m
+            for k in range(1, self.width):
+                folded |= m >> k
+            supports.append(folded & self._low)
+        return _minimal(supports)
+
+
+def equivalent_by_forms(a, b, S: SemiringDescriptor, forms: EmbeddingForms):
+    """What :func:`functionally_equivalent` answers for two polynomials whose
+    forms (:meth:`EmbeddingForms.form`, of builders like ``forms``) are a
+    and b, when the forms alone show the answer to be an
+    :class:`Equivalent`; None when the polynomials must be built and
+    compared.  Equal forms, both zero included, are ``identical-form`` over
+    any instance, since every coefficient of f_{u,w} is 1; over a bitmask
+    lattice equal antichains of minimal supports are what
+    :func:`_by_supports` settles as ``exhaustive``."""
+    if a == b:
+        return Equivalent("identical-form")
+    if (
+        S.tropical is None
+        and S.is_bitmask_lattice
+        and forms.minimal_supports(a) == forms.minimal_supports(b)
+    ):
+        return Equivalent("exhaustive")
+    return None
+
+
 def _payload_pow(S: SemiringDescriptor, payload, exponent: int):
     acc = payload
     for _ in range(exponent - 1):
@@ -547,7 +660,12 @@ def functionally_equivalent(
     """Decide whether p and q define the same function on assignments over S.
 
     Identical canonical forms (coefficients capped when S is idempotent) are
-    equivalent over any instance.  An instance that declares a tropical
+    equivalent over any instance.  ``check_UT`` does not call this for a u
+    whose :class:`EmbeddingForms` are equal, nor over a bitmask lattice for
+    one whose forms have equal antichains of minimal supports: there
+    :func:`equivalent_by_forms` gives what this would, ``identical-form``
+    and ``exhaustive``, and criterion 21 of the acceptance suite checks
+    that it does.  An instance that declares a tropical
     shape (``maxplus``, ``minplus01inf``, ``interval01``; see
     :class:`~sgident.semirings.TropicalShape`) is settled exactly by
     :func:`_by_hull`: each exponent vector of one side must lie in the convex

@@ -90,6 +90,10 @@ def test_criterion_20_hull_vs_sampled():
     _report(20, acceptance.criterion_hull_vs_sampled())
 
 
+def test_criterion_21_embedding_forms():
+    _report(21, acceptance.criterion_embedding_forms())
+
+
 def test_law_suites_hold():
     for outcome in [*acceptance.suite_semiring_axioms(), *acceptance.suite_word_oracles()]:
         status = "PASS" if outcome.ok else "FAIL"

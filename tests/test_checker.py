@@ -149,6 +149,15 @@ def test_negative_sample_counts_are_rejected():
     assert check_Rn(ABAB, 3, MINPLUS01INF, verify_samples=0).sampling is None
 
 
+@pytest.mark.parametrize("check, S", [
+    (check_UT, BOOL), (check_Un, BOOL), (check_Un_idempotent, BOOL), (check_Rn, MINPLUS01INF),
+])
+@pytest.mark.parametrize("text", ["ab=ab", "ab=ba"])
+def test_checkers_refuse_n_above_the_dimension_cap_whatever_the_verdict(check, S, text):
+    with pytest.raises(ValueError, match="n=9 above the dimension cap 8"):
+        check(Identity.parse(text), 9, S)
+
+
 def test_spot_check_names_the_first_separating_trial(monkeypatch):
     """A holds verdict forced onto a failing identity: the spot-check raises
     and names the first trial whose sides differ, as one product per trial

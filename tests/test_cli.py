@@ -76,13 +76,25 @@ def test_dimension_cap_is_checked_before_the_verdict(monoid, capsys):
 
 def test_reports_validate_against_the_schema(capsys):
     schema = load_schema()
+    reports = []
     for argv in (
         ("check", "--monoid", "u", "--n", "3", "--semiring", "bool", "--stable-output", "abab=abba"),
         ("check", "--monoid", "ut", "--n", "2", "--semiring", "nat:2,3", "xy=yx"),
         ("check", "--monoid", "r", "--n", "4", "--semiring", "interval01", "abab=abba"),
+        ("check", "--monoid", "ut", "--n", "3", "--semiring", "bool", "--stable-output", "abab=abba"),
+        ("check", "--monoid", "ut", "--n", "3", "--semiring", "bool", "abab=abba"),
     ):
         _, out, _ = run_cli(capsys, *argv)
-        jsonschema.validate(json.loads(out), schema)
+        reports.append(json.loads(out))
+        jsonschema.validate(reports[-1], schema)
+    # work counters for ut only, and never under --stable-output
+    assert ["counters" in report for report in reports] == [False, True, False, False, True]
+    # the empty u is settled by its forms; the sides separate at u = a,
+    # whose two polynomials are built to find the witness
+    assert reports[-1]["verdict"]["distinguishing_u"] == "a"
+    assert reports[-1]["counters"] == {
+        "u_examined": 2, "settled_by_forms": 1, "polynomials_built": 2,
+    }
 
 
 def test_stable_output_is_byte_identical(capsys):

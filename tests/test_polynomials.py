@@ -6,10 +6,12 @@ import numpy as np
 import pytest
 
 from conftest import ALL_INSTANCES
-from sgident import polynomials
+from sgident import checker, polynomials
 from sgident.acceptance import _sampled_one_at_a_time
 from sgident.errors import AlgebraError, InternalConsistencyError
+from sgident.checker import check_UT
 from sgident.polynomials import (
+    EmbeddingForms,
     Equivalent,
     FormalPolynomial,
     NotEquivalent,
@@ -37,7 +39,7 @@ from sgident.semirings import (
     Val,
     semiring_from_spec,
 )
-from sgident.words import scattered_multiplicity, words_up_to
+from sgident.words import Identity, scattered_multiplicity, words_up_to
 
 
 def poly(d):
@@ -100,6 +102,74 @@ def test_build_f_paths_only_relabel_variables():
             for m, c in canonical.terms
         }
         assert shifted == poly(relabeled)
+
+
+def packed(alphabet, width, *pairs):
+    """An exponent vector as EmbeddingForms packs it, from (letter, vertex,
+    exponent) triples."""
+    rank = sorted(alphabet).index
+    return sum(e << width * ((v - 1) * len(alphabet) + rank(s)) for s, v, e in pairs)
+
+
+def test_embedding_forms_of_the_empty_word_is_the_content_monomial():
+    forms = EmbeddingForms("aab", "ab", 3)
+    assert forms.width == 2
+    assert forms.form("") == {packed("ab", 2, ("a", 1, 2), ("b", 1, 1))}
+
+
+def test_embedding_forms_of_a_non_subword_is_none():
+    forms = EmbeddingForms("aab", "ab", 3)
+    assert forms.form("ba") is None and forms.form("bb") is None
+    assert EmbeddingForms("ab", "ab", 3).form("ab") == {packed("ab", 2)}  # the constant 1
+    with pytest.raises(ValueError):
+        forms.form("aab")  # too long for n = 3
+
+
+def test_embedding_forms_two_embeddings_give_two_vectors():
+    # x(a,1) + x(a,2), as build_f_canonical("a", "aa") has it
+    assert EmbeddingForms("aa", "a", 2).form("a") == {
+        packed("a", 2, ("a", 2, 1)), packed("a", 2, ("a", 1, 1)),
+    }
+
+
+def test_embedding_forms_are_the_polynomials():
+    # an embedding's segment lengths fix its positions, so no two embeddings
+    # give one monomial: every coefficient is 1 and the form is all there is
+    for w in words_up_to("ab", 6):
+        forms = EmbeddingForms(w, "ab", 4, width=3)
+        for u in words_up_to("ab", 3, include_empty=True):
+            p = build_f_canonical(u, w)
+            assert {c for _, c in p.terms} <= {1}
+            want = {
+                packed("ab", 3, *((var.letter, var.vertex, e) for var, e in m)) for m, _ in p.terms
+            }
+            assert forms.form(u) == (want or None)
+    with pytest.raises(ValueError):
+        EmbeddingForms("aabb", "ab", 3, width=2)  # 4 does not fit in 2 bits
+
+
+def test_failing_ut_check_builds_no_rows_past_its_first_failing_u(monkeypatch):
+    asked, builders = [], []
+
+    class Recording(EmbeddingForms):
+        def __init__(self, *args):
+            super().__init__(*args)
+            builders.append(self)
+
+        def form(self, u):
+            asked.append(u)
+            return super().form(u)
+
+    monkeypatch.setattr(checker, "EmbeddingForms", Recording)
+    # p q^2 r = p q^3 r is Simon 2-congruent and fails in UT_3(bool) at a u
+    # of length 2
+    verdict = check_UT(Identity.parse("aababb=aabababb"), 3, BOOL)
+    assert verdict.is_fails and len(verdict.distinguishing_u) == 2
+    order = words_up_to("ab", 2, include_empty=True)
+    last = order.index(verdict.distinguishing_u)
+    assert asked == [u for u in order[: last + 1] for _ in range(2)]
+    # one row per u asked at most, the empty word's included
+    assert all(forms.built <= last + 1 for forms in builders)
 
 
 def test_evaluate_examples():
