@@ -45,6 +45,7 @@ from .monoids import (
     BruteForceFails,
     BruteForceHolds,
     _bfs_products,
+    _coded_encoding,
     bfs_closure,
     brute_force_identity,
     catalan_number,
@@ -845,13 +846,28 @@ def _closure_run(build) -> str:
     return repr((raised, [m.rows for m in M.elements], M.witness_words, M.cayley_right))
 
 
+def _level_caps(M) -> tuple:
+    """Caps at 1, on the boundary after the middle BFS level and half way
+    into the next level of the closure ``M``."""
+    levels = np.bincount([len(w) for w in M.witness_words])
+    middle = len(levels) // 2
+    boundary = int(levels[: middle + 1].sum())
+    return 1, boundary, boundary + int(levels[middle + 1]) // 2
+
+
 def criterion_packed_closure(seed: int = 1919) -> CheckOutcome:
-    """The packed Boolean BFS against one product per (element, generator)
-    pair: every generated Boolean family up to its default bound, catalanU(8),
-    whose keys use all eight bytes, and seeded random generator sets at
-    n = 1..8 with 1 to 3 generators each, all in full; and the partials at
-    caps 1, on a level boundary and inside a level of oneWayGossip(4) and
-    catalanU(8)."""
+    """The level-by-level BFS against one product per (element, generator)
+    pair.  Boolean (row bitmasks): every generated Boolean family up to its
+    default bound, catalanU(8), whose keys use all eight bytes, and seeded
+    random generator sets at n = 1..8 with 1 to 3 generators each.  Coded
+    (``S.codes``): every weighted family over minplus01inf and
+    lattice:diamond at n = 2, 3 but oneWayGossip_S(3) over minplus01inf,
+    and seeded random reflexive generator sets over minplus01inf at
+    n = 2..5 with 2, 4 or 6 generators, weights from its sample or inf.  All
+    in full; and the partials at caps 1, on a level boundary and inside a
+    level of oneWayGossip(4), catalanU(8), gossip_S(3) over minplus01inf
+    and oneWayGossip_S(3) over lattice:diamond.  Every weighted case must
+    take the coded path."""
     start = time.perf_counter()
     rng = random.Random(seed)
     cases = []
@@ -871,25 +887,45 @@ def criterion_packed_closure(seed: int = 1919) -> CheckOutcome:
                 for _ in range(k)
             )
             cases.append((f"random n={n} k={k}", gens, 20_000))
-    for label, M in (("oneWayGossip(4)", family("oneWayGossip", 4)), ("catalanU(8)", catalan8)):
-        levels = np.bincount([len(w) for w in M.witness_words])
-        middle = len(levels) // 2
-        boundary = int(levels[: middle + 1].sum())
-        for cap in (1, boundary, boundary + int(levels[middle + 1]) // 2):
-            cases.append((f"{label} cap {cap}", M.generators, cap))
-    mismatched = []
-    for label, gens, cap in cases:
-        packed = _closure_run(lambda: bfs_closure(gens, element_cap=cap))
-        if packed != _closure_run(lambda: _bfs_products(list(gens), cap, (), None)):
+    weighted = []
+    for S in (MINPLUS01INF, DIAMOND):
+        for name in ("catalanU_S", "doubleCatalan_S", "gossip_S", "oneWayGossip_S"):
+            for n in (2, 3):
+                if (S, name, n) != (MINPLUS01INF, "oneWayGossip_S", 3):  # 8 s per product
+                    gens = family(name, n, S).generators
+                    weighted.append((f"{name}({n}) over {S.name}", gens, 5_000_000))
+    weights = [v.payload for v in MINPLUS01INF.interval_sample] + [INF] * 2
+    for n in (2, 3, 4, 5):
+        for k in (2, 4, 6):
+            gens = tuple(
+                SMatrix(MINPLUS01INF, tuple(
+                    tuple(0 if i == j else rng.choice(weights) for j in range(n)) for i in range(n)
+                ))
+                for _ in range(k)
+            )
+            weighted.append((f"random minplus01inf n={n} k={k}", gens, 20_000))
+    for label, M in (
+        ("oneWayGossip(4)", family("oneWayGossip", 4)),
+        ("catalanU(8)", catalan8),
+        ("gossip_S(3) over minplus01inf", family("gossip_S", 3, MINPLUS01INF)),
+        ("oneWayGossip_S(3) over lattice:diamond", family("oneWayGossip_S", 3, DIAMOND)),
+    ):
+        for cap in _level_caps(M):
+            group = cases if M.semiring is BOOL else weighted
+            group.append((f"{label} cap {cap}", M.generators, cap))
+    mismatched = [label for label, gens, cap in weighted if _coded_encoding(gens, cap) is None]
+    for label, gens, cap in cases + weighted:
+        levels = _closure_run(lambda: bfs_closure(gens, element_cap=cap))
+        if levels != _closure_run(lambda: _bfs_products(list(gens), cap, (), None)):
             mismatched.append(label)
     elapsed = time.perf_counter() - start
     ok = not mismatched and elapsed < 60.0
     return _outcome(
         "packed-vs-products",
         ok,
-        f"{len(cases)} Boolean closures and capped partials, elements, words and "
-        f"Cayley rows equal to one product at a time; {len(mismatched)} mismatches "
-        f"{mismatched[:3]}, {elapsed:.1f}s (limit 60s)",
+        f"{len(cases)} Boolean and {len(weighted)} coded closures and capped partials, "
+        f"elements, words and Cayley rows equal to one product at a time; "
+        f"{len(mismatched)} mismatches {mismatched[:3]}, {elapsed:.1f}s (limit 60s)",
     )
 
 

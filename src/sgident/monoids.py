@@ -7,13 +7,19 @@ generator list iterated in a fixed order, so witness words are the shortest
 generator words with lexicographic tie-break, and two runs with identical
 inputs produce identical results.
 
-Boolean closures run one BFS level at a time on row bitmasks, with no matrix
-products: a generator maps a row bitmask to its image row through a
-2^n-entry table, so a whole level's products are one gather per generator,
-and each element packs into one ``uint64`` key, one byte per row.  A level's
-new elements are taken in (parent, generator) order, first occurrence only,
-which is the order one product at a time would discover them in; the
-weighted instances take that per-product path.
+Closures run one BFS level at a time on arrays, in one level driver over two
+encodings.  Boolean elements are row bitmasks: a generator maps a row
+bitmask to its image row through a 2^n-entry table, so a whole level's
+products are one gather per generator, and each element packs into one
+``uint64`` key, one byte per row.  Every other instance whose code object
+``S.codes`` holds the generators exactly, with a constant weight (the
+finite carriers and ``minplus01inf``), keeps elements as code arrays: a
+level's products are ``codes.product`` calls, and the key is the bytes of
+the codes.  A level's new elements are taken in (parent, generator) order,
+first occurrence only, which is the order one product at a time would
+discover them in.  ``nat``, ``maxplus``, ``interval01`` (whose codes follow
+the degree law) and generators the codes cannot hold take that per-product
+path.
 """
 
 from __future__ import annotations
@@ -21,12 +27,18 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass
+from functools import cache
 from itertools import product as iproduct
-from typing import Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from .errors import BudgetExceededError, ClosureCapExceeded, UnsupportedStructureError
+from .errors import (
+    AlgebraError,
+    BudgetExceededError,
+    ClosureCapExceeded,
+    UnsupportedStructureError,
+)
 from .matrices import (
     SMatrix,
     catalan_generator,
@@ -37,7 +49,7 @@ from .matrices import (
     one_way_call,
     two_way_call,
 )
-from .semirings import BOOL, SemiringDescriptor
+from .semirings import BOOL, INF_CODE, SemiringDescriptor
 from .words import Identity
 
 
@@ -133,12 +145,13 @@ def bfs_closure(
 ) -> ClosureResult:
     """Close a generator list under right multiplication, breadth first.
 
-    Boolean generators take the packed level-by-level BFS, every other
-    instance one matrix product per (element, generator) pair; both give the
-    same elements, witness words and Cayley rows in the same order.  A
-    closure that would pass ``element_cap`` raises :class:`ClosureCapExceeded`
-    carrying the first ``element_cap`` elements and their words, with no
-    Cayley rows.
+    Boolean generators take the level-by-level BFS on row bitmasks, those
+    that ``S.codes`` holds exactly (see :func:`_coded_encoding`) the same BFS
+    on code arrays, and every other instance one matrix product per
+    (element, generator) pair; all give the same elements, witness words and
+    Cayley rows in the same order.  A closure that would pass
+    ``element_cap`` raises :class:`ClosureCapExceeded` carrying the first
+    ``element_cap`` elements and their words, with no Cayley rows.
     """
     generators = list(generators)
     if not generators:
@@ -152,8 +165,13 @@ def bfs_closure(
         labels = [f"g{k + 1}" for k in range(len(generators))]
     if element_cap < 1:
         raise ValueError("element cap must be positive")
-    closure = _bfs_packed if S is BOOL and n <= _KEY_BYTES else _bfs_products
-    return closure(generators, element_cap, labels, family)
+    if S is BOOL and n <= _KEY_BYTES:
+        encoding = _bitmask_encoding(generators)
+    else:
+        encoding = _coded_encoding(generators, element_cap)
+        if encoding is None:
+            return _bfs_products(generators, element_cap, labels, family)
+    return _bfs_levels(generators, element_cap, labels, family, encoding)
 
 
 def _closure_result(generators, labels, family, elements, words, cayley) -> ClosureResult:
@@ -169,8 +187,9 @@ def _cap_exceeded(generators, labels, family, elements, words, element_cap):
 
 
 def _bfs_products(generators, element_cap, labels, family) -> ClosureResult:
-    """The BFS one matrix product at a time: the closure of non-Boolean
-    instances, and the reference the packed closure is checked against."""
+    """The BFS one matrix product at a time: the closure of the instances
+    that neither encoding holds, and the reference the level BFS is checked
+    against."""
     start = identity_matrix(generators[0].n, generators[0].semiring)
     elements = [start]
     words = [()]
@@ -201,17 +220,26 @@ def _bfs_products(generators, element_cap, labels, family) -> ClosureResult:
 _KEY_BYTES = 8
 
 
-def _bfs_packed(generators, element_cap, labels, family) -> ClosureResult:
-    """The Boolean BFS one level at a time on row bitmasks.
+class _Encoding(NamedTuple):
+    """How the level BFS holds elements as arrays.  ``start`` is the
+    identity as a one-element level; ``step(level)`` gives the products of
+    every element of a level with every generator, row-major over (parent,
+    generator); ``keys(products)`` gives one key per product, equal exactly
+    when the matrices are; ``decode(products)`` gives their matrices."""
 
-    A level is an ``(F, 8)`` array of row bitmasks, zero padded past row n,
-    so each row is one byte of the element's ``uint64`` key.  ``images[m, g]``
-    is the row bitmask ``m`` times generator ``g``, the OR of ``g``'s rows at
-    the bits of ``m``, and ``images[0] = 0`` keeps the padding zero.  Known
-    keys stay sorted, with their element indices alongside, for
-    ``searchsorted``.  New elements take their rows from ``row_of_mask``,
-    one tuple per bitmask shared by all of them.
-    """
+    start: np.ndarray
+    step: Callable
+    keys: Callable
+    decode: Callable
+
+
+def _bitmask_encoding(generators) -> _Encoding:
+    """Boolean elements as ``(F, 8)`` arrays of row bitmasks, zero padded
+    past row n, so that each row is one byte of the element's ``uint64``
+    key.  ``images[m, g]`` is the row bitmask ``m`` times generator ``g``,
+    the OR of ``g``'s rows at the bits of ``m``, and ``images[0] = 0`` keeps
+    the padding zero.  Matrices take their rows from ``row_of_mask``, one
+    tuple per bitmask shared by all of them."""
     n, count = generators[0].n, len(generators)
     masks = np.arange(1 << n)
     images = np.zeros((1 << n, count), dtype=np.uint8)
@@ -219,24 +247,88 @@ def _bfs_packed(generators, element_cap, labels, family) -> ClosureResult:
         for k, row in enumerate(g.rows):
             images[masks >> k & 1 == 1, gi] |= sum(1 << j for j, v in enumerate(row) if v)
     row_of_mask = [tuple(m >> j & 1 == 1 for j in range(n)) for m in range(1 << n)]
+    start = np.zeros((1, _KEY_BYTES), dtype=np.uint8)
+    start[0, :n] = 1 << np.arange(n)
 
-    elements = [identity_matrix(n, BOOL)]
+    def step(level):
+        return np.ascontiguousarray(images[level].transpose(0, 2, 1).reshape(-1, _KEY_BYTES))
+
+    def decode(products):
+        return [
+            SMatrix(BOOL, tuple(row_of_mask[m] for m in rows))
+            for rows in products[:, :n].tolist()
+        ]
+
+    return _Encoding(start, step, lambda products: products.view(np.uint64).ravel(), decode)
+
+
+def _coded_encoding(generators, element_cap) -> Optional[_Encoding]:
+    """Elements as ``(F, n, n)`` arrays of ``S.codes``, keyed by the bytes of
+    their codes, or None when the codes cannot hold the closure exactly.
+
+    That needs a constant ``weight`` (no degree law), every generator entry
+    encoded, and, under min-plus saturation, no finite code reaching
+    ``INF_CODE``: the finite codes of an element at depth d are sums of at
+    most d generator codes, and no product the BFS forms is deeper than
+    ``element_cap``."""
+    S, n, count = generators[0].semiring, generators[0].n, len(generators)
+    try:
+        codes = S.codes
+        coded = np.array(
+            [[[codes.encode(p) for p in row] for row in m.rows]
+             for m in (identity_matrix(n, S), *generators)],
+            dtype=codes.dtype(1),
+        )
+    except (UnsupportedStructureError, AlgebraError, KeyError, ValueError, OverflowError):
+        return None
+    start, coded = coded[:1], coded[1:]
+    widest = int(np.abs(coded[coded < INF_CODE]).max(initial=0))
+    if codes.weight(1) != codes.weight(2) or element_cap * widest >= INF_CODE:
+        return None
+    key_type = np.dtype((np.void, n * n * coded.itemsize))
+    payload = cache(codes.payload)  # one payload object per code
+
+    def step(level):
+        # one product call per generator keeps the (F, n, n, n) intermediate
+        # a level's size, not G times that
+        products = np.empty((len(level), count, n, n), dtype=coded.dtype)
+        for gi, g in enumerate(coded):
+            products[:, gi] = codes.product(level, np.broadcast_to(g, level.shape))
+        return products.reshape(-1, n, n)
+
+    def keys(products):
+        return products.reshape(len(products), -1).view(key_type).ravel()
+
+    def decode(products):
+        return [
+            SMatrix(S, tuple(tuple(payload(c) for c in row) for row in m))
+            for m in products.tolist()
+        ]
+
+    return _Encoding(start, step, keys, decode)
+
+
+def _bfs_levels(generators, element_cap, labels, family, encoding) -> ClosureResult:
+    """The BFS one level at a time on an :class:`_Encoding` of the elements.
+
+    Known keys stay sorted, with their element indices alongside, for
+    ``searchsorted``.  A level's new elements are its missed keys ranked by
+    first occurrence in (parent, generator) order, which is the order one
+    product at a time discovers them in."""
+    count = len(generators)
+    elements = [identity_matrix(generators[0].n, generators[0].semiring)]
     words = [()]
     cayley = []
-    level = np.zeros((1, _KEY_BYTES), dtype=np.uint8)
-    level[0, :n] = 1 << np.arange(n)
-    known = level.view(np.uint64).ravel()
+    level = encoding.start
+    known = encoding.keys(level)
     known_index = np.zeros(1, dtype=np.int64)
     # one int object per element index, shared by all Cayley rows as in the
     # per-product rows: an int per entry would cost 28 bytes each
     index_objects = np.zeros(1, dtype=object)
     level_start = 0  # index of the level's first element
     while len(level):
-        # one product per (parent, generator), row-major over (F, count)
-        products = np.ascontiguousarray(
-            images[level].transpose(0, 2, 1).reshape(-1, _KEY_BYTES)
-        )
-        keys = products.view(np.uint64).ravel()
+        products = encoding.step(level)
+        keys = encoding.keys(products)
         pos = np.minimum(np.searchsorted(known, keys), len(known) - 1)
         hit = known[pos] == keys
         targets = np.where(hit, known_index[pos], 0)
@@ -251,11 +343,10 @@ def _bfs_packed(generators, element_cap, labels, family) -> ClosureResult:
         found = missed[first_seen[order]]
         if len(elements) + len(found) > element_cap:
             found = found[: element_cap - len(elements)]
-        new_rows = products[found, :n].tolist()
-        for c, rows in zip(found.tolist(), new_rows):
+        for c, matrix in zip(found.tolist(), encoding.decode(products[found])):
             parent, gi = divmod(c, count)
             words.append(words[level_start + parent] + (gi,))
-            elements.append(SMatrix(BOOL, tuple(row_of_mask[m] for m in rows)))
+            elements.append(matrix)
         if len(found) < len(order):
             raise _cap_exceeded(generators, labels, family, elements, words, element_cap)
         index_objects = np.concatenate(
@@ -575,10 +666,12 @@ _FOLD_CHUNK = 1 << 18
 ASSIGNMENT_CAP = 10_000_000
 
 
-def _fold_word(table: np.ndarray, word: str, columns: dict) -> np.ndarray:
-    acc = columns[word[0]]
-    for ch in word[1:]:
-        acc = table[acc, columns[ch]]
+def _fold_word(table: np.ndarray, word: str, columns: dict, head=None) -> np.ndarray:
+    """The element indices of ``word`` per assignment, continued from the
+    indices ``head`` of a prefix when given."""
+    acc = head
+    for ch in word:
+        acc = columns[ch] if acc is None else table[acc, columns[ch]]
     return acc
 
 
@@ -598,7 +691,8 @@ def brute_force_identity(
     trial after another, one element index per letter in sorted order, from
     ``numpy.random.default_rng(seed)``, and the first failing trial is
     returned.  Both modes fold the words through ``M.mult_table()``,
-    ``_FOLD_CHUNK`` assignments at a time.
+    ``_FOLD_CHUNK`` assignments at a time; the sides' common prefix is
+    folded once per chunk and each side continues from it.
     """
     if sample is not None and sample < 0:
         raise ValueError(f"sample must be >= 0, got {sample}")
@@ -616,6 +710,9 @@ def brute_force_identity(
         total = sample
         rng = np.random.default_rng(seed)
     table = M.mult_table()
+    shared = 0  # the sides' common prefix, folded once per chunk
+    while shared < min(len(ident.lhs), len(ident.rhs)) and ident.lhs[shared] == ident.rhs[shared]:
+        shared += 1
     checked = 0
     for start in range(0, total, _FOLD_CHUNK):
         stop = min(start + _FOLD_CHUNK, total)
@@ -628,8 +725,9 @@ def brute_force_identity(
         else:
             draws = rng.integers(m, size=(stop - start) * len(letters), dtype=np.int32)
             columns = {ch: draws[k :: len(letters)] for k, ch in enumerate(letters)}
-        lhs = _fold_word(table, ident.lhs, columns)
-        rhs = _fold_word(table, ident.rhs, columns)
+        head = _fold_word(table, ident.lhs[:shared], columns)
+        lhs = _fold_word(table, ident.lhs[shared:], columns, head)
+        rhs = _fold_word(table, ident.rhs[shared:], columns, head)
         diff = lhs != rhs
         checked += stop - start
         if diff.any():

@@ -142,7 +142,8 @@ INF_CODE = 2**61
 class IntegerCodes(NamedTuple):
     """An infinite carrier's seeded sampler drawn as exact integer codes, for
     numpy kernels.  A code is a payload times ``scale``; under ``saturating``
-    every code from ``INF_CODE`` up stands for the formal infinity.
+    every code from ``INF_CODE`` up stands for the formal infinity, so
+    ``encode`` refuses a finite payload whose code would reach it.
     ``draw(gen, shape)`` returns int64 codes from one ``gen.integers`` call
     on a :class:`SplitMix64` stream.  ``add`` and ``mul`` are numpy ufuncs
     acting on codes as the instance's operations act on payloads, up to the
@@ -168,6 +169,8 @@ class IntegerCodes(NamedTuple):
         code = Fraction(payload) * self.scale
         if code.denominator != 1:
             raise ValueError(f"{payload} is no multiple of 1/{self.scale}")
+        if self.saturating and code >= INF_CODE:
+            raise ValueError(f"{payload} is finite but its code reaches INF_CODE")
         return code.numerator
 
     def payload(self, code: int) -> Payload:
@@ -602,14 +605,16 @@ def _interval01_codes(gen: SplitMix64, shape: tuple) -> np.ndarray:
     return (r % 180) * (den + 1) // 180 * (120 // den)
 
 
+# a float payload of max-plus can only be -inf, and of min-plus only +inf:
+# a type test is cheaper than comparing a Fraction with a float
 def _mp_mul(a: Payload, b: Payload) -> Payload:
-    if a == NEG_INF or b == NEG_INF:
+    if type(a) is float or type(b) is float:
         return NEG_INF
     return a + b
 
 
 def _tp_mul(a: Payload, b: Payload) -> Payload:
-    if a == INF or b == INF:
+    if type(a) is float or type(b) is float:
         return INF
     return a + b
 

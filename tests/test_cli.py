@@ -268,6 +268,25 @@ def test_closure_weighted_family(capsys):
     assert "s_sample=0,1" in header and "semiring=minplus01inf" in header
 
 
+# weights that min-plus codes cannot hold (1/5 is no multiple of 1/12, and
+# 2^59 has no finite code below INF_CODE) take the product path; pinned
+@pytest.mark.parametrize(
+    "weight", ["1/5", "576460752303423488"],
+)
+def test_closure_over_weights_without_codes_keeps_its_bytes(weight, capsys):
+    code, out, _ = run_cli(
+        capsys, "closure", "--family", "gossip_S", "--n", "2",
+        "--semiring", "minplus01inf", "--s-sample", f"0,{weight}",
+    )
+    assert code == 0
+    assert out == (
+        f"family=gossip_S n=2 semiring=minplus01inf s_sample=0,{weight} count=3\n"
+        "0 inf; inf 0\t-\n"
+        "0 0; 0 0\t1<>2:0\n"
+        f"0 {weight}; {weight} 0\t1<>2:{weight}\n"
+    )
+
+
 @pytest.mark.parametrize(
     "argv, expected",
     [

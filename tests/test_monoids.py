@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 
 from sgident import monoids
@@ -23,7 +25,7 @@ from sgident.monoids import (
     family,
     structural_checks,
 )
-from sgident.semirings import BOOL, MINPLUS01INF, NAT
+from sgident.semirings import BOOL, DIAMOND, INF, INF_CODE, INTERVAL01, MINPLUS01INF, NAT
 from sgident.words import Identity
 
 # element counts frozen from the enumeration itself; the Catalan column is
@@ -101,6 +103,7 @@ TABLE_CASES = {
         for n in (1, 2, 3)
     },
     "gossip_S(3)": lambda: family("gossip_S", 3, MINPLUS01INF),
+    "gossip_S(3) over lattice:diamond": lambda: family("gossip_S", 3, DIAMOND),
     "closure of the identity": lambda: bfs_closure([identity_matrix(3, BOOL)]),
     "reflexiveBool(2)": lambda: family("reflexiveBool", 2),
 }
@@ -121,6 +124,59 @@ def test_closure_cap_carries_a_partial_result():
     assert partial.elements == full.elements[:10]
     assert partial.witness_words == full.witness_words[:10]
     assert partial.cayley_right is None
+
+
+def test_weighted_closure_cap_carries_a_partial_result():
+    with pytest.raises(ClosureCapExceeded) as err:
+        family("gossip_S", 3, MINPLUS01INF, element_cap=10)
+    partial, full = err.value.partial, family("gossip_S", 3, MINPLUS01INF)
+    assert partial.elements == full.elements[:10]
+    assert partial.witness_words == full.witness_words[:10]
+    assert partial.cayley_right is None
+
+
+@pytest.fixture
+def closure_paths(monkeypatch):
+    """The closure paths that bfs_closure calls, in call order."""
+    taken = []
+    for name in ("_bitmask_encoding", "_coded_encoding", "_bfs_products"):
+        real = getattr(monoids, name)
+        monkeypatch.setattr(
+            monoids, name, lambda *args, real=real, name=name: taken.append(name) or real(*args)
+        )
+    return taken
+
+
+CODED = ["_coded_encoding"]
+PRODUCTS = ["_coded_encoding", "_bfs_products"]  # the codes declined
+
+
+@pytest.mark.parametrize(
+    "S, paths",
+    # max-times codes follow the degree law: one product at a time
+    [(BOOL, ["_bitmask_encoding"]), (DIAMOND, CODED), (MINPLUS01INF, CODED), (INTERVAL01, PRODUCTS)],
+    ids=["bool", "lattice:diamond", "minplus01inf", "interval01"],
+)
+def test_each_interval_instance_takes_its_closure_path(S, paths, closure_paths):
+    family("gossip_S", 3, S)
+    assert closure_paths == paths
+
+
+@pytest.mark.parametrize("weight", [Fraction(1, 5), 2**59])
+def test_weights_the_codes_cannot_hold_take_the_product_path(weight, closure_paths):
+    # 1/5 is no multiple of min-plus's 1/12; 2^59 has no finite code
+    result = bfs_closure([one_way_call(1, 2, 2, MINPLUS01INF, w) for w in (0, weight)])
+    assert closure_paths == PRODUCTS
+    assert [m.rows[0][1] for m in result.elements] == [INF, 0, weight]
+
+
+@pytest.mark.parametrize("cap, paths", [(3, CODED), (4, PRODUCTS)], ids=["coded", "products"])
+def test_min_plus_codes_past_the_cap_bound_take_the_product_path(cap, paths, closure_paths):
+    # every finite code of a depth-d element is a sum of d generator codes:
+    # the coded path needs element_cap times the widest one below INF_CODE
+    wide = Fraction(INF_CODE // 4, 12)  # code 2^59
+    assert len(bfs_closure([one_way_call(1, 2, 2, MINPLUS01INF, wide)], element_cap=cap)) == 2
+    assert closure_paths == paths
 
 
 def test_double_catalan_elements_are_convex():
@@ -217,6 +273,28 @@ def test_brute_force_counterexamples_are_canonical():
     a = brute_force_identity(ident, family("catalanU", 3))
     b = brute_force_identity(ident, family("catalanU", 3))
     assert a.assignment == b.assignment
+
+
+# results of the fold one side at a time, which the shared-prefix fold keeps
+BRUTE_FORCE_PINS = [
+    ("x=xx", "oneWayGossip", 3, None, "fails", {"x": 10}),
+    ("xy=xyx", "oneWayGossip", 3, None, "fails", {"x": 1, "y": 5}),
+    ("xx=xx", "oneWayGossip", 3, None, "holds", 62),
+    ("xyx=xyxx", "oneWayGossip", 3, None, "holds", 3844),
+    ("xy=xyx", "gossip", 3, None, "fails", {"x": 1, "y": 2}),
+    ("xyxy=xyxyx", "catalanU", 4, 3000, "fails", {"x": 12, "y": 0}),
+    ("xyx=xxyx", "gossip", 3, 5000, "holds", 5000),
+]
+
+
+@pytest.mark.parametrize("text, name, n, sample, verdict, pinned", BRUTE_FORCE_PINS)
+def test_brute_force_results_are_pinned(text, name, n, sample, verdict, pinned):
+    seed = 2 if name == "catalanU" else 7
+    result = brute_force_identity(Identity.parse(text), family(name, n), sample=sample, seed=seed)
+    if verdict == "holds":
+        assert result == BruteForceHolds(pinned)
+    else:
+        assert isinstance(result, BruteForceFails) and result.assignment == pinned
 
 
 def test_brute_force_refuses_a_negative_sample():

@@ -29,6 +29,8 @@ from sgident.semirings import (
     IntegerCodes,
     SemiringDescriptor,
     SplitMix64,
+    _mp_mul,
+    _tp_mul,
     semiring_from_spec,
     truncated_nat,
 )
@@ -416,3 +418,22 @@ def test_lattices_whose_codes_are_not_bitmasks_are_not_bitmask_lattices():
     shuffled = _finite("lattice:diamond", lambda a, b: a | b, lambda a, b: a & b, (0, 1, 3, 2), 0, 3)
     for S in (chain3, chain4, shuffled):
         assert not S.is_bitmask_lattice
+
+
+def test_min_plus_codes_refuse_finite_payloads_that_reach_the_infinite_code():
+    codes = MINPLUS01INF.codes
+    largest = Fraction(INF_CODE - 1, codes.scale)
+    assert codes.payload(codes.encode(largest)) == largest
+    for payload in (Fraction(INF_CODE, codes.scale), Fraction(2**59), 2**60):
+        with pytest.raises(ValueError, match="INF_CODE"):
+            codes.encode(payload)
+    assert codes.encode(INF) == INF_CODE
+
+
+@pytest.mark.parametrize("infinity", [INF, float("inf")], ids=["INF", "built"])
+@pytest.mark.parametrize("finite", [Fraction(7, 3), 5, 0], ids=repr)
+def test_tropical_products_absorb_an_infinity(finite, infinity):
+    assert _tp_mul(finite, infinity) == INF and _tp_mul(infinity, finite) == INF
+    assert _tp_mul(infinity, infinity) == INF
+    assert _mp_mul(finite, -infinity) == NEG_INF and _mp_mul(-infinity, finite) == NEG_INF
+    assert _tp_mul(finite, Fraction(1, 3)) == _mp_mul(finite, Fraction(1, 3)) == finite + Fraction(1, 3)
