@@ -12,7 +12,7 @@ import time
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, islice, product as iproduct
+from itertools import accumulate, combinations, islice, product as iproduct
 from math import comb
 
 import numpy as np
@@ -66,6 +66,7 @@ from .polynomials import (
     _by_supports,
     _by_tensor,
     _sampled,
+    build_f,
     build_f_canonical,
     equivalent_by_forms,
     evaluate,
@@ -1073,29 +1074,48 @@ FORM_LAWS = (
 )
 
 
-def _packed(p: FormalPolynomial, alphabet: str, width: int):
-    """The monomials of p packed as :class:`EmbeddingForms` packs exponent
-    vectors, or None when p is zero."""
-    rank = {s: i for i, s in enumerate(sorted(alphabet))}
-    if p.is_zero():
-        return None
-    return frozenset(
-        sum(e << width * ((var.vertex - 1) * len(rank) + rank[var.letter]) for var, e in mono)
-        for mono, _ in p.terms
-    )
+def enumerated_f(u: str, rho: tuple, w: str) -> FormalPolynomial:
+    """f_{u,w} along the path rho as the sum over the embeddings of u into w
+    (positions a_1 < ... < a_l, w at a_k equal to u[k]) of the monomial
+    that counts, at vertex rho[k], each letter strictly between the k-th and
+    (k+1)-st embedded positions (the ends of w at k = 0 and k = |u|).  The
+    oracle of criterion 21: it shares no code with :class:`EmbeddingForms`."""
+    coefficients = defaultdict(int)
+    # per letter s: its occurrences among the first i letters of w, and the
+    # x(s, v) along rho; letters outer and vertices inner is Variable's order
+    letters = [
+        (list(accumulate((ch == s for ch in w), initial=0)), [Variable(s, v) for v in rho])
+        for s in sorted(set(w))
+    ]
+
+    def extend(k: int, start: int, positions: tuple):
+        if k < len(u):
+            for pos in range(start, len(w) - len(u) + k + 1):
+                if w[pos] == u[k]:
+                    extend(k + 1, pos + 1, positions + (pos,))
+            return
+        bounds = (-1, *positions, len(w))
+        monomial = []
+        for prefix, variables in letters:
+            for var, lo, hi in zip(variables, bounds, bounds[1:]):
+                if prefix[hi] > prefix[lo + 1]:
+                    monomial.append((var, prefix[hi] - prefix[lo + 1]))
+        coefficients[tuple(monomial)] += 1
+
+    extend(0, 0, ())
+    return FormalPolynomial.from_dict(coefficients)
 
 
 def criterion_embedding_forms() -> CheckOutcome:
-    """The lazy forms of :class:`EmbeddingForms` against
-    ``build_f_canonical``: at every u of ``words_up_to(alphabet, n - 1,
-    include_empty=True)`` the form is the set of exponent vectors of the
-    built polynomial, whose coefficients are all 1, and None exactly when
-    that polynomial is zero; and at every u where the forms of two sides
-    settle (:func:`equivalent_by_forms`), ``functionally_equivalent`` on the
-    built polynomials gives the same :class:`Equivalent`.  Inputs: criterion
-    15's words (over {x, y}, of length <= 5) at n = 3, every pair of them,
-    and the ``FORM_LAWS`` instances at n = 3..6, over bool,
-    lattice:diamond, nat:1,1, nat:2,3, nat and minplus01inf."""
+    """The library's f_{u,w} against :func:`enumerated_f`, term by term: at
+    every u of ``words_up_to(alphabet, n - 1, include_empty=True)`` and side
+    w, ``build_f_canonical`` along (1, ..., |u|+1) and ``build_f`` along
+    (2, 4, ..., 2|u|+2); and at every u where the :class:`EmbeddingForms` of
+    two sides settle (:func:`equivalent_by_forms`), ``functionally_equivalent``
+    on the enumerated polynomials gives the same :class:`Equivalent`.
+    Inputs: criterion 15's words (over {x, y}, of length <= 5) at n = 3,
+    every pair of them, and the ``FORM_LAWS`` instances at n = 3..6, over
+    bool, lattice:diamond, nat:1,1, nat:2,3, nat and minplus01inf."""
     start = time.perf_counter()
     instances = (BOOL, DIAMOND, *map(semiring_from_spec, ("nat:1,1", "nat:2,3")), NAT, MINPLUS01INF)
     words = words_up_to("xy", 5)
@@ -1104,18 +1124,22 @@ def criterion_embedding_forms() -> CheckOutcome:
         law = Identity(q[0] + q * e + q[-1], q[0] + q * (e + 1) + q[-1])
         groups.append((n, law.alphabet, [law.lhs, law.rhs], [(law.lhs, law.rhs)]))
     mismatched = []
-    forms_compared = built = 0
+    compared = built = 0
     settled = defaultdict(int)
     for n, alphabet, sides, pairs in groups:
         width = max(map(len, sides)).bit_length()
         forms = {w: EmbeddingForms(w, alphabet, n, width) for w in sides}
         us = words_up_to(alphabet, n - 1, include_empty=True)
+        oracle = {}
         for w in sides:
             for u in us:
-                forms_compared += 1
-                p = build_f_canonical(u, w)
-                if forms[w].form(u) != _packed(p, alphabet, width) or any(c != 1 for _, c in p.terms):
-                    mismatched.append(f"form of u={u!r} in {w}")
+                compared += 1
+                oracle[u, w] = want = enumerated_f(u, tuple(range(1, len(u) + 2)), w)
+                if build_f_canonical(u, w) != want:
+                    mismatched.append(f"build_f_canonical u={u!r} in {w}")
+                gapped = tuple(range(2, 2 * len(u) + 3, 2))
+                if build_f(u, gapped, w, gapped[-1]) != enumerated_f(u, gapped, w):
+                    mismatched.append(f"build_f u={u!r} in {w} along {gapped}")
         for u in us:
             universe = [Variable(s, v) for s in alphabet for v in range(1, len(u) + 2)]
             for w, v in pairs:
@@ -1125,20 +1149,18 @@ def criterion_embedding_forms() -> CheckOutcome:
                         built += 1
                         continue
                     settled[want.method] += 1
-                    got = functionally_equivalent(
-                        build_f_canonical(u, w), build_f_canonical(u, v), S, variables=universe
-                    )
+                    got = functionally_equivalent(oracle[u, w], oracle[u, v], S, variables=universe)
                     if got != want:
-                        mismatched.append(f"{S.name} u={u!r} {w}={v}: {want} by forms, {got} built")
+                        mismatched.append(f"{S.name} u={u!r} {w}={v}: {want} by forms, {got} enumerated")
     elapsed = time.perf_counter() - start
     ok = not mismatched and len(settled) == 2 and built and elapsed < 60.0
     return _outcome(
         "embedding-forms-vs-build_f",
         ok,
-        f"{forms_compared} forms equal to the built polynomials "
-        f"(criterion-15 words at n = 3, {len(FORM_LAWS)} laws p q^e r at "
+        f"{compared} (u, w) with build_f_canonical and build_f equal to the "
+        f"enumerated polynomials (criterion-15 words at n = 3, {len(FORM_LAWS)} laws p q^e r at "
         f"n = 3..6); over {', '.join(S.name for S in instances)}, "
-        f"(pair, u, instance) cases settled by the forms as the built "
+        f"(pair, u, instance) cases settled by the forms as the enumerated "
         f"polynomials are: {dict(settled)}, {built} left to be built; {len(mismatched)} "
         f"mismatches {mismatched[:3]}, {elapsed:.1f}s (limit 60s)",
     )

@@ -212,12 +212,12 @@ def check_UT(
     ``identical-form`` over any instance, and over a bitmask lattice equal
     antichains of minimal supports settle it as ``exhaustive``
     (:func:`~sgident.polynomials.equivalent_by_forms`).  Only the other u
-    build both polynomials with ``build_f_canonical`` and go to
-    :func:`~sgident.polynomials.functionally_equivalent`, which would answer
-    the same for the settled ones; so the first failing u, its witness and
-    every evidence entry are what building every u would give.  The
-    verdict's ``counters`` count the u examined, those the forms settled
-    and the polynomials built.  When the
+    build both polynomials with ``build_f_canonical`` (decoded from forms of
+    its own) and go to :func:`~sgident.polynomials.functionally_equivalent`,
+    which would answer the same for the settled ones; so the first failing
+    u, its witness and every evidence entry are what building every u would
+    give.  The verdict's ``counters`` count the u examined, those the forms
+    settled and the polynomials built.  When the
     instance declares an element whose iterated partial sums are pairwise
     distinct, the empty u is implied by the one-letter checks and is skipped
     (for n >= 2).  Over the tropical instances (``maxplus``,

@@ -1,5 +1,6 @@
 """Formal polynomials in doubled variables x(letter, vertex), built from
-subword embeddings, plus functional-equivalence testing over a semiring.
+subword embeddings by :class:`EmbeddingForms` alone, plus
+functional-equivalence testing over a semiring.
 
 A polynomial is a canonical merged sum of monomials with natural-number
 coefficients and exponents, so one object can be interpreted over any
@@ -80,48 +81,11 @@ class FormalPolynomial:
 ZERO_POLYNOMIAL = FormalPolynomial(())
 
 
-def _embeddings(u: str, w: str):
-    """Yield index tuples (0, a_1, ..., a_l, |w|+1) with w[a_k] == u[k],
-    strictly increasing; positions are 1-based."""
-    l, m = len(u), len(w)
-    if l == 0:
-        yield (0, m + 1)
-        return
-    alpha = [0] * (l + 2)
-    alpha[l + 1] = m + 1
-
-    def extend(k: int, start: int):
-        if k > l:
-            yield tuple(alpha)
-            return
-        for pos in range(start, m - (l - k) + 1):
-            if w[pos - 1] == u[k - 1]:
-                alpha[k] = pos
-                yield from extend(k + 1, pos + 1)
-
-    yield from extend(1, 1)
-
-
-@lru_cache(maxsize=1024)
-def _slots(w: str, rho: tuple) -> tuple:
-    """For each letter s of w, in order: its prefix counts in w (counts[i]
-    occurrences among the first i letters) and the variables x(s, v) for the
-    vertices v of rho."""
-    out = []
-    for s in sorted(set(w)):
-        counts = [0]
-        for ch in w:
-            counts.append(counts[-1] + (ch == s))
-        out.append((tuple(counts), tuple(Variable(s, v) for v in rho)))
-    return tuple(out)
-
-
 def build_f(u: str, rho: tuple, w: str, n: int) -> FormalPolynomial:
     """The sum over all embeddings of u into w of the monomial recording, for
     each path vertex rho[k], how many occurrences of each letter fall strictly
-    between the k-th and (k+1)-st embedded positions.
-
-    Zero exactly when u does not embed into w.
+    between the k-th and (k+1)-st embedded positions: :func:`build_f_canonical`
+    with vertex k+1 renamed rho[k].  Zero exactly when u does not embed in w.
     """
     l = len(u)
     rho = tuple(rho)
@@ -133,45 +97,36 @@ def build_f(u: str, rho: tuple, w: str, n: int) -> FormalPolynomial:
         raise ValueError(f"path {rho} leaves the vertex range 1..{n}")
     if any(rho[k] >= rho[k + 1] for k in range(l)):
         raise ValueError(f"path {rho} is not strictly increasing")
-    return _build_f(u, rho, w)
-
-
-def _build_f(u: str, rho: tuple, w: str) -> FormalPolynomial:
-    """:func:`build_f` along a path already known to be valid."""
-    slots = _slots(w, rho)
-    coefficients: dict = {}
-    for alpha in _embeddings(u, w):
-        # letters outer and vertices inner, so the pairs come out sorted
-        mono = []
-        for counts, variables in slots:
-            for k, var in enumerate(variables):
-                count = counts[alpha[k + 1] - 1] - counts[alpha[k]]
-                if count:
-                    mono.append((var, count))
-        mono = tuple(mono)
-        coefficients[mono] = coefficients.get(mono, 0) + 1
-    return FormalPolynomial.from_dict(coefficients)
+    canonical = build_f_canonical(u, w)
+    renamed = {var: Variable(var.letter, rho[var.vertex - 1]) for var in canonical.variables()}
+    # a strictly increasing renaming keeps the monomials and the terms sorted
+    return FormalPolynomial(tuple(
+        (tuple([(renamed[var], e) for var, e in mono]), c) for mono, c in canonical.terms
+    ))
 
 
 @lru_cache(maxsize=8192)
 def build_f_canonical(u: str, w: str) -> FormalPolynomial:
-    """build_f along the initial-segment path (1, 2, ..., |u|+1)."""
-    return _build_f(u, tuple(range(1, len(u) + 2)), w)
+    """build_f along the initial-segment path (1, 2, ..., |u|+1), decoded from
+    the :class:`EmbeddingForms` of w."""
+    return EmbeddingForms(w, w + u, len(u) + 1).polynomial(u)
 
 
 class EmbeddingForms:
-    """The forms of f_{u,w} (:func:`build_f_canonical`) for the words u over
-    ``alphabet`` shorter than n, each built when first asked for, from the
-    row of u[:-1].
+    """The embedding polynomials f_{u,w} for the words u over ``alphabet``
+    shorter than n, each built when first asked for, from the row of u[:-1].
+    This is the only constructor of f_{u,w}: :func:`build_f_canonical` and
+    :func:`build_f` decode its forms.
 
     :meth:`form` gives the set of exponent vectors of f_{u,w}, or None when
-    u does not embed in w.  That set is the whole polynomial: an embedding's
-    segment lengths fix its positions, so no two embeddings give one
-    monomial and every coefficient is 1.  A vector is packed into one int,
-    ``width`` bits per variable x(s, v), at field (v - 1)·|alphabet| + (the
-    rank of s); so two builders of one alphabet and width give equal forms
-    exactly when the polynomials are equal.  ``width`` must hold |w|: to
-    compare the sides of an identity, give both the longer side's.
+    u does not embed in w, and :meth:`polynomial` decodes it.  That set is
+    the whole polynomial: an embedding's segment lengths fix its positions,
+    so no two embeddings give one monomial and every coefficient is 1.  A
+    vector is packed into one int, ``width`` bits per variable x(s, v), at
+    field (v - 1)·|alphabet| + (the rank of s); so two builders of one
+    alphabet and width give equal forms exactly when the polynomials are
+    equal.  ``width`` must hold |w|: to compare the sides of an identity,
+    give both the longer side's.
 
     Entry j of u's row holds the vectors of the embeddings of u into w[:j],
     the letters after the last embedded one counted at vertex |u|+1, so
@@ -191,7 +146,7 @@ class EmbeddingForms:
         self.width = len(w).bit_length() if width is None else width
         if len(w) >= 1 << self.width:
             raise ValueError(f"width {self.width} cannot hold exponents up to {len(w)}")
-        rank = {s: i for i, s in enumerate(sorted(set(alphabet)))}
+        self._rank = rank = {s: i for i, s in enumerate(sorted(set(alphabet)))}
         # the field of x(s, v) is that of x(s, 1) moved by (v - 1)·|alphabet|
         self._vertex = self.width * len(rank)
         self._units = [1 << (self.width * rank[s]) for s in w]
@@ -239,6 +194,23 @@ class EmbeddingForms:
             raise ValueError(f"|u|={len(u)} exceeds n-1={self.n - 1}")
         row = self._row(u)
         return None if row is None else row[1][-1]
+
+    def polynomial(self, u: str) -> FormalPolynomial:
+        """f_{u,w} decoded from :meth:`form`, its terms sorted as
+        :meth:`FormalPolynomial.from_dict` sorts them."""
+        mask = (1 << self.width) - 1
+        # per variable x(s, v), in Variable's order: its field and the factors
+        # (x(s, v), e), each built once and shared by the monomials
+        fields = [
+            ((v - 1) * self._vertex + self.width * self._rank[s],
+             [None] + [(Variable(s, v), e) for e in range(1, self.w.count(s) + 1)])
+            for s in sorted(set(self.w)) for v in range(1, len(u) + 2)
+        ]
+        monomials = sorted(
+            tuple([factors[e] for shift, factors in fields if (e := m >> shift & mask)])
+            for m in self.form(u) or ()
+        )
+        return FormalPolynomial(tuple([(m, 1) for m in monomials]))
 
     def minimal_supports(self, form: Optional[frozenset]) -> frozenset:
         """:func:`_minimal` of the forms' supports, one bit per variable (the
@@ -328,16 +300,16 @@ def _not_equivalent(p, q, S, witness: dict, found: str) -> NotEquivalent:
 
 def _eval_codes(p: FormalPolynomial, codes: dict, S) -> np.ndarray:
     """The codes of p over a finite carrier at the assignments held as one
-    uint8 code array per variable, broadcast against each other: aranges on
+    code array per variable (of the tables' ``code_dtype``), broadcast against each other: aranges on
     their own axes give every assignment (:func:`_by_tensor`), columns of
     drawn codes a chunk of samples (:func:`_sampled`).  A monomial is built
     from its own variables' arrays only; adding it into the total broadcasts
     it over the rest."""
     tables = S.tables
     shape = np.broadcast_shapes(*(a.shape for a in codes.values()))
-    total = np.full(shape, tables.zero_code, dtype=np.uint8)
+    total = np.full(shape, tables.zero_code, dtype=tables.code_dtype)
     for mono, coeff in p.terms:
-        acc = np.uint8(tables.code[S.payload_of(S.nat_embed(coeff))])
+        acc = tables.code_dtype(tables.code[S.payload_of(S.nat_embed(coeff))])
         for var, e in mono:
             acc = tables.mul[acc, tables.power(e)[codes[var]]]
         total = tables.add[total, acc]
@@ -348,7 +320,7 @@ def _by_tensor(p, q, S, variables):
     """Both sides' codes at all c^k assignments (:func:`_eval_codes`), one
     axis per variable; the witness is the first differing entry in C order."""
     c, k = S.tables.size, len(variables)
-    axis = np.arange(c, dtype=np.uint8)
+    axis = np.arange(c, dtype=S.tables.code_dtype)
     codes = {
         v: axis.reshape((1,) * i + (c,) + (1,) * (k - i - 1)) for i, v in enumerate(variables)
     }
@@ -463,7 +435,7 @@ def _sampled(p, q, S, variables, budget, seed):
     while done < budget:
         size = min(size, budget - done)
         drawn = [rng.randrange(tables.size) for _ in range(size * width)]
-        table = np.array(drawn, dtype=np.uint8).reshape(size, width)
+        table = np.array(drawn, dtype=tables.code_dtype).reshape(size, width)
         codes = {v: table[:, j] for j, v in enumerate(variables)}
         diff = _eval_codes(p, codes, S) != _eval_codes(q, codes, S)
         if diff.any():
@@ -686,7 +658,7 @@ def functionally_equivalent(
     carriers are evaluated at all assignments up to ``EXHAUSTIVE_CAP`` of
     them: both sides over a tensor with one axis of size c per variable, each
     monomial over its own axes and broadcast over the rest, so memory is
-    c^k bytes per array.  Otherwise seeded sampling either produces a
+    c^k codes (one byte each up to 256 values) per array.  Otherwise seeded sampling either produces a
     falsifying witness or reports NotFalsified (:func:`_sampled`): ``budget``
     assignments are drawn one variable at a time in universe order.  A
     finite carrier past the cap draws them as codes, a chunk at a time

@@ -227,24 +227,26 @@ class FiniteTables:
     """A finite carrier coded as 0..c-1 with (c, c) numpy add/mul tables for
     bulk evaluation: the sum of codes a and b is ``add[a, b]``, and arrays of
     codes index a table as they are, broadcast against each other (a flat
-    index a * c + b would be one more array, of intp, 8 bytes per entry)."""
+    index a * c + b would be one more array, of intp, 8 bytes per entry).
+    Codes are ``code_dtype``: uint8 up to 256 values, uint16 up to 2^16."""
 
     def __init__(self, S: SemiringDescriptor):
         payloads = list(S.carrier.values)
-        if len(payloads) > 255:
+        c = len(payloads)
+        if c > 1 << 16:
             raise AlgebraError("finite carrier too large for coded evaluation")
+        self.code_dtype = np.uint8 if c <= 1 << 8 else np.uint16
         self.payloads = payloads
         self.code = {p: i for i, p in enumerate(payloads)}
-        c = len(payloads)
-        self.add = np.zeros((c, c), dtype=np.uint8)
-        self.mul = np.zeros((c, c), dtype=np.uint8)
+        self.add = np.zeros((c, c), dtype=self.code_dtype)
+        self.mul = np.zeros((c, c), dtype=self.code_dtype)
         for i, a in enumerate(payloads):
             for j, b in enumerate(payloads):
                 self.add[i, j] = self.code[_normalize(S._add(a, b))]
                 self.mul[i, j] = self.code[_normalize(S._mul(a, b))]
         self.zero_code = self.code[S._zero_payload]
         self.size = c
-        self.powers = {1: np.arange(c, dtype=np.uint8)}
+        self.powers = {1: np.arange(c, dtype=self.code_dtype)}
 
     def power(self, exponent: int) -> np.ndarray:
         """The codes of x^exponent for x = 0..c-1."""
@@ -258,7 +260,7 @@ class FiniteTables:
 
     def draw(self, gen: SplitMix64, shape: tuple) -> np.ndarray:
         """Uniform codes, as :meth:`SemiringDescriptor.sample_payload` draws."""
-        return gen.integers(0, self.size, shape).astype(np.uint8)
+        return gen.integers(0, self.size, shape).astype(self.code_dtype)
 
     def encode(self, payload: Payload) -> int:
         return self.code[payload]
@@ -270,7 +272,7 @@ class FiniteTables:
         return 1
 
     def dtype(self, length: int):
-        return np.uint8
+        return self.code_dtype
 
     def product(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Per trial, the product of (T, n, n) code stacks, by table gathers."""
@@ -781,24 +783,24 @@ _SPEC_CACHE: dict = dict(_BUILTINS)
 
 
 def semiring_from_spec(spec: str) -> SemiringDescriptor:
-    """Resolve a CLI semiring spec string to a (shared) descriptor instance."""
+    """Resolve a CLI semiring spec string to a (shared) descriptor instance,
+    cached by its canonical name, so every spelling of one gives one."""
     spec = spec.strip()
-    cached = _SPEC_CACHE.get(spec)
-    if cached is not None:
-        return cached
-    if spec.startswith("nat:"):
-        body = spec[len("nat:") :]
-        parts = body.split(",")
-        if len(parts) != 2:
-            raise ValueError(f"bad truncated-naturals spec {spec!r}; expected nat:<index>,<period>")
-        try:
-            index, period = int(parts[0]), int(parts[1])
-        except ValueError:
-            raise ValueError(f"bad truncated-naturals spec {spec!r}") from None
-        descriptor = truncated_nat(index, period)
-        _SPEC_CACHE[spec] = descriptor
-        return descriptor
-    raise ValueError(
-        f"unknown semiring spec {spec!r}; known: bool, nat, nat:<index>,<period>, "
-        "maxplus, minplus01inf, interval01, lattice:diamond"
-    )
+    if spec in _SPEC_CACHE:
+        return _SPEC_CACHE[spec]
+    if not spec.startswith("nat:"):
+        raise ValueError(
+            f"unknown semiring spec {spec!r}; known: bool, nat, nat:<index>,<period>, "
+            "maxplus, minplus01inf, interval01, lattice:diamond"
+        )
+    parts = spec[len("nat:") :].split(",")
+    if len(parts) != 2:
+        raise ValueError(f"bad truncated-naturals spec {spec!r}; expected nat:<index>,<period>")
+    try:
+        index, period = int(parts[0]), int(parts[1])
+    except ValueError:
+        raise ValueError(f"bad truncated-naturals spec {spec!r}") from None
+    name = f"nat:{index},{period}"
+    if name not in _SPEC_CACHE:
+        _SPEC_CACHE[name] = truncated_nat(index, period)
+    return _SPEC_CACHE[name]

@@ -77,6 +77,15 @@ def test_triangular_check_examples():
     assert check_UT(Identity.parse("abab=abab"), 3, BOOL).is_holds
 
 
+@pytest.mark.parametrize("spec", ["nat:250,6", "nat:200,100"])
+def test_triangular_check_over_truncated_naturals_with_256_values_or_more(spec):
+    # 256 values still fit uint8 codes, 300 take uint16
+    S = semiring_from_spec(spec)
+    verdict = check_UT(Identity.parse("ab=ba"), 2, S)
+    assert verdict.is_fails and verdict.distinguishing_u == "a"
+    assert S.tables.code_dtype == (np.uint8 if S.tables.size <= 256 else np.uint16)
+
+
 def test_triangular_check_over_the_tropical_instance():
     # Adjan's identity holds in UT_2 over the tropical semiring, and every u
     # but the empty word is settled by the exact hull decision, at any budget

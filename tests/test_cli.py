@@ -308,16 +308,28 @@ def test_closed_pipe_keeps_the_exit_code(argv, expected, capsys, monkeypatch):
     assert capsys.readouterr().err == ""
 
 
+# sgident poly arguments and the exact output
+POLY_OUTPUTS = [
+    (("--u", "ab", "--w", "abab"), "x(a,1)*x(b,1) + x(a,2)*x(b,2) + x(a,3)*x(b,3)"),
+    (("--u", "", "--w", "aab"), "x(a,1)^2*x(b,1)"),
+    (("--u", "a", "--w", "aa", "--rho", "2,4", "--n", "4"), "x(a,2) + x(a,4)"),
+    # a letter of u absent from w, and u longer than w
+    (("--u", "ac", "--w", "abab"), "0"),
+    (("--u", "aaa", "--w", "aa"), "0"),
+    # the empty u over a word with repeated letters
+    (("--u", "", "--w", "abba"), "x(a,1)^2*x(b,1)^2"),
+    # a path with gaps
+    (("--u", "ab", "--w", "abab", "--rho", "1,3,6", "--n", "6"),
+     "x(a,1)*x(b,1) + x(a,3)*x(b,3) + x(a,6)*x(b,6)"),
+    # a 20-letter w: exponents past 15
+    (("--u", "b", "--w", "a" * 17 + "bab"), "x(a,1)^17*x(a,2)*x(b,2) + x(a,1)^18*x(b,1)"),
+]
+
+
 def test_poly_output(capsys):
-    code, out, _ = run_cli(capsys, "poly", "--u", "ab", "--w", "abab")
-    assert code == 0
-    assert out.strip() == "x(a,1)*x(b,1) + x(a,2)*x(b,2) + x(a,3)*x(b,3)"
-    code, out, _ = run_cli(capsys, "poly", "--u", "", "--w", "aab")
-    assert out.strip() == "x(a,1)^2*x(b,1)"
-    code, out, _ = run_cli(
-        capsys, "poly", "--u", "a", "--w", "aa", "--rho", "2,4", "--n", "4"
-    )
-    assert out.strip() == "x(a,2) + x(a,4)"
+    for argv, want in POLY_OUTPUTS:
+        code, out, _ = run_cli(capsys, "poly", *argv)
+        assert (code, out.strip()) == (0, want), argv
 
 
 def test_negative_seeds_run_the_reflexive_spot_check(capsys, monkeypatch):

@@ -7,7 +7,7 @@ import pytest
 
 from conftest import ALL_INSTANCES
 from sgident import checker, polynomials
-from sgident.acceptance import _sampled_one_at_a_time
+from sgident.acceptance import _sampled_one_at_a_time, enumerated_f
 from sgident.errors import AlgebraError, InternalConsistencyError
 from sgident.checker import check_UT
 from sgident.polynomials import (
@@ -92,16 +92,16 @@ def test_build_f_path_validation():
 def test_build_f_paths_only_relabel_variables():
     w = "abab"
     for u in ("a", "ab", "ba"):
-        canonical = build_f_canonical(u, w)
+        canonical = enumerated_f(u, tuple(range(1, len(u) + 2)), w)
         rho = tuple(v + 2 for v in range(1, len(u) + 2))
-        shifted = build_f(u, rho, w, 8)
-        relabeled = {
+        relabeled = poly({
             tuple(
                 sorted((Variable(var.letter, var.vertex + 2), e) for var, e in m)
             ): c
             for m, c in canonical.terms
-        }
-        assert shifted == poly(relabeled)
+        })
+        assert enumerated_f(u, rho, w) == relabeled
+        assert build_f(u, rho, w, 8) == relabeled
 
 
 def packed(alphabet, width, *pairs):
@@ -138,12 +138,13 @@ def test_embedding_forms_are_the_polynomials():
     for w in words_up_to("ab", 6):
         forms = EmbeddingForms(w, "ab", 4, width=3)
         for u in words_up_to("ab", 3, include_empty=True):
-            p = build_f_canonical(u, w)
+            p = enumerated_f(u, tuple(range(1, len(u) + 2)), w)
             assert {c for _, c in p.terms} <= {1}
             want = {
                 packed("ab", 3, *((var.letter, var.vertex, e) for var, e in m)) for m, _ in p.terms
             }
             assert forms.form(u) == (want or None)
+            assert forms.polynomial(u) == build_f_canonical(u, w) == p
     with pytest.raises(ValueError):
         EmbeddingForms("aabb", "ab", 3, width=2)  # 4 does not fit in 2 bits
 

@@ -178,6 +178,12 @@ def test_spec_parsing_roundtrip():
         semiring_from_spec("nat:2")
 
 
+def test_every_spelling_of_a_truncated_naturals_spec_gives_one_instance():
+    S = semiring_from_spec("nat:2,3")
+    assert semiring_from_spec("nat:02,3") is S
+    assert semiring_from_spec("nat: 2, 3") is S
+
+
 def test_value_formatting():
     assert MAXPLUS.format_value(MAXPLUS.zero) == "-inf"
     assert MINPLUS01INF.parse_value("inf") == MINPLUS01INF.zero

@@ -4,7 +4,7 @@ package must fail here, not only in traced benchmark runs."""
 import importlib.util
 from pathlib import Path
 
-from sgident import checker
+from sgident import checker, polynomials
 from sgident.semirings import semiring_from_spec
 from sgident.words import Identity
 
@@ -26,6 +26,13 @@ def test_every_hook_names_an_attribute_of_its_owner():
         if attr not in owner.__dict__
     ]
     assert not missing
+
+
+def test_the_build_cache_the_tracer_reads_is_the_one_check_ut_calls():
+    # the tracer counts builds and cache hits from this cache_info()
+    assert checker.build_f_canonical is polynomials.build_f_canonical
+    info = polynomials.build_f_canonical.cache_info()
+    assert info.maxsize == 8192 and info.currsize <= info.maxsize
 
 
 def test_a_check_past_the_exhaustive_cap_gives_a_sampled_span():
