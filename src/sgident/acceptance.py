@@ -988,8 +988,8 @@ def criterion_hull_vs_sampled(
     Inputs: the corpus pairs over the three instances (:func:`_corpus_pairs`,
     budget 256), u = x and u = y of ``TROPICAL_UT2_LAWS`` at budget 4096, and
     ``pairs`` seeded pairs that the hull settles both ways
-    (:func:`_hull_pairs`, budget 256).  At budget 0 each fails carries the
-    witness built from the separating direction, which evaluate confirms.
+    (:func:`_hull_pairs`, budget 256).  Every fails carries the witness
+    built from the separating direction, which evaluate confirms.
     Then an oracle that shares no code with the polynomials: UT_2 over the
     tropical semiring and the bicyclic monoid satisfy the same identities
     (Daviaud, Johnson and Kambites, J. Algebra 2018), and so does UT_2 over
@@ -1019,7 +1019,7 @@ def criterion_hull_vs_sampled(
     by_hull = by_sample = certified = 0
     for S, p, q, budget, case_seed in cases:
         universe = sorted(set(p.variables()) | set(q.variables()))
-        exact = functionally_equivalent(p, q, S, variables=universe, budget=0)
+        exact = functionally_equivalent(p, q, S, variables=universe)
         sampled = _sampled(p, q, S, universe, budget, case_seed)
         by_hull += exact == Equivalent("hull")
         by_sample += isinstance(sampled, NotEquivalent)

@@ -72,7 +72,7 @@ def _add_check_args(parser):
     parser.add_argument("--monoid", required=True, choices=("ut", "u", "r"))
     parser.add_argument("--n", required=True, type=int)
     parser.add_argument("--semiring", required=True, help="bool | nat | nat:<i>,<p> | maxplus | minplus01inf | interval01 | lattice:diamond")
-    parser.add_argument("--budget", type=int, default=4096, help="samples per u for ut checks over nat, instances without a tropical shape and finite carriers past the exhaustive cap; over the tropical instances it only bounds the witness search")
+    parser.add_argument("--budget", type=int, default=4096, help="samples per u for ut checks over nat, instances without a tropical shape and finite carriers past the exhaustive cap; the tropical instances and finite carriers within the cap are decided exactly and do not read it")
     parser.add_argument("--verify-samples", type=int, default=1000, help="random morphisms backing a holds verdict on the reflexive monoid")
     parser.add_argument("identity", help="identity as <word>=<word> over a-z")
     parser.add_argument("--seed", type=int, default=None, help="RNG seed (default: $SGIDENT_SEED or 0)")
@@ -203,6 +203,8 @@ def _cmd_closure(args) -> int:
 def _cmd_poly(args) -> int:
     u = check_word(args.u)
     w = check_word(args.w, allow_empty=False)
+    if args.n is not None and args.rho is None:
+        raise ValueError("--n bounds the vertices of --rho; pass --rho with it")
     if args.rho is not None:
         rho = tuple(int(part) for part in args.rho.split(","))
         n = args.n if args.n is not None else max(rho)

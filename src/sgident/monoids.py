@@ -481,7 +481,10 @@ def family(
     (all one-way calls), ``reflexiveBool`` and ``convexBool`` (direct
     enumeration).  The ``*_S`` variants take an interval instance and a finite
     sample of call weights.  ``index_bound`` selects whether weighted gossip
-    call indices range over 1..n (default) or only 1..n-1.
+    call indices range over 1..n (default) or only 1..n-1.  An option the
+    family does not read is an error: a semiring other than ``bool`` or a
+    weight sample for a Boolean family, and ``index_bound="n-1"`` for any
+    family but ``gossip_S`` and ``oneWayGossip_S``.
     """
     if name not in FAMILY_NAMES:
         raise ValueError(f"unknown family {name!r}; known: {', '.join(FAMILY_NAMES)}")
@@ -495,6 +498,13 @@ def family(
         )
     if index_bound not in ("n", "n-1"):
         raise ValueError("index_bound must be 'n' or 'n-1'")
+    if index_bound == "n-1" and name not in ("gossip_S", "oneWayGossip_S"):
+        raise ValueError(f"family {name} reads no index bound; only gossip_S and oneWayGossip_S do")
+    if not name.endswith("_S"):
+        if semiring is not None and semiring is not BOOL:
+            raise ValueError(f"family {name} is Boolean; it takes no semiring {semiring.name}")
+        if s_sample is not None:
+            raise ValueError(f"family {name} is Boolean; it takes no weight sample")
 
     if name == "reflexiveBool":
         return enumerate_reflexive(n, BOOL)

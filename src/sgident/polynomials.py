@@ -31,10 +31,6 @@ class Variable(NamedTuple):
         return f"x({self.letter},{self.vertex})"
 
 
-# A monomial is a sorted tuple of (variable, exponent >= 1) pairs.
-Monomial = tuple
-
-
 @dataclass(frozen=True)
 class FormalPolynomial:
     """Canonical form: terms sorted by monomial, coefficients positive."""
@@ -590,7 +586,7 @@ def _separation(p, q, S):
     return None
 
 
-def _by_hull(p, q, S, variables, budget, seed):
+def _by_hull(p, q, S, variables):
     """Exact decision over an instance with a tropical shape (see
     :class:`~sgident.semirings.TropicalShape`).  p <= q as functions (the
     order of the max, or of the min with the orthant) exactly when every
@@ -600,17 +596,13 @@ def _by_hull(p, q, S, variables, budget, seed):
     vectors, and a direction y that separates e from their hull is an
     assignment, on supp(e), where p exceeds q.  The sides are equal when
     this holds both ways.  Each convex combination is re-checked by
-    :func:`_certifies`.  On fails the seeded search of :func:`_sampled`
-    runs as it would without this decision, and only when it comes back
-    empty is the witness built from the separating direction, scaled to
-    coprime integers: ``point(y)`` on supp(e), the zero element elsewhere;
-    :func:`evaluate` recomputes both sides."""
+    :func:`_certifies`.  A fails takes its witness from the separating
+    direction, scaled to coprime integers: ``point(y)`` on supp(e), the
+    zero element elsewhere; :func:`evaluate` recomputes both sides.  Over
+    these instances ``budget`` and ``seed`` play no part."""
     y = _separation(p, q, S)
     if y is None:
         return Equivalent("hull")
-    sampled = _sampled(p, q, S, variables, budget, seed)
-    if isinstance(sampled, NotEquivalent):
-        return sampled
     coordinates = _integral(y)
     zero = S._wrap(S._zero_payload)
     witness = {
@@ -645,10 +637,9 @@ def functionally_equivalent(
     orthant under min-plus), checked by an exact simplex on an integer
     tableau (:func:`phase_one`) only where the vector is not itself on the
     other side (or, under min-plus, above one of its vectors).  A holds comes back as method ``hull`` with
-    every convex combination re-checked; a fails keeps the sampled witness
-    below, and only when ``budget`` samples find none takes the one built
-    from the separating direction.  So over these instances ``budget``
-    chooses among witnesses and never decides a verdict.  Finite carriers
+    every convex combination re-checked; a fails takes the witness built
+    from the separating direction.  Over these instances ``budget`` and
+    ``seed`` play no part.  Finite carriers
     are settled exactly, with method ``exhaustive``.  A bitmask lattice
     (``bool``, ``lattice:diamond``, ``nat:1,1``; see
     :attr:`SemiringDescriptor.is_bitmask_lattice`) has no cap: there both
@@ -666,9 +657,9 @@ def functionally_equivalent(
     and evaluates each chunk on the coded tables as the tensor is evaluated;
     an infinite carrier evaluates one assignment at a time.  Every fails is
     re-checked: :func:`evaluate` recomputes both sides at the witness, and
-    an internal consistency error is raised when they agree.  The witness is
-    always the first falsifying assignment in the canonical enumeration (or
-    sampling) order, so verdicts are reproducible.
+    an internal consistency error is raised when they agree.  Off the hull
+    the witness is always the first falsifying assignment in the canonical
+    enumeration (or sampling) order, so verdicts are reproducible.
     """
     if budget < 0:
         raise ValueError(f"budget must be >= 0, got {budget}")
@@ -691,7 +682,7 @@ def functionally_equivalent(
         return Equivalent("identical-form")
     universe = sorted(universe)
     if S.tropical is not None:
-        return _by_hull(p, q, S, universe, budget, seed)
+        return _by_hull(p, q, S, universe)
     if S.is_finite:
         result = _exhaustive(p, q, S, universe, EXHAUSTIVE_CAP)
         if result is not None:

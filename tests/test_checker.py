@@ -261,6 +261,22 @@ def test_cross_instance_verdicts_coincide_for_matching_arithmetic(identity_corpu
         assert len(outcomes) == 1, ident
 
 
+def test_tropical_checks_do_not_read_the_budget_or_the_seed(identity_corpus):
+    # the hull decides every u and builds every witness, so neither the
+    # budget nor the seed can move a report
+    fails = 0
+    for ident in identity_corpus:
+        if ident.lhs == ident.rhs:
+            continue
+        for n in (2, 3):
+            for S in (MAXPLUS, MINPLUS01INF, INTERVAL01):
+                unsampled = check_UT(ident, n, S, budget=0)
+                sampled = check_UT(ident, n, S, budget=4096, seed=7)
+                assert unsampled.to_dict() == sampled.to_dict(), (ident, n, S.name)
+                fails += unsampled.is_fails
+    assert fails
+
+
 def test_requires_balanced_declarations():
     assert requires_balanced(NAT)
     assert requires_balanced(MAXPLUS)

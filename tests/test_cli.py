@@ -117,14 +117,14 @@ GOLDEN = Path(__file__).parent / "golden"
         ("check_ut2_interval01_adjan_budget64.json", 0, (
             "--semiring", "interval01", "--budget", "64", "xyyxxyxyyx=xyyxyxxyyx",
         )),
-        # separated at the first sample
+        # fails at u = a, with the witness of the hull's separating direction
         ("check_ut2_maxplus_ab_ba.json", 1, ("--semiring", "maxplus", "ab=ba")),
-        # separated at sample 8, in the fourth chunk
+        # fails at u = a, the witness again from the separating direction
         ("check_ut2_maxplus_aabab_abaab.json", 1, ("--semiring", "maxplus", "aabab=abaab")),
     ],
 )
 def test_sampled_checks_keep_their_bytes(golden, expected, argv, capsys):
-    # the files hold the reports of the one-assignment-at-a-time sampler
+    # over the tropical instances neither --budget nor --seed moves these bytes
     code, out, _ = run_cli(
         capsys, "check", "--monoid", "ut", "--n", "2", "--stable-output", *argv
     )
@@ -138,8 +138,8 @@ def test_sampled_checks_keep_their_bytes(golden, expected, argv, capsys):
         # holds: u = x and u = y settled by the hull
         ("check_ut2_maxplus_adjan.json", 0, ("--n", "2", "--semiring", "maxplus")),
         ("check_ut2_minplus01inf_adjan.json", 0, ("--n", "2", "--semiring", "minplus01inf")),
-        # fails at u = xx, with the sampled witness the check gave before the
-        # hull decision settled u = x and u = y
+        # fails at u = xx, with the witness built from the hull's separating
+        # direction
         ("check_ut3_maxplus_adjan.json", 1, ("--n", "3", "--semiring", "maxplus")),
         ("check_ut3_minplus01inf_adjan.json", 1, ("--n", "3", "--semiring", "minplus01inf")),
         ("check_ut3_interval01_adjan.json", 1, ("--n", "3", "--semiring", "interval01")),
@@ -199,6 +199,19 @@ def test_usage_errors_exit_two(capsys):
         capsys, "closure", "--family", "gossip", "--n", "4", "--element-cap", "10"
     )
     assert code == 2 and "cap" in err
+    # closure options the family does not read
+    for argv, message in (
+        (("--family", "gossip", "--semiring", "maxplus"), "no semiring maxplus"),
+        (("--family", "catalanU", "--semiring", "bool", "--s-sample", "1"), "no weight sample"),
+        (("--family", "gossip", "--index-bound", "n-1"), "no index bound"),
+        (("--family", "catalanU_S", "--semiring", "minplus01inf", "--index-bound", "n-1"),
+         "no index bound"),
+    ):
+        code, out, err = run_cli(capsys, "closure", "--n", "3", *argv)
+        assert code == 2 and out == "" and message in err, argv
+    # --n bounds the vertices of --rho and means nothing without it
+    code, out, err = run_cli(capsys, "poly", "--u", "a", "--w", "ab", "--n", "1")
+    assert code == 2 and out == "" and "--rho" in err
     # sample counts below zero are refused, not echoed back in the report
     code, out, err = run_cli(
         capsys, "check", "--monoid", "r", "--n", "3", "--semiring", "bool",

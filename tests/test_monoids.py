@@ -25,7 +25,7 @@ from sgident.monoids import (
     family,
     structural_checks,
 )
-from sgident.semirings import BOOL, DIAMOND, INF, INF_CODE, INTERVAL01, MINPLUS01INF, NAT
+from sgident.semirings import BOOL, DIAMOND, INF, INF_CODE, INTERVAL01, MAXPLUS, MINPLUS01INF, NAT
 from sgident.words import Identity
 
 # element counts frozen from the enumeration itself; the Catalan column is
@@ -62,6 +62,20 @@ def test_closure_is_deterministic():
     assert a.elements == b.elements
     assert a.witness_words == b.witness_words
     assert a.cayley_right == b.cayley_right
+
+
+def test_family_options_it_does_not_read_are_errors():
+    with pytest.raises(ValueError, match="no semiring maxplus"):
+        family("gossip", 3, MAXPLUS)
+    with pytest.raises(ValueError, match="no weight sample"):
+        family("reflexiveBool", 2, BOOL, s_sample=(True,))
+    for name in ("catalanU", "convexBool", "catalanU_S", "doubleCatalan_S"):
+        with pytest.raises(ValueError, match="no index bound"):
+            family(name, 3, MINPLUS01INF if name.endswith("_S") else None, index_bound="n-1")
+    # what the family does read is still accepted
+    assert len(family("gossip", 3, BOOL)) == FROZEN_SIZES["gossip"][2]
+    bounded = family("gossip_S", 3, MINPLUS01INF, index_bound="n-1")
+    assert {label.split(":")[0] for label in bounded.generator_labels} == {"1<>2"}
 
 
 def test_closure_starts_at_the_identity():
