@@ -23,6 +23,7 @@ from .checker import (
     check_Un_idempotent,
     check_UT,
     corpus,
+    path_morphism,
 )
 from .errors import ClosureCapExceeded, InternalConsistencyError
 from .matrices import (
@@ -31,6 +32,7 @@ from .matrices import (
     block_chain_entry,
     coded_agreement,
     coded_images,
+    format_matrix,
     matrix_from_payloads,
     multiply,
     power_stabilize,
@@ -1166,6 +1168,95 @@ def criterion_embedding_forms() -> CheckOutcome:
     )
 
 
+# -- criterion 22 ----------------------------------------------------------------
+
+
+def check_UT_every_u(ident: Identity, n: int, S: SemiringDescriptor, budget: int, seed: int):
+    """``check_UT`` as it was before it walked only the u that embed in a
+    side: every u of ``words_up_to(alphabet, n - 1, include_empty=True)`` in
+    turn, settled by the two forms or else by both polynomials.  The oracle
+    of criterion 22.  Returns ``(outcome, distinguishing u, diagonal,
+    evidence)``."""
+    alphabet = ident.alphabet
+    skip_empty = n >= 2 and S.free_rank1_payload is not None and S.partial_sums_distinct
+    width = max(len(ident.lhs), len(ident.rhs)).bit_length()
+    forms = [EmbeddingForms(side, alphabet, n, width) for side in (ident.lhs, ident.rhs)]
+    evidence, outcome = [], "holds"
+    for u in words_up_to(alphabet, n - 1, include_empty=True):
+        if u == "" and skip_empty:
+            continue
+        result = equivalent_by_forms(forms[0].form(u), forms[1].form(u), S, forms[0])
+        if result is None:
+            result = functionally_equivalent(
+                build_f_canonical(u, ident.lhs),
+                build_f_canonical(u, ident.rhs),
+                S,
+                variables=[Variable(s, v) for s in alphabet for v in range(1, len(u) + 2)],
+                budget=budget, seed=seed,
+            )
+        if isinstance(result, Equivalent):
+            evidence.append({"u": u, "result": "equivalent", "method": result.method})
+        elif isinstance(result, NotEquivalent):
+            evidence.append({"u": u, "result": "not-equivalent"})
+            diagonal = {(var.letter, var.vertex): value for var, value in result.witness.items()}
+            return "fails", u, diagonal, evidence
+        else:
+            evidence.append({"u": u, "result": "not-falsified", "samples": result.samples})
+            outcome = "undetermined"
+    return outcome, None, None, evidence
+
+
+def criterion_ut_walk(budget: int = 256) -> CheckOutcome:
+    """``check_UT``, which walks only the u that embed in a side, against
+    :func:`check_UT_every_u`: the same outcome, distinguishing u and witness
+    images; evidence equal to the oracle's with the u that embed in neither
+    side (by :func:`~sgident.words.scattered_multiplicity`) removed; and the
+    verdict's ``unembedded`` equal to the number removed.  Inputs: the
+    corpus at n = 2..4, over bool, lattice:diamond, nat:2,3 and maxplus, and
+    the undetermined ``PAST_CAP_LAWS`` at n = 3 over nat:2,3, at budget
+    256."""
+    start = time.perf_counter()
+    nat23 = semiring_from_spec("nat:2,3")
+    instances = (BOOL, DIAMOND, nat23, MAXPLUS)
+    cases = [(ident, n, S) for ident in corpus() for n in (2, 3, 4) for S in instances]
+    cases += [(ident, 3, nat23) for ident in PAST_CAP_LAWS]
+    mismatched = []
+    outcomes = defaultdict(int)
+    removed = 0
+    for ident, n, S in cases:
+        verdict = check_UT(ident, n, S, budget=budget)
+        outcome, u, diagonal, evidence = check_UT_every_u(ident, n, S, budget, 0)
+        outcomes[outcome] += 1
+        kept = [
+            e for e in evidence
+            if scattered_multiplicity(e["u"], ident.lhs)
+            or scattered_multiplicity(e["u"], ident.rhs)
+        ]
+        removed += len(evidence) - len(kept)
+        witness = None
+        if u is not None:
+            phi = path_morphism(u, ident.alphabet, n, S, diagonal)
+            witness = {s: format_matrix(m) for s, m in phi.images.items()}
+        got = verdict.to_dict()["witness"]
+        if (
+            (verdict.outcome, verdict.distinguishing_u) != (outcome, u)
+            or (got and got["images"]) != witness
+            or verdict.evidence != kept
+            or verdict.unembedded != len(evidence) - len(kept)
+        ):
+            mismatched.append(f"{ident} in UT_{n} over {S.name}")
+    elapsed = time.perf_counter() - start
+    ok = not mismatched and len(outcomes) == 3 and removed and elapsed < 60.0
+    return _outcome(
+        "ut-walk-vs-every-u",
+        ok,
+        f"{len(cases)} checks (corpus at n = 2..4 over {', '.join(S.name for S in instances)}, "
+        f"{len(PAST_CAP_LAWS)} laws past the cap at n = 3 over nat:2,3; budget {budget}), outcomes {dict(outcomes)}, {removed} evidence entries of "
+        f"u that embed in neither side removed; {len(mismatched)} mismatches "
+        f"{mismatched[:3]}, {elapsed:.1f}s (limit 60s)",
+    )
+
+
 # -- module-level law suites --------------------------------------------------------
 
 
@@ -1333,6 +1424,7 @@ def suite_checker_equivalence():
     yield criterion_lattice_decision()
     yield criterion_hull_vs_sampled()
     yield criterion_embedding_forms()
+    yield criterion_ut_walk()
 
 
 def suite_transfer_properties():

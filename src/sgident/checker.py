@@ -4,7 +4,8 @@ monoids over a semiring, with explicit falsifying morphisms.
 Each checker reduces the identity to a finite combinatorial comparison:
 
 * upper triangular: functional equivalence, over the instance, of the
-  embedding polynomials of every word u shorter than n on both sides;
+  embedding polynomials on both sides of every word u shorter than n that
+  embeds in a side (the others have two zero polynomials);
 * unit diagonal: equality of the subword multiplicities of every such u,
   reduced through the instance's arithmetic of repeated sums of 1;
 * reflexive over an interval instance: equality of subword sets, i.e. Simon
@@ -68,6 +69,9 @@ class Verdict:
     witness: Optional[MorphismTable] = None
     witness_entry: Optional[tuple] = None
     sampling: Optional[dict] = None
+    # ut: how many of the u that words_up_to lists up to the failing one (all
+    # of them when none fails) embed in neither side
+    unembedded: Optional[int] = None
     # work counts of the check, reported outside --stable-output
     counters: Optional[dict] = field(default=None, compare=False)
 
@@ -112,7 +116,7 @@ class CheckReport:
 
     def to_dict(self, stable: bool = False) -> dict:
         out = {
-            "report_version": 1,
+            "report_version": 2,
             "command": "check",
             "identity": str(self.identity),
             "monoid": self.monoid,
@@ -123,6 +127,8 @@ class CheckReport:
             "verdict": self.verdict.to_dict(),
             "u_words_examined": list(self.u_words),
         }
+        if self.verdict.unembedded is not None:
+            out["u_words_unembedded"] = self.verdict.unembedded
         if not stable:
             out["elapsed_ms"] = round(self.elapsed_ms, 3)
             if self.verdict.counters is not None:
@@ -192,6 +198,34 @@ def _candidate_us(ident: Identity, k: int) -> list:
     )
 
 
+def _embedding_us(forms: list, alphabet: str, n: int):
+    """The u shorter than n that embed in the side of either builder of
+    ``forms``, in :func:`~sgident.words.words_up_to` order, each as
+    ``(index, u, form, form)``: its index in
+    ``words_up_to(alphabet, n - 1, include_empty=True)`` and its forms in the
+    two sides.  The trie of u is walked level by level, children in letter
+    order, and a child is kept only when a side has a form for it: a u that
+    embeds in neither side has no extension that does.  Each u is yielded
+    as soon as its forms are built, so a caller that stops at a u has built
+    no form past it."""
+    lhs, rhs = forms
+    letters = sorted(alphabet)
+    yield 0, "", lhs.form(""), rhs.form("")
+    level = [(0, "")]  # the kept u of one length, with their ranks among all its words
+    offset = 1  # index of the first word of the next length
+    for length in range(1, n):
+        children = []
+        for rank, u in level:
+            for i, s in enumerate(letters, start=rank * len(letters)):
+                child = u + s
+                a, b = lhs.form(child), rhs.form(child)
+                if a is not None or b is not None:
+                    children.append((i, child))
+                    yield offset + i, child, a, b
+        level = children
+        offset += len(letters) ** length
+
+
 # -- checkers ---------------------------------------------------------------------------
 
 
@@ -205,19 +239,23 @@ def check_UT(
 ) -> Verdict:
     """Identity check for the upper triangular monoid.
 
-    Compares the embedding polynomials of every u of length below n over both
-    sides, in :func:`~sgident.words.words_up_to` order.  Each u first gets
-    both sides' forms from lazy :class:`~sgident.polynomials.EmbeddingForms`
-    builders; equal forms (both sides zero included) settle it as
-    ``identical-form`` over any instance, and over a bitmask lattice equal
-    antichains of minimal supports settle it as ``exhaustive``
+    Compares the embedding polynomials of every u of length below n that
+    embeds in a side, in :func:`~sgident.words.words_up_to` order
+    (:func:`_embedding_us`).  A u that embeds in neither side has two zero
+    polynomials and says nothing, so it is only counted: the verdict's
+    ``unembedded`` is the number of such u that ``words_up_to`` puts before
+    the first failing u, or in all when none fails.  Each walked u first
+    gets both sides' forms from lazy
+    :class:`~sgident.polynomials.EmbeddingForms` builders; equal forms settle
+    it as ``identical-form`` over any instance, and over a bitmask lattice
+    equal antichains of minimal supports settle it as ``exhaustive``
     (:func:`~sgident.polynomials.equivalent_by_forms`).  Only the other u
     build both polynomials with ``build_f_canonical`` (decoded from forms of
     its own) and go to :func:`~sgident.polynomials.functionally_equivalent`,
     which would answer the same for the settled ones; so the first failing
-    u, its witness and every evidence entry are what building every u would
-    give.  The verdict's ``counters`` count the u examined, those the forms
-    settled and the polynomials built.  When the
+    u, its witness and every evidence entry are what building every walked
+    u would give.  The verdict's ``counters`` count the u examined, those the
+    forms settled and the polynomials built.  When the
     instance declares an element whose iterated partial sums are pairwise
     distinct, the empty u is implied by the one-letter checks and is skipped
     (for n >= 2).  Over the tropical instances (``maxplus``,
@@ -237,7 +275,6 @@ def check_UT(
     if budget < 0:
         raise ValueError(f"budget must be >= 0, got {budget}")
     alphabet = ident.alphabet
-    us = words_up_to(alphabet, n - 1, include_empty=True)
     skip_empty = (
         n >= 2
         and S.free_rank1_payload is not None
@@ -254,11 +291,13 @@ def check_UT(
     evidence = []
     failure = None
     inconclusive = []
-    for u in us:
+    walked = 0
+    for index, u, a, b in _embedding_us(forms, alphabet, n):
+        walked += 1
         if u == "" and skip_empty:
             continue
         counters["u_examined"] += 1
-        result = equivalent_by_forms(forms[0].form(u), forms[1].form(u), S, forms[0])
+        result = equivalent_by_forms(a, b, S, forms[0])
         if result is not None:
             counters["settled_by_forms"] += 1
         else:
@@ -278,6 +317,9 @@ def check_UT(
         else:
             evidence.append({"u": u, "result": "not-falsified", "samples": result.samples})
             inconclusive.append(u)
+    # the u of words_up_to up to the failing one (else all of them) not walked
+    listed = index + 1 if failure is not None else sum(len(alphabet) ** k for k in range(n))
+    unembedded = listed - walked
     if failure is not None:
         u, result = failure
         diagonal = {
@@ -293,6 +335,7 @@ def check_UT(
         )
     else:
         verdict = Verdict(HOLDS, "triangular-polynomials", evidence)
+    verdict.unembedded = unembedded
     verdict.counters = counters
     return verdict
 

@@ -133,9 +133,9 @@ class EmbeddingForms:
     leftmost embedding are empty and are skipped: a u whose last letter does
     not occur after the leftmost embedding of u[:-1] gets None with no set
     built, and so does every u whose prefix got None.  Rows are kept for
-    the last two lengths built, which is all that a walk in
-    :func:`~sgident.words.words_up_to` order reads again; ``built`` counts
-    the rows built."""
+    the last two lengths built, which is all that a level-by-level walk of
+    the trie of u (shortest first, as ``check_UT`` walks it) reads again;
+    ``built`` counts the rows built."""
 
     def __init__(self, w: str, alphabet: str, n: int, width: Optional[int] = None):
         self.w, self.n = w, n

@@ -94,6 +94,10 @@ def test_criterion_21_embedding_forms():
     _report(21, acceptance.criterion_embedding_forms())
 
 
+def test_criterion_22_ut_walk():
+    _report(22, acceptance.criterion_ut_walk())
+
+
 def test_law_suites_hold():
     for outcome in [*acceptance.suite_semiring_axioms(), *acceptance.suite_word_oracles()]:
         status = "PASS" if outcome.ok else "FAIL"

@@ -30,7 +30,7 @@ from sgident.matrices import (
     random_reflexive_codes,
 )
 from sgident.monoids import BruteForceHolds, brute_force_identity, enumerate_unitriangular
-from sgident.polynomials import build_f_canonical, functionally_equivalent
+from sgident.polynomials import EmbeddingForms, build_f_canonical, functionally_equivalent
 from sgident.semirings import (
     BOOL,
     DIAMOND,
@@ -41,7 +41,7 @@ from sgident.semirings import (
     SplitMix64,
     semiring_from_spec,
 )
-from sgident.words import Identity
+from sgident.words import Identity, scattered_multiplicity, words_up_to
 
 ABAB = Identity.parse("abab=abba")
 ADJAN = Identity.parse("xyyxxyxyyx=xyyxyxxyyx")
@@ -100,6 +100,53 @@ def test_triangular_check_over_the_tropical_instance():
         methods = {e["u"]: e.get("method") for e in failing.evidence}
         assert (methods["x"], methods["y"]) == ("hull", "hull")
     assert check_UT(ADJAN, 2, BOOL).is_holds
+
+
+def _embedding_us_oracle(ident, n):
+    return [
+        u for u in words_up_to(ident.alphabet, n - 1, include_empty=True)
+        if scattered_multiplicity(u, ident.lhs) or scattered_multiplicity(u, ident.rhs)
+    ]
+
+
+def test_ut_walk_gives_the_u_that_embed_in_a_side_in_words_up_to_order(identity_corpus):
+    rng = random.Random(31)
+    for ident in rng.sample(identity_corpus, 40):
+        for n in (1, 2, 3, 4, 5):
+            width = max(len(ident.lhs), len(ident.rhs)).bit_length()
+            forms = [EmbeddingForms(w, ident.alphabet, n, width) for w in (ident.lhs, ident.rhs)]
+            walked = list(checker._embedding_us(forms, ident.alphabet, n))
+            assert [u for _, u, _, _ in walked] == _embedding_us_oracle(ident, n), (ident, n)
+            order = words_up_to(ident.alphabet, n - 1, include_empty=True)
+            assert [index for index, *_ in walked] == [order.index(u) for _, u, _, _ in walked]
+
+
+@pytest.mark.parametrize("text, n, listed, unembedded", [
+    # a 6-letter w=w check in UT_6, shaped as the benchmark's
+    ("aefjcifeacji=aefjcifeacji", 6, 1344, 7987),
+    ("abab=abab", 4, 11, 4),
+    ("xxy=xxy", 3, 5, 2),
+])
+def test_ut_holds_lists_every_embedding_u_and_counts_the_rest(text, n, listed, unembedded):
+    ident = Identity.parse(text)
+    verdict = check_UT(ident, n, BOOL)
+    assert verdict.is_holds
+    us = [e["u"] for e in verdict.evidence]
+    assert us == _embedding_us_oracle(ident, n)
+    assert (len(us), verdict.unembedded) == (listed, unembedded)
+    assert verdict.counters["u_examined"] == listed
+    assert listed + unembedded == len(words_up_to(ident.alphabet, n - 1, include_empty=True))
+
+
+def test_ut_fails_counts_the_unembedded_u_up_to_the_failing_one():
+    # xx embeds in neither side and comes before the failing xy; the u after
+    # xy are not examined, embedding or not
+    verdict = check_UT(Identity.parse("yxyy=yyxy"), 4, BOOL)
+    assert verdict.is_fails and verdict.distinguishing_u == "xy"
+    assert [e["u"] for e in verdict.evidence] == ["", "x", "y", "xy"]
+    assert verdict.unembedded == 1
+    report = run_check("ut", Identity.parse("yxyy=yyxy"), 4, BOOL).to_dict(stable=True)
+    assert (report["u_words_examined"], report["u_words_unembedded"]) == (["", "x", "y", "xy"], 1)
 
 
 def test_fails_witnesses_reverify_by_multiplication():
@@ -322,7 +369,10 @@ def test_run_check_reports():
     assert payload["identity"] == "abab=abba"
     assert "elapsed_ms" in payload
     assert "elapsed_ms" not in report.to_dict(stable=True)
+    # only ut reports count the u that embed in neither side
+    assert "u_words_unembedded" not in payload
     fails = run_check("r", ABAB, 4, INTERVAL01)
+    assert "u_words_unembedded" not in fails.to_dict()
     assert fails.verdict.is_fails
     witness = fails.verdict.to_dict()["witness"]
     assert set(witness["images"]) == {"a", "b"}

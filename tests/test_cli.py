@@ -89,6 +89,13 @@ def test_reports_validate_against_the_schema(capsys):
         jsonschema.validate(reports[-1], schema)
     # work counters for ut only, and never under --stable-output
     assert ["counters" in report for report in reports] == [False, True, False, False, True]
+    # the count of u that embed in neither side for ut only, and kept under
+    # --stable-output
+    assert ["u_words_unembedded" in report for report in reports] == [False, True, False, True, True]
+    for report in reports:
+        swapped = {**report, "monoid": "u" if report["monoid"] == "ut" else "ut"}
+        with pytest.raises(jsonschema.ValidationError):
+            jsonschema.validate(swapped, schema)
     # the empty u is settled by its forms; the sides separate at u = a,
     # whose two polynomials are built to find the witness
     assert reports[-1]["verdict"]["distinguishing_u"] == "a"
@@ -186,6 +193,25 @@ def test_finite_check_past_the_exhaustive_cap_keeps_its_bytes(capsys):
     )
     assert code == 1
     assert out == (GOLDEN / "check_ut3_nat23_aab_law_over_cap.json").read_text()
+
+
+@pytest.mark.parametrize(
+    "golden, expected, argv",
+    [
+        # fails at u = ab, whose multiplicities are 3 and 2
+        ("check_u3_nat_abab_abba.json", 1, ("--monoid", "u", "--semiring", "nat", "abab=abba")),
+        # (ab)^2 = (ab)^3 holds, and 1000 reflexive trials agree
+        ("check_r3_interval01_abab_ababab.json", 0, (
+            "--monoid", "r", "--semiring", "interval01", "abab=ababab",
+        )),
+    ],
+)
+def test_unit_and_reflexive_checks_keep_their_bytes(golden, expected, argv, capsys):
+    # u and r reports list only subwords, so of the ut report changes only
+    # report_version reaches them
+    code, out, _ = run_cli(capsys, "check", "--n", "3", "--stable-output", *argv)
+    assert code == expected
+    assert out == (GOLDEN / golden).read_text()
 
 
 def test_usage_errors_exit_two(capsys):
