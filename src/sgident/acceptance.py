@@ -1251,9 +1251,10 @@ def criterion_ut_walk(budget: int = 256) -> CheckOutcome:
         "ut-walk-vs-every-u",
         ok,
         f"{len(cases)} checks (corpus at n = 2..4 over {', '.join(S.name for S in instances)}, "
-        f"{len(PAST_CAP_LAWS)} laws past the cap at n = 3 over nat:2,3; budget {budget}), outcomes {dict(outcomes)}, {removed} evidence entries of "
-        f"u that embed in neither side removed; {len(mismatched)} mismatches "
-        f"{mismatched[:3]}, {elapsed:.1f}s (limit 60s)",
+        f"{len(PAST_CAP_LAWS)} laws past the cap at n = 3 over nat:2,3; budget {budget}), "
+        f"outcomes {dict(outcomes)}, {removed} evidence entries of u that embed in neither "
+        f"side removed; {len(mismatched)} mismatches {mismatched[:3]}, {elapsed:.1f}s "
+        f"(limit 60s)",
     )
 
 
