@@ -807,7 +807,7 @@ def criterion_lattice_decision() -> CheckOutcome:
             universe = [Variable(s, v) for s in "xy" for v in range(1, len(u) + 2)]
             polys = [build_f_canonical(u, w) for w in words]
             pairs = dict.fromkeys((p, q) for i, p in enumerate(polys) for q in polys[i + 1:])
-            cases += [(S, u, p, q, universe) for p, q in pairs if p.cap() != q.cap()]
+            cases += [(S, u, p, q, universe) for p, q in pairs if p != q]
     law = Identity("a" + "abcdef" * 3 + "f", "a" + "abcdef" * 4 + "f")
     over_cap = [Variable(s, v) for s in law.alphabet for v in range(1, 5)]
     cases.append((BOOL, "aaa", *(build_f_canonical("aaa", w) for w in (law.lhs, law.rhs)), over_cap))
@@ -829,7 +829,7 @@ def criterion_lattice_decision() -> CheckOutcome:
         "lattice-vs-tensor",
         ok,
         f"{len(cases)} polynomial pairs (the criterion-15 pairs with different "
-        f"capped forms, over {', '.join(S.name for S in instances)}; u = aaa of "
+        f"polynomials, over {', '.join(S.name for S in instances)}; u = aaa of "
         f"{law} over bool, 2^{len(over_cap)} assignments), {separated} separated; "
         f"{len(mismatched)} mismatches {mismatched[:3]}, {elapsed:.1f}s (limit 60s)",
     )
@@ -968,16 +968,16 @@ def _hull_pairs(count: int, rng: random.Random) -> list:
         }
         if len(monomials) < 2:
             continue
-        q = FormalPolynomial.from_dict(dict.fromkeys(monomials, 1))
+        q = FormalPolynomial.from_monomials(monomials)
         f, g = (dict(m) for m in rng.sample(sorted(monomials), 2))
         mid = {v: f.get(v, 0) + g.get(v, 0) for v in variables}
         if all(k % 2 == 0 for k in mid.values()):
             middle = tuple((v, k // 2) for v, k in mid.items() if k)
-            pairs.append((FormalPolynomial.from_dict(dict.fromkeys(monomials | {middle}, 1)), q))
+            pairs.append((FormalPolynomial.from_monomials(monomials | {middle}), q))
         if f:
             v = rng.choice(sorted(f))
             above = tuple(sorted({**f, v: f[v] + 1}.items()))
-            pairs.append((FormalPolynomial.from_dict(dict.fromkeys(monomials | {above}, 1)), q))
+            pairs.append((FormalPolynomial.from_monomials(monomials | {above}), q))
     return pairs
 
 
@@ -1076,13 +1076,15 @@ FORM_LAWS = (
 )
 
 
-def enumerated_f(u: str, rho: tuple, w: str) -> FormalPolynomial:
+def enumerated_f(u: str, rho: tuple, w: str) -> dict:
     """f_{u,w} along the path rho as the sum over the embeddings of u into w
     (positions a_1 < ... < a_l, w at a_k equal to u[k]) of the monomial
     that counts, at vertex rho[k], each letter strictly between the k-th and
-    (k+1)-st embedded positions (the ends of w at k = 0 and k = |u|).  The
-    oracle of criterion 21: it shares no code with :class:`EmbeddingForms`."""
-    coefficients = defaultdict(int)
+    (k+1)-st embedded positions (the ends of w at k = 0 and k = |u|), as a
+    dict from each monomial to the number of embeddings that give it.  The
+    oracle of criterion 21: it shares no code with :class:`EmbeddingForms`,
+    and its counts show whether any two embeddings give one monomial."""
+    counts = defaultdict(int)
     # per letter s: its occurrences among the first i letters of w, and the
     # x(s, v) along rho; letters outer and vertices inner is Variable's order
     letters = [
@@ -1102,18 +1104,19 @@ def enumerated_f(u: str, rho: tuple, w: str) -> FormalPolynomial:
             for var, lo, hi in zip(variables, bounds, bounds[1:]):
                 if prefix[hi] > prefix[lo + 1]:
                     monomial.append((var, prefix[hi] - prefix[lo + 1]))
-        coefficients[tuple(monomial)] += 1
+        counts[tuple(monomial)] += 1
 
     extend(0, 0, ())
-    return FormalPolynomial.from_dict(coefficients)
+    return dict(counts)
 
 
 def criterion_embedding_forms() -> CheckOutcome:
-    """The library's f_{u,w} against :func:`enumerated_f`, term by term: at
-    every u of ``words_up_to(alphabet, n - 1, include_empty=True)`` and side
-    w, ``build_f_canonical`` along (1, ..., |u|+1) and ``build_f`` along
-    (2, 4, ..., 2|u|+2); and at every u where the :class:`EmbeddingForms` of
-    two sides settle (:func:`equivalent_by_forms`), ``functionally_equivalent``
+    """The library's f_{u,w} against :func:`enumerated_f`: at every u of
+    ``words_up_to(alphabet, n - 1, include_empty=True)`` and side w,
+    ``build_f_canonical`` along (1, ..., |u|+1) and ``build_f`` along
+    (2, 4, ..., 2|u|+2), with no monomial from two embeddings (which the
+    set of monomials would lose); and at every u where the forms of two
+    sides settle (:func:`equivalent_by_forms`), ``functionally_equivalent``
     on the enumerated polynomials gives the same :class:`Equivalent`.
     Inputs: criterion 15's words (over {x, y}, of length <= 5) at n = 3,
     every pair of them, and the ``FORM_LAWS`` instances at n = 3..6, over
@@ -1126,7 +1129,7 @@ def criterion_embedding_forms() -> CheckOutcome:
         law = Identity(q[0] + q * e + q[-1], q[0] + q * (e + 1) + q[-1])
         groups.append((n, law.alphabet, [law.lhs, law.rhs], [(law.lhs, law.rhs)]))
     mismatched = []
-    compared = built = 0
+    compared = built = repeated = 0
     settled = defaultdict(int)
     for n, alphabet, sides, pairs in groups:
         width = max(map(len, sides)).bit_length()
@@ -1136,11 +1139,16 @@ def criterion_embedding_forms() -> CheckOutcome:
         for w in sides:
             for u in us:
                 compared += 1
-                oracle[u, w] = want = enumerated_f(u, tuple(range(1, len(u) + 2)), w)
+                counts = enumerated_f(u, tuple(range(1, len(u) + 2)), w)
+                if any(c > 1 for c in counts.values()):
+                    repeated += 1
+                    mismatched.append(f"two embeddings of u={u!r} in {w} give one monomial")
+                oracle[u, w] = want = FormalPolynomial.from_monomials(counts)
                 if build_f_canonical(u, w) != want:
                     mismatched.append(f"build_f_canonical u={u!r} in {w}")
                 gapped = tuple(range(2, 2 * len(u) + 3, 2))
-                if build_f(u, gapped, w, gapped[-1]) != enumerated_f(u, gapped, w):
+                enumerated = FormalPolynomial.from_monomials(enumerated_f(u, gapped, w))
+                if build_f(u, gapped, w, gapped[-1]) != enumerated:
                     mismatched.append(f"build_f u={u!r} in {w} along {gapped}")
         for u in us:
             universe = [Variable(s, v) for s in alphabet for v in range(1, len(u) + 2)]
@@ -1161,7 +1169,8 @@ def criterion_embedding_forms() -> CheckOutcome:
         ok,
         f"{compared} (u, w) with build_f_canonical and build_f equal to the "
         f"enumerated polynomials (criterion-15 words at n = 3, {len(FORM_LAWS)} laws p q^e r at "
-        f"n = 3..6); over {', '.join(S.name for S in instances)}, "
+        f"n = 3..6), {repeated} with a monomial from two embeddings; over "
+        f"{', '.join(S.name for S in instances)}, "
         f"(pair, u, instance) cases settled by the forms as the enumerated "
         f"polynomials are: {dict(settled)}, {built} left to be built; {len(mismatched)} "
         f"mismatches {mismatched[:3]}, {elapsed:.1f}s (limit 60s)",

@@ -103,7 +103,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_closure.add_argument("--n", required=True, type=int)
     p_closure.add_argument("--semiring", default=None)
     p_closure.add_argument("--s-sample", default=None, help="comma-separated call weights for the weighted families")
-    p_closure.add_argument("--element-cap", type=int, default=5_000_000)
+    p_closure.add_argument("--element-cap", type=int, default=None)
     p_closure.add_argument("--index-bound", choices=("n", "n-1"), default="n")
     p_closure.add_argument("--max-n", type=int, default=None, help="override the per-family n bound")
     _add_output(p_closure)

@@ -117,15 +117,20 @@ class ClosureResult:
         ``elements[p] * g``, where ``p``'s witness word is ``j``'s without its
         last generator ``g``, so ``a * elements[j] = (a * elements[p]) * g``
         for every ``a``, and ``p < j``.  Without Cayley rows every entry is
-        one matrix product.
+        one matrix product, and a closure's partial at its element cap has
+        one outside its elements: :class:`ClosureCapExceeded`.
         """
         if self._table is None:
             m = len(self.elements)
             table = np.empty((m, m), dtype=np.int32)
             if self.cayley_right is None:
-                for i, a in enumerate(self.elements):
-                    for j, b in enumerate(self.elements):
-                        table[i, j] = self._index[multiply(a, b)]
+                try:
+                    for i, a in enumerate(self.elements):
+                        for j, b in enumerate(self.elements):
+                            table[i, j] = self._index[multiply(a, b)]
+                except KeyError:
+                    message = f"the closure was cut off at its element cap of {m}; it has no table"
+                    raise ClosureCapExceeded(message, self) from None
             else:
                 cayley = np.asarray(self.cayley_right, dtype=np.int32)
                 index_of_word = {word: i for i, word in enumerate(self.witness_words)}
@@ -470,7 +475,7 @@ def family(
     semiring: Optional[SemiringDescriptor] = None,
     *,
     s_sample: Optional[tuple] = None,
-    element_cap: int = 5_000_000,
+    element_cap: Optional[int] = None,
     index_bound: str = "n",
     max_n: Optional[int] = None,
 ) -> ClosureResult:
@@ -483,8 +488,9 @@ def family(
     sample of call weights.  ``index_bound`` selects whether weighted gossip
     call indices range over 1..n (default) or only 1..n-1.  An option the
     family does not read is an error: a semiring other than ``bool`` or a
-    weight sample for a Boolean family, and ``index_bound="n-1"`` for any
-    family but ``gossip_S`` and ``oneWayGossip_S``.
+    weight sample for a Boolean family, ``index_bound="n-1"`` for any family
+    but ``gossip_S`` and ``oneWayGossip_S``, and ``element_cap`` (5,000,000
+    when None) for ``reflexiveBool`` and ``convexBool``.
     """
     if name not in FAMILY_NAMES:
         raise ValueError(f"unknown family {name!r}; known: {', '.join(FAMILY_NAMES)}")
@@ -500,6 +506,8 @@ def family(
         raise ValueError("index_bound must be 'n' or 'n-1'")
     if index_bound == "n-1" and name not in ("gossip_S", "oneWayGossip_S"):
         raise ValueError(f"family {name} reads no index bound; only gossip_S and oneWayGossip_S do")
+    if element_cap is not None and name in ("reflexiveBool", "convexBool"):
+        raise ValueError(f"family {name} is enumerated; it reads no element cap")
     if not name.endswith("_S"):
         if semiring is not None and semiring is not BOOL:
             raise ValueError(f"family {name} is Boolean; it takes no semiring {semiring.name}")
@@ -537,7 +545,8 @@ def family(
         # n too small for any generator: the trivial monoid
         S = semiring or BOOL
         return ClosureResult(S, n, name, (), (), [identity_matrix(n, S)], [()], [])
-    return bfs_closure(gens, element_cap=element_cap, labels=labels, family=name)
+    cap = 5_000_000 if element_cap is None else element_cap
+    return bfs_closure(gens, element_cap=cap, labels=labels, family=name)
 
 
 # -- presentation and inclusion checks --------------------------------------------------

@@ -2,10 +2,10 @@
 subword embeddings by :class:`EmbeddingForms` alone, plus
 functional-equivalence testing over a semiring.
 
-A polynomial is a canonical merged sum of monomials with natural-number
-coefficients and exponents, so one object can be interpreted over any
-instance: a coefficient c evaluates as the c-fold sum of 1, an exponent e as
-the e-fold product.  Idempotent interpretation caps coefficients at one.
+A polynomial is the set of its monomials, with natural-number exponents, so
+one object can be interpreted over any instance: an exponent e evaluates as
+the e-fold product.  It keeps no coefficients: no two embeddings give one
+monomial, so every coefficient of f_{u,w} is 1 (see :class:`EmbeddingForms`).
 """
 
 from __future__ import annotations
@@ -33,45 +33,32 @@ class Variable(NamedTuple):
 
 @dataclass(frozen=True)
 class FormalPolynomial:
-    """Canonical form: terms sorted by monomial, coefficients positive."""
+    """The sum of the distinct monomials in ``terms``, sorted; a monomial is
+    a sorted tuple of (variable, exponent) pairs."""
 
     terms: tuple
 
     @classmethod
-    def from_dict(cls, coefficients: dict) -> "FormalPolynomial":
-        items = [(m, c) for m, c in coefficients.items() if c]
-        items.sort(key=lambda item: item[0])
-        return cls(tuple(items))
+    def from_monomials(cls, monomials) -> "FormalPolynomial":
+        return cls(tuple(sorted(set(monomials))))
 
     def is_zero(self) -> bool:
         return not self.terms
 
     def variables(self) -> list:
         seen = set()
-        for mono, _ in self.terms:
+        for mono in self.terms:
             for var, _ in mono:
                 seen.add(var)
         return sorted(seen)
 
-    def cap(self) -> "FormalPolynomial":
-        """Coefficients clamped to 1 (summation up to idempotency)."""
-        return FormalPolynomial(tuple((m, 1) for m, _ in self.terms))
-
     def render(self) -> str:
         if not self.terms:
             return "0"
-        parts = []
-        for mono, coeff in self.terms:
-            factors = [
-                var.render() if e == 1 else f"{var.render()}^{e}" for var, e in mono
-            ]
-            if not factors:
-                parts.append(str(coeff))
-            elif coeff == 1:
-                parts.append("*".join(factors))
-            else:
-                parts.append("*".join([str(coeff)] + factors))
-        return " + ".join(parts)
+        return " + ".join(
+            "*".join(var.render() if e == 1 else f"{var.render()}^{e}" for var, e in mono) or "1"
+            for mono in self.terms
+        )
 
 
 ZERO_POLYNOMIAL = FormalPolynomial(())
@@ -97,7 +84,7 @@ def build_f(u: str, rho: tuple, w: str, n: int) -> FormalPolynomial:
     renamed = {var: Variable(var.letter, rho[var.vertex - 1]) for var in canonical.variables()}
     # a strictly increasing renaming keeps the monomials and the terms sorted
     return FormalPolynomial(tuple(
-        (tuple([(renamed[var], e) for var, e in mono]), c) for mono, c in canonical.terms
+        tuple([(renamed[var], e) for var, e in mono]) for mono in canonical.terms
     ))
 
 
@@ -192,8 +179,8 @@ class EmbeddingForms:
         return None if row is None else row[1][-1]
 
     def polynomial(self, u: str) -> FormalPolynomial:
-        """f_{u,w} decoded from :meth:`form`, its terms sorted as
-        :meth:`FormalPolynomial.from_dict` sorts them."""
+        """f_{u,w} decoded from :meth:`form`, its monomials sorted as
+        :meth:`FormalPolynomial.from_monomials` sorts them."""
         mask = (1 << self.width) - 1
         # per variable x(s, v), in Variable's order: its field and the factors
         # (x(s, v), e), each built once and shared by the monomials
@@ -202,11 +189,10 @@ class EmbeddingForms:
              [None] + [(Variable(s, v), e) for e in range(1, self.w.count(s) + 1)])
             for s in sorted(set(self.w)) for v in range(1, len(u) + 2)
         ]
-        monomials = sorted(
+        return FormalPolynomial(tuple(sorted(
             tuple([factors[e] for shift, factors in fields if (e := m >> shift & mask)])
             for m in self.form(u) or ()
-        )
-        return FormalPolynomial(tuple([(m, 1) for m in monomials]))
+        )))
 
     def minimal_supports(self, form: Optional[frozenset]) -> frozenset:
         """:func:`_minimal` of the forms' supports, one bit per variable (the
@@ -226,7 +212,7 @@ def equivalent_by_forms(a, b, S: SemiringDescriptor, forms: EmbeddingForms):
     and b, when the forms alone show the answer to be an
     :class:`Equivalent`; None when the polynomials must be built and
     compared.  Equal forms, both zero included, are ``identical-form`` over
-    any instance, since every coefficient of f_{u,w} is 1; over a bitmask
+    any instance, since a polynomial is the set of its monomials; over a bitmask
     lattice equal antichains of minimal supports are what
     :func:`_by_supports` settles as ``exhaustive``."""
     if a == b:
@@ -249,9 +235,9 @@ def _payload_pow(S: SemiringDescriptor, payload, exponent: int):
 
 def evaluate(p: FormalPolynomial, assignment: dict, S: SemiringDescriptor) -> Val:
     """Interpret p in S under a total assignment of its variables."""
-    total = S._zero_payload
-    for mono, coeff in p.terms:
-        acc = S.payload_of(S.nat_embed(coeff))
+    total, unit = S._zero_payload, S._one_payload
+    for mono in p.terms:
+        acc = unit
         for var, exponent in mono:
             bound = assignment.get(var)
             if bound is None:
@@ -304,8 +290,9 @@ def _eval_codes(p: FormalPolynomial, codes: dict, S) -> np.ndarray:
     tables = S.tables
     shape = np.broadcast_shapes(*(a.shape for a in codes.values()))
     total = np.full(shape, tables.zero_code, dtype=tables.code_dtype)
-    for mono, coeff in p.terms:
-        acc = tables.code_dtype(tables.code[S.payload_of(S.nat_embed(coeff))])
+    unit = tables.code_dtype(tables.code[S._one_payload])
+    for mono in p.terms:
+        acc = unit
         for var, e in mono:
             acc = tables.mul[acc, tables.power(e)[codes[var]]]
         total = tables.add[total, acc]
@@ -356,7 +343,7 @@ def _by_supports(p, q, S, variables):
     still differ, else code 1 (clear the variable from every support)."""
     bit = {v: 1 << i for i, v in enumerate(variables)}
     a, b = (
-        _minimal(sum(bit[var] for var, _ in mono) for mono, _ in poly.terms)
+        _minimal(sum(bit[var] for var, _ in mono) for mono in poly.terms)
         for poly in (p, q)
     )
     if a == b:
@@ -381,9 +368,9 @@ def _by_supports(p, q, S, variables):
 EXHAUSTIVE_CAP = 1 << 20
 
 
-def _exhaustive(p, q, S, variables, cap):
+def _exhaustive(p, q, S, variables):
     """Decide p = q at every assignment over a finite carrier, or None when
-    that takes a tensor of more than ``cap`` entries."""
+    that takes a tensor of more than ``EXHAUSTIVE_CAP`` entries."""
     tables = S.tables
     if not variables or tables.size == 1:
         # one assignment only; a tensor with one axis per variable would also
@@ -394,7 +381,7 @@ def _exhaustive(p, q, S, variables, cap):
         return _not_equivalent(p, q, S, only, "the only assignment")
     if S.is_bitmask_lattice:
         return _by_supports(p, q, S, variables)
-    if tables.size ** len(variables) > cap:
+    if tables.size ** len(variables) > EXHAUSTIVE_CAP:
         return None
     return _by_tensor(p, q, S, variables)
 
@@ -574,9 +561,8 @@ def _separation(p, q, S):
     or None when there is none, each convex combination re-checked."""
     orthant = S.tropical.orthant
     for side, other in ((p, q), (q, p)):
-        others = [f for f, _ in other.terms]
-        for e, _ in side.terms:
-            weights, y = _hull_point(e, others, orthant)
+        for e in side.terms:
+            weights, y = _hull_point(e, other.terms, orthant)
             if y is not None:
                 return y
             if not _certifies(e, weights, orthant):
@@ -623,10 +609,10 @@ def functionally_equivalent(
 ):
     """Decide whether p and q define the same function on assignments over S.
 
-    Identical canonical forms (coefficients capped when S is idempotent) are
-    equivalent over any instance.  ``check_UT`` does not call this for a u
-    whose :class:`EmbeddingForms` are equal, nor over a bitmask lattice for
-    one whose forms have equal antichains of minimal supports: there
+    Equal polynomials (the same set of monomials) are equivalent over any
+    instance.  ``check_UT`` does not call this for a u whose
+    :class:`EmbeddingForms` are equal, nor over a bitmask lattice for one
+    whose forms have equal antichains of minimal supports: there
     :func:`equivalent_by_forms` gives what this would, ``identical-form``
     and ``exhaustive``, and criterion 21 of the acceptance suite checks
     that it does.  An instance that declares a tropical
@@ -663,7 +649,7 @@ def functionally_equivalent(
     """
     if budget < 0:
         raise ValueError(f"budget must be >= 0, got {budget}")
-    occurring = {var for poly in (p, q) for mono, _ in poly.terms for var, _ in mono}
+    occurring = {var for poly in (p, q) for mono in poly.terms for var, _ in mono}
     if variables is None:
         universe = occurring
     else:
@@ -673,18 +659,13 @@ def functionally_equivalent(
             raise AlgebraError(
                 f"variable universe misses {[v.render() for v in missing]}"
             )
-    if S.is_idempotent:
-        # capped forms: the same monomials, whatever their coefficients
-        identical = [m for m, _ in p.terms] == [m for m, _ in q.terms]
-    else:
-        identical = p.terms == q.terms
-    if identical:
+    if p == q:
         return Equivalent("identical-form")
     universe = sorted(universe)
     if S.tropical is not None:
         return _by_hull(p, q, S, universe)
     if S.is_finite:
-        result = _exhaustive(p, q, S, universe, EXHAUSTIVE_CAP)
+        result = _exhaustive(p, q, S, universe)
         if result is not None:
             return result
     return _sampled(p, q, S, universe, budget, seed)

@@ -232,6 +232,8 @@ def test_usage_errors_exit_two(capsys):
         (("--family", "gossip", "--index-bound", "n-1"), "no index bound"),
         (("--family", "catalanU_S", "--semiring", "minplus01inf", "--index-bound", "n-1"),
          "no index bound"),
+        (("--family", "reflexiveBool", "--element-cap", "5"), "no element cap"),
+        (("--family", "convexBool", "--element-cap", "5"), "no element cap"),
     ):
         code, out, err = run_cli(capsys, "closure", "--n", "3", *argv)
         assert code == 2 and out == "" and message in err, argv

@@ -72,6 +72,9 @@ def test_family_options_it_does_not_read_are_errors():
     for name in ("catalanU", "convexBool", "catalanU_S", "doubleCatalan_S"):
         with pytest.raises(ValueError, match="no index bound"):
             family(name, 3, MINPLUS01INF if name.endswith("_S") else None, index_bound="n-1")
+    for name in ("reflexiveBool", "convexBool"):
+        with pytest.raises(ValueError, match="no element cap"):
+            family(name, 3, element_cap=5)
     # what the family does read is still accepted
     assert len(family("gossip", 3, BOOL)) == FROZEN_SIZES["gossip"][2]
     bounded = family("gossip_S", 3, MINPLUS01INF, index_bound="n-1")
@@ -138,6 +141,21 @@ def test_closure_cap_carries_a_partial_result():
     assert partial.elements == full.elements[:10]
     assert partial.witness_words == full.witness_words[:10]
     assert partial.cayley_right is None
+
+
+def test_a_capped_partial_has_no_table():
+    # every product of the partial's elements with a generator it has not
+    # yet multiplied lies outside it, so its table cannot be built
+    with pytest.raises(ClosureCapExceeded) as err:
+        family("gossip", 4, element_cap=10)
+    partial = err.value.partial
+    for build in (
+        partial.mult_table,
+        lambda: brute_force_identity(Identity("xy", "yx"), partial),
+        lambda: structural_checks(partial),
+    ):
+        with pytest.raises(ClosureCapExceeded, match="cut off at its element cap of 10"):
+            build()
 
 
 def test_weighted_closure_cap_carries_a_partial_result():
