@@ -839,14 +839,16 @@ def criterion_lattice_decision() -> CheckOutcome:
 
 
 def _closure_run(build) -> str:
-    """The rows, witness words and Cayley rows a closure gives, or those of
-    the partial it raises at its cap, with the cap message; as a repr, so
-    payload and index types must agree too."""
+    """The rows, witness words and Cayley rows (with their dtype) a closure
+    gives, or those of the partial it raises at its cap, with the cap
+    message; as a repr, so payload types must agree too."""
     try:
         M, raised = build(), None
     except ClosureCapExceeded as error:
         M, raised = error.partial, str(error)
-    return repr((raised, [m.rows for m in M.elements], M.witness_words, M.cayley_right))
+    cayley = M.cayley_right
+    rows = None if cayley is None else (cayley.dtype.name, cayley.tolist())
+    return repr((raised, [m.rows for m in M.elements], M.witness_words, rows))
 
 
 def _level_caps(M) -> tuple:

@@ -340,23 +340,11 @@ def check_UT(
     return verdict
 
 
-def _reduced_equal(S: SemiringDescriptor, a: int, b: int) -> bool:
-    cls = S.monogenic
-    if isinstance(cls, Cyclic):
-        if a == b:
-            return True
-        return (
-            a >= cls.index
-            and b >= cls.index
-            and (a - b) % cls.period == 0
-        )
-    return a == b
-
-
 def check_Un(ident: Identity, n: int, S: SemiringDescriptor) -> Verdict:
     """Identity check for the unit-diagonal triangular monoid: the subword
-    multiplicities of every u of length below n must agree after reduction
-    through the instance's repeated-sums-of-1 arithmetic.  Always decisive."""
+    multiplicities of every u of length below n must agree as sums of 1
+    (``S.nat_embed``), the instance's arithmetic of the multiplicative
+    identity.  Always decisive."""
     if n < 2:
         raise ValueError("n must be >= 2")
     check_dimension(n)
@@ -364,7 +352,7 @@ def check_Un(ident: Identity, n: int, S: SemiringDescriptor) -> Verdict:
     for u in _candidate_us(ident, n - 1):
         mw = scattered_multiplicity(u, ident.lhs)
         mv = scattered_multiplicity(u, ident.rhs)
-        equal = _reduced_equal(S, mw, mv)
+        equal = S.nat_embed(mw) == S.nat_embed(mv)
         evidence.append(
             {"u": u, "lhs_multiplicity": mw, "rhs_multiplicity": mv, "equal": equal}
         )

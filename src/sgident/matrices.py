@@ -213,11 +213,6 @@ def catalan_generator(i: int, n: int) -> SMatrix:
     return one_way_call(i, i + 1, n, BOOL)
 
 
-def double_catalan_generator(i: int, n: int) -> SMatrix:
-    """Two-way call between neighbours i and i+1."""
-    return two_way_call(i, i + 1, n, BOOL)
-
-
 # -- morphisms -------------------------------------------------------------------
 
 

@@ -1,6 +1,12 @@
-"""Finite matrix monoids: BFS closure over generators, the named Boolean and
-weighted call families, presentation and inclusion checks, structural
-reports, and a brute-force identity oracle over enumerated elements.
+"""Finite matrix monoids: BFS closure over generators, the named call
+families and enumerated families, presentation and inclusion checks,
+structural reports, and a brute-force identity oracle over enumerated
+elements.
+
+The four call families (neighbour steps, neighbour exchanges, two-way and
+one-way gossip) come from one generator table over an interval instance and
+a sample of call weights.  A Boolean family is its ``_S`` family over
+``bool`` with the single weight 1, which its labels leave out.
 
 Closures are deterministic: elements appear in BFS discovery order with the
 generator list iterated in a fixed order, so witness words are the shortest
@@ -42,9 +48,9 @@ from .errors import (
 from .matrices import (
     SMatrix,
     catalan_generator,
-    double_catalan_generator,
     identity_matrix,
     is_convex,
+    is_reflexive,
     multiply,
     one_way_call,
     two_way_call,
@@ -61,10 +67,10 @@ class ClosureResult:
     """An enumerated finite monoid of matrices.
 
     ``elements[0]`` is the identity matrix for generated closures, and
-    ``cayley_right[i][g]`` is the index of ``elements[i]`` times generator
-    ``g``; :meth:`mult_table` builds the full table from these rows.  The
-    order of ``elements`` is BFS discovery order whichever path built them
-    (see :func:`bfs_closure`).  Families
+    ``cayley_right`` is an int32 array whose entry ``[i, g]`` is the index
+    of ``elements[i]`` times generator ``g``; :meth:`mult_table` builds the
+    full table from these rows.  The order of ``elements`` is BFS discovery
+    order whichever path built them (see :func:`bfs_closure`).  Families
     produced by direct enumeration rather than generation, and a closure cut
     off by its element cap, carry no Cayley rows, so their table takes one
     matrix product per entry.
@@ -79,7 +85,7 @@ class ClosureResult:
         generator_labels: tuple,
         elements: list,
         witness_words: Optional[list],
-        cayley_right: Optional[list],
+        cayley_right: Optional[np.ndarray],
     ):
         self.semiring = semiring
         self.n = n
@@ -132,7 +138,7 @@ class ClosureResult:
                     message = f"the closure was cut off at its element cap of {m}; it has no table"
                     raise ClosureCapExceeded(message, self) from None
             else:
-                cayley = np.asarray(self.cayley_right, dtype=np.int32)
+                cayley = self.cayley_right
                 index_of_word = {word: i for i, word in enumerate(self.witness_words)}
                 table[:, 0] = np.arange(m, dtype=np.int32)
                 for j in range(1, m):
@@ -218,6 +224,7 @@ def _bfs_products(generators, element_cap, labels, family) -> ClosureResult:
                 queue.append(found)
             row.append(found)
         cayley.append(row)
+    cayley = np.array(cayley, dtype=np.int32)
     return _closure_result(generators, labels, family, elements, words, cayley)
 
 
@@ -327,9 +334,6 @@ def _bfs_levels(generators, element_cap, labels, family, encoding) -> ClosureRes
     level = encoding.start
     known = encoding.keys(level)
     known_index = np.zeros(1, dtype=np.int64)
-    # one int object per element index, shared by all Cayley rows as in the
-    # per-product rows: an int per entry would cost 28 bytes each
-    index_objects = np.zeros(1, dtype=object)
     level_start = 0  # index of the level's first element
     while len(level):
         products = encoding.step(level)
@@ -354,15 +358,13 @@ def _bfs_levels(generators, element_cap, labels, family, encoding) -> ClosureRes
             elements.append(matrix)
         if len(found) < len(order):
             raise _cap_exceeded(generators, labels, family, elements, words, element_cap)
-        index_objects = np.concatenate(
-            [index_objects, np.arange(len(index_objects), len(elements)).astype(object)]
-        )
-        cayley.extend(index_objects[targets].reshape(-1, count).tolist())
+        cayley.append(targets.reshape(-1, count).astype(np.int32))
         slots = np.searchsorted(known, fresh)
         known = np.insert(known, slots, fresh)
         known_index = np.insert(known_index, slots, len(elements) - len(found) + rank)
         level_start += len(level)
         level = products[found]
+    cayley = np.concatenate(cayley)
     return _closure_result(generators, labels, family, elements, words, cayley)
 
 
@@ -434,39 +436,33 @@ FAMILY_NAMES = (
 )
 
 
-def _weighted_generators(name, n, S, sample, index_bound):
+def _call_generators(name, n, S, sample, index_bound):
+    """The generators and labels of a call family over ``S``: per call pair,
+    one call per weight of ``sample``.  A Boolean family's labels leave its
+    weight 1 out."""
+    base = name.removesuffix("_S")
     top = n if index_bound == "n" else n - 1
-    gens, labels = [], []
-    if name == "catalanU_S":
+    if base in ("catalanU", "doubleCatalan"):
         pairs = [(i, i + 1) for i in range(1, n)]
-        one_way = True
-    elif name == "doubleCatalan_S":
-        pairs = [(i, i + 1) for i in range(1, n)]
-        one_way = False
-    elif name == "gossip_S":
+    elif base == "gossip":
         pairs = [(i, j) for i in range(1, top + 1) for j in range(i + 1, top + 1)]
-        one_way = False
     else:
         pairs = [(i, j) for i in range(1, top + 1) for j in range(1, top + 1) if i != j]
-        one_way = True
-    for (i, j) in pairs:
+    one_way = base in ("catalanU", "oneWayGossip")
+    call, arrow = (one_way_call, ">") if one_way else (two_way_call, "<>")
+    gens, labels = [], []
+    for i, j in pairs:
         for s in sample:
-            if one_way:
-                gens.append(one_way_call(i, j, n, S, s))
-                labels.append(f"{i}>{j}:{S.format_value(S.val(s))}")
+            gens.append(call(i, j, n, S, s))
+            if name != base:
+                labels.append(f"{i}{arrow}{j}:{S.format_value(S.val(s))}")
             else:
-                gens.append(two_way_call(i, j, n, S, s))
-                labels.append(f"{i}<>{j}:{S.format_value(S.val(s))}")
+                labels.append(f"e{i}" if base == "catalanU" else f"{i}{arrow}{j}")
     return gens, labels
 
 
 # gossip closures grow violently with n; the other families stay desk sized
-_FAMILY_N_DEFAULTS = {
-    "gossip": 4,
-    "oneWayGossip": 4,
-    "gossip_S": 4,
-    "oneWayGossip_S": 4,
-}
+_FAMILY_N_DEFAULTS = {"gossip": 4, "oneWayGossip": 4}
 
 
 def family(
@@ -481,23 +477,26 @@ def family(
 ) -> ClosureResult:
     """Build one of the named monoid families.
 
-    Boolean families: ``catalanU`` (neighbour steps), ``doubleCatalan``
-    (neighbour exchanges), ``gossip`` (all two-way calls), ``oneWayGossip``
-    (all one-way calls), ``reflexiveBool`` and ``convexBool`` (direct
-    enumeration).  The ``*_S`` variants take an interval instance and a finite
-    sample of call weights.  ``index_bound`` selects whether weighted gossip
-    call indices range over 1..n (default) or only 1..n-1.  An option the
-    family does not read is an error: a semiring other than ``bool`` or a
-    weight sample for a Boolean family, ``index_bound="n-1"`` for any family
-    but ``gossip_S`` and ``oneWayGossip_S``, and ``element_cap`` (5,000,000
-    when None) for ``reflexiveBool`` and ``convexBool``.
+    Call families: ``catalanU`` (neighbour steps), ``doubleCatalan``
+    (neighbour exchanges), ``gossip`` (all two-way calls) and
+    ``oneWayGossip`` (all one-way calls) are Boolean; their ``*_S``
+    variants take an interval instance and a finite sample of call weights
+    (the instance's default when None), and the Boolean family is the
+    variant over ``bool`` with the weight 1.  ``reflexiveBool`` and
+    ``convexBool`` are Boolean direct enumerations.  ``index_bound``
+    selects whether weighted gossip call indices range over 1..n (default)
+    or only 1..n-1.  An option the family does not read is an error: a
+    semiring other than ``bool`` or a weight sample for a Boolean family,
+    ``index_bound="n-1"`` for any family but ``gossip_S`` and
+    ``oneWayGossip_S``, and ``element_cap`` (5,000,000 when None) for
+    ``reflexiveBool`` and ``convexBool``; so is an empty weight sample.
     """
     if name not in FAMILY_NAMES:
         raise ValueError(f"unknown family {name!r}; known: {', '.join(FAMILY_NAMES)}")
     if n < 1:
         raise ValueError("n must be >= 1")
     if max_n is None:
-        max_n = _FAMILY_N_DEFAULTS.get(name, 6)
+        max_n = _FAMILY_N_DEFAULTS.get(name.removesuffix("_S"), 6)
     if n > max_n:
         raise ValueError(
             f"n={n} above the configured family bound {max_n}; pass max_n to raise it"
@@ -513,38 +512,29 @@ def family(
             raise ValueError(f"family {name} is Boolean; it takes no semiring {semiring.name}")
         if s_sample is not None:
             raise ValueError(f"family {name} is Boolean; it takes no weight sample")
-
-    if name == "reflexiveBool":
-        return enumerate_reflexive(n, BOOL)
-    if name == "convexBool":
-        return enumerate_convex(n)
-    if name == "catalanU":
-        gens = [catalan_generator(i, n) for i in range(1, n)]
-        labels = [f"e{i}" for i in range(1, n)]
-    elif name == "doubleCatalan":
-        gens = [double_catalan_generator(i, n) for i in range(1, n)]
-        labels = [f"{i}<>{i + 1}" for i in range(1, n)]
-    elif name == "gossip":
-        pairs = [(i, j) for i in range(1, n + 1) for j in range(i + 1, n + 1)]
-        gens = [two_way_call(i, j, n) for i, j in pairs]
-        labels = [f"{i}<>{j}" for i, j in pairs]
-    elif name == "oneWayGossip":
-        pairs = [(i, j) for i in range(1, n + 1) for j in range(1, n + 1) if i != j]
-        gens = [one_way_call(i, j, n) for i, j in pairs]
-        labels = [f"{i}>{j}" for i, j in pairs]
+        semiring, sample = BOOL, BOOL.interval_sample
     else:
         if semiring is None or not semiring.is_interval:
             raise UnsupportedStructureError(
                 f"family {name} needs an interval semiring instance"
             )
+        if s_sample is not None and not s_sample:
+            raise ValueError(f"family {name} got an empty weight sample")
         sample = s_sample if s_sample is not None else semiring.interval_sample
         if not sample:
             raise ValueError(f"{semiring.name} declares no default weight sample")
-        gens, labels = _weighted_generators(name, n, semiring, sample, index_bound)
+
+    if name == "reflexiveBool":
+        return enumerate_reflexive(n, BOOL)
+    if name == "convexBool":
+        return enumerate_convex(n)
+    gens, labels = _call_generators(name, n, semiring, sample, index_bound)
     if not gens:
         # n too small for any generator: the trivial monoid
-        S = semiring or BOOL
-        return ClosureResult(S, n, name, (), (), [identity_matrix(n, S)], [()], [])
+        trivial = [identity_matrix(n, semiring)]
+        return ClosureResult(
+            semiring, n, name, (), (), trivial, [()], np.zeros((1, 0), dtype=np.int32)
+        )
     cap = 5_000_000 if element_cap is None else element_cap
     return bfs_closure(gens, element_cap=cap, labels=labels, family=name)
 
@@ -619,48 +609,31 @@ class InclusionReport:
 def check_inclusions(
     n: int, weighted_semiring: Optional[SemiringDescriptor] = None
 ) -> InclusionReport:
-    """Element-wise containment of the enumerated Boolean families, and
-    reflexivity of every element of the weighted families, over the
-    instance's default weight sample, when an interval instance is
-    supplied."""
-    from .matrices import is_reflexive
-
+    """For ``bool``, then ``weighted_semiring`` when given: every element of
+    the four call families over the instance's default weight sample is
+    reflexive, and doubleCatalan_S within gossip_S within oneWayGossip_S,
+    element by element.  Over ``bool`` reflexive means inside
+    ``reflexiveBool(n)``, every Boolean matrix with unit diagonal."""
     entries = []
-    dc = family("doubleCatalan", n)
-    go = family("gossip", n)
-    owg = family("oneWayGossip", n)
-    refl = family("reflexiveBool", n)
-
-    def subset(a, b, text):
-        missing = sum(1 for m in a.elements if m not in b)
-        entries.append((text, missing == 0, f"|{text.split(' ')[0]}|={len(a)}, missing={missing}"))
-
-    subset(dc, go, f"doubleCatalan({n}) subset of gossip({n})")
-    subset(go, owg, f"gossip({n}) subset of oneWayGossip({n})")
-    subset(owg, refl, f"oneWayGossip({n}) subset of reflexiveBool({n})")
-
-    if weighted_semiring is not None:
-        weighted = {
-            fam_name: family(fam_name, n, weighted_semiring)
-            for fam_name in ("catalanU_S", "doubleCatalan_S", "gossip_S", "oneWayGossip_S")
+    for S in (BOOL,) if weighted_semiring in (None, BOOL) else (BOOL, weighted_semiring):
+        fams = {
+            name: family(name, n, S)
+            for name in ("catalanU_S", "doubleCatalan_S", "gossip_S", "oneWayGossip_S")
         }
-        for fam_name, fam in weighted.items():
+        for name, fam in fams.items():
             bad = sum(1 for m in fam.elements if not is_reflexive(m))
-            entries.append(
-                (
-                    f"every element of {fam_name}({n}) over {weighted_semiring.name} is reflexive",
-                    bad == 0,
-                    f"size={len(fam)}, non-reflexive={bad}",
-                )
-            )
-        subset(
-            weighted["doubleCatalan_S"], weighted["gossip_S"],
-            f"doubleCatalan_S({n}) subset of gossip_S({n})",
-        )
-        subset(
-            weighted["gossip_S"], weighted["oneWayGossip_S"],
-            f"gossip_S({n}) subset of oneWayGossip_S({n})",
-        )
+            entries.append((
+                f"every element of {name}({n}) over {S.name} is reflexive",
+                bad == 0,
+                f"size={len(fam)}, non-reflexive={bad}",
+            ))
+        for small, large in (("doubleCatalan_S", "gossip_S"), ("gossip_S", "oneWayGossip_S")):
+            missing = sum(1 for m in fams[small].elements if m not in fams[large])
+            entries.append((
+                f"{small}({n}) subset of {large}({n}) over {S.name}",
+                missing == 0,
+                f"|{small}|={len(fams[small])}, missing={missing}",
+            ))
     return InclusionReport(entries)
 
 

@@ -287,8 +287,11 @@ class SemiringDescriptor:
     """A commutative semiring instance with exact, total operations.
 
     ``add``/``mul`` work on raw payloads; the public methods wrap results in
-    tagged values and reject operands from other instances.  ``tropical``
-    declares a :class:`TropicalShape`, or is None.  The array arithmetic of
+    tagged values and reject operands from other instances.
+    ``is_idempotent`` and ``is_interval`` (idempotent with 1 the top) are
+    read off a finite carrier's addition, where a declared value must
+    agree, and declared for an infinite one.  ``tropical`` declares a
+    :class:`TropicalShape`, or is None.  The array arithmetic of
     coded evaluation lives here too: :attr:`tables` (coded tables of a
     finite carrier) and :attr:`is_bitmask_lattice` (read off those tables),
     both built on first use.  So does :attr:`codes`, the code object that
@@ -306,9 +309,9 @@ class SemiringDescriptor:
         zero: Payload,
         one: Payload,
         *,
-        idempotent: bool,
-        interval: bool,
         carrier: Union[FiniteCarrier, InfiniteCarrier],
+        idempotent: Optional[bool] = None,
+        interval: Optional[bool] = None,
         monogenic: Optional[Monogenic] = None,
         free_rank1: Optional[Payload] = None,
         partial_sums_distinct: bool = False,
@@ -323,9 +326,8 @@ class SemiringDescriptor:
         self._mul = mul
         self._zero_payload = _normalize(zero)
         self._one_payload = _normalize(one)
-        self.is_idempotent = idempotent
-        self.is_interval = interval
         self.carrier = carrier
+        self.is_idempotent, self.is_interval = self._establish_flags(idempotent, interval)
         self._contains = contains
         self._format = format_payload or str
         self._parse = parse_payload
@@ -334,13 +336,37 @@ class SemiringDescriptor:
         )
         self.partial_sums_distinct = partial_sums_distinct
         self._interval_sample = interval_sample
-        if tropical is not None and not idempotent:
+        if tropical is not None and not self.is_idempotent:
             raise ValueError(f"{name}: a tropical shape needs an idempotent instance")
         self.tropical = tropical
         self._embed_cache: dict = {}
         self.monogenic = self._establish_monogenic(monogenic)
 
     # -- construction helpers -------------------------------------------------
+
+    def _establish_flags(self, idempotent: Optional[bool], interval: Optional[bool]) -> tuple:
+        """``(idempotent, interval)``: a + a = a for every a, and moreover
+        a + 1 = 1 (1 is the top).  A finite carrier's are read off its
+        addition, and a declared value must agree; an infinite carrier
+        declares both."""
+        declared = (idempotent, interval)
+        if not isinstance(self.carrier, FiniteCarrier):
+            if None in declared:
+                raise ValueError(f"{self.name}: infinite carriers must declare idempotent and interval")
+            return declared
+        values = [_normalize(p) for p in self.carrier.values]
+        idempotent = all(_normalize(self._add(a, a)) == a for a in values)
+        one = self._one_payload
+        computed = (
+            idempotent,
+            idempotent and all(_normalize(self._add(a, one)) == one for a in values),
+        )
+        for name, flag, value in zip(("idempotent", "interval"), declared, computed):
+            if flag is not None and flag != value:
+                raise InternalConsistencyError(
+                    f"{self.name}: declared {name}={flag} but its addition gives {value}"
+                )
+        return computed
 
     def _establish_monogenic(self, declared: Optional[Monogenic]) -> Monogenic:
         if isinstance(self.carrier, FiniteCarrier):
@@ -631,8 +657,6 @@ BOOL = SemiringDescriptor(
     lambda a, b: a and b,
     False,
     True,
-    idempotent=True,
-    interval=True,
     carrier=FiniteCarrier((False, True)),
     contains=lambda p: isinstance(p, bool),
     format_payload=lambda p: "1" if p else "0",
@@ -732,8 +756,6 @@ DIAMOND = SemiringDescriptor(
     lambda a, b: a & b,
     0,
     3,
-    idempotent=True,
-    interval=True,
     carrier=FiniteCarrier((0, 1, 2, 3)),
     contains=lambda p: isinstance(p, int) and not isinstance(p, bool) and 0 <= p <= 3,
     format_payload=lambda p: _DIAMOND_NAMES[p],
@@ -753,17 +775,12 @@ def truncated_nat(index: int, period: int) -> SemiringDescriptor:
 
     add = lambda a, b: norm(a + b)
     mul = lambda a, b: norm(a * b)
-    one = norm(1)
-    idempotent = all(add(a, a) == a for a in range(size))
-    interval = idempotent and all(add(a, one) == one for a in range(size))
     return SemiringDescriptor(
         f"nat:{index},{period}",
         add,
         mul,
         0,
-        one,
-        idempotent=idempotent,
-        interval=interval,
+        norm(1),
         carrier=FiniteCarrier(tuple(range(size))),
         contains=lambda p: isinstance(p, int) and not isinstance(p, bool) and 0 <= p < size,
         parse_payload=_parse_nonneg_int,

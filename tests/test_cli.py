@@ -140,6 +140,30 @@ def test_sampled_checks_keep_their_bytes(golden, expected, argv, capsys):
 
 
 @pytest.mark.parametrize(
+    "golden, argv",
+    [
+        ("closure_catalanU4.txt", ("--family", "catalanU", "--n", "4")),
+        ("closure_doubleCatalan4.txt", ("--family", "doubleCatalan", "--n", "4")),
+        ("closure_gossip3.txt", ("--family", "gossip", "--n", "3")),
+        ("closure_oneWayGossip3.txt", ("--family", "oneWayGossip", "--n", "3")),
+        ("closure_gossipS3_bool.txt", ("--family", "gossip_S", "--n", "3", "--semiring", "bool")),
+        ("closure_gossipS3_minplus01inf.txt", (
+            "--family", "gossip_S", "--n", "3", "--semiring", "minplus01inf",
+        )),
+        ("closure_oneWayGossipS3_diamond_bound_n-1.txt", (
+            "--family", "oneWayGossip_S", "--n", "3", "--semiring", "lattice:diamond",
+            "--index-bound", "n-1",
+        )),
+    ],
+)
+def test_closures_keep_their_bytes(golden, argv, capsys):
+    # element order, witness words and labels of the call families
+    code, out, _ = run_cli(capsys, "closure", *argv)
+    assert code == 0
+    assert out == (GOLDEN / golden).read_text()
+
+
+@pytest.mark.parametrize(
     "golden, expected, argv",
     [
         # holds: u = x and u = y settled by the hull

@@ -19,7 +19,6 @@ from sgident.matrices import (
     coded_agreement,
     coded_images,
     decompose_convex,
-    double_catalan_generator,
     format_matrix,
     identity_matrix,
     is_convex,
@@ -257,7 +256,7 @@ def test_powers_of_reflexive_matrices_grow(name):
 
 def test_convexity():
     assert is_convex(identity_matrix(4, BOOL))
-    assert is_convex(double_catalan_generator(1, 3))
+    assert is_convex(two_way_call(1, 2, 3))
     gap = bool_matrix([[1, 0, 1], [0, 1, 0], [0, 0, 1]])
     assert not is_convex(gap)
     assert not is_convex(bool_matrix([[0, 1], [0, 1]]))
@@ -266,7 +265,7 @@ def test_convexity():
 
 
 def test_upper_profile_drops_the_lower_entry():
-    assert upper_profile(double_catalan_generator(1, 2)) == catalan_generator(1, 2)
+    assert upper_profile(two_way_call(1, 2, 2)) == catalan_generator(1, 2)
 
 
 def test_decompose_convex():

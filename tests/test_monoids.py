@@ -1,5 +1,6 @@
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from sgident import monoids
@@ -61,7 +62,7 @@ def test_closure_is_deterministic():
     b = family("gossip", 3)
     assert a.elements == b.elements
     assert a.witness_words == b.witness_words
-    assert a.cayley_right == b.cayley_right
+    assert np.array_equal(a.cayley_right, b.cayley_right)
 
 
 def test_family_options_it_does_not_read_are_errors():
@@ -75,10 +76,38 @@ def test_family_options_it_does_not_read_are_errors():
     for name in ("reflexiveBool", "convexBool"):
         with pytest.raises(ValueError, match="no element cap"):
             family(name, 3, element_cap=5)
+    # an empty sample is no missing default: minplus01inf declares (0, 1, 8)
+    with pytest.raises(ValueError, match="empty weight sample"):
+        family("gossip_S", 3, MINPLUS01INF, s_sample=())
     # what the family does read is still accepted
     assert len(family("gossip", 3, BOOL)) == FROZEN_SIZES["gossip"][2]
     bounded = family("gossip_S", 3, MINPLUS01INF, index_bound="n-1")
     assert {label.split(":")[0] for label in bounded.generator_labels} == {"1<>2"}
+
+
+# a Boolean family's labels against its _S family's over bool, whose one
+# weight 1 they leave out
+BOOLEAN_LABELS = {
+    "catalanU": lambda label: f"e{label.split('>')[0]}",
+    "doubleCatalan": lambda label: label.removesuffix(":1"),
+    "gossip": lambda label: label.removesuffix(":1"),
+    "oneWayGossip": lambda label: label.removesuffix(":1"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BOOLEAN_LABELS))
+def test_a_boolean_family_is_its_weighted_family_over_bool(name):
+    for n in range(1, 5):
+        boolean, weighted = family(name, n), family(f"{name}_S", n, BOOL)
+        assert boolean.semiring is weighted.semiring is BOOL
+        assert boolean.generators == weighted.generators
+        assert boolean.elements == weighted.elements
+        assert boolean.witness_words == weighted.witness_words
+        assert boolean.cayley_right.dtype == weighted.cayley_right.dtype == np.int32
+        assert np.array_equal(boolean.cayley_right, weighted.cayley_right)
+        assert all(label.endswith(":1") for label in weighted.generator_labels)
+        relabelled = tuple(BOOLEAN_LABELS[name](label) for label in weighted.generator_labels)
+        assert boolean.generator_labels == relabelled
 
 
 def test_closure_starts_at_the_identity():

@@ -161,6 +161,36 @@ def test_declared_classification_is_verified():
         )
 
 
+def _z3(**flags):
+    add, mul = lambda a, b: (a + b) % 3, lambda a, b: (a * b) % 3
+    return SemiringDescriptor("z3", add, mul, 0, 1, carrier=FiniteCarrier((0, 1, 2)), **flags)
+
+
+def test_finite_flags_are_read_off_the_addition():
+    assert (BOOL.is_idempotent, BOOL.is_interval) == (True, True)
+    assert (_z3().is_idempotent, _z3().is_interval) == (False, False)
+    # the truncated naturals: idempotent only when 1 + 1 = 1; then 1 is the top
+    for spec, flags in (("nat:1,1", (True, True)), ("nat:2,3", (False, False)), ("nat:0,1", (True, True))):
+        S = semiring_from_spec(spec)
+        assert (S.is_idempotent, S.is_interval) == flags, spec
+    # max and min on {0, 1, 2} with unit 1: idempotent, but 2 lies above 1
+    above = SemiringDescriptor("above", max, min, 0, 1, carrier=FiniteCarrier((0, 1, 2)))
+    assert (above.is_idempotent, above.is_interval) == (True, False)
+    assert _z3(idempotent=False, interval=False).is_interval is False
+
+
+def test_wrong_finite_flags_are_refused():
+    with pytest.raises(InternalConsistencyError, match="declared idempotent=True"):
+        _z3(idempotent=True, interval=True)
+    with pytest.raises(InternalConsistencyError, match="declared interval=True"):
+        SemiringDescriptor(
+            "above", max, min, 0, 1, carrier=FiniteCarrier((0, 1, 2)), interval=True
+        )
+    # an infinite carrier's flags cannot be read off; they must be declared
+    with pytest.raises(ValueError, match="must declare idempotent and interval"):
+        SemiringDescriptor("nat", NAT._add, NAT._mul, 0, 1, carrier=NAT.carrier, monogenic=Free())
+
+
 @given(st.integers(min_value=0, max_value=10**6))
 @settings(max_examples=60, deadline=None)
 def test_truncated_embedding_matches_plain_reduction(m):
