@@ -12,6 +12,7 @@ import time
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache, reduce
 from itertools import accumulate, combinations, islice, product as iproduct
 from math import comb
 
@@ -25,6 +26,7 @@ from .checker import (
     corpus,
     path_morphism,
 )
+from . import monoids
 from .errors import ClosureCapExceeded, InternalConsistencyError
 from .matrices import (
     MorphismTable,
@@ -1269,6 +1271,100 @@ def criterion_ut_walk(budget: int = 256) -> CheckOutcome:
     )
 
 
+# -- criterion 23 ----------------------------------------------------------------
+
+
+def _first_failure_by_products(ident: Identity, assignments, times):
+    """The first of ``assignments`` (tuples of element indices, one per
+    letter in sorted order) under which the sides of ``ident`` differ, as a
+    letter -> index dict, or the number of assignments when there is none.
+    Each side is multiplied out one assignment at a time through ``times``,
+    the index of the product of two elements given by theirs."""
+    letters = sorted(set(ident.lhs) | set(ident.rhs))
+    count = 0
+    for values in assignments:
+        value = dict(zip(letters, values))
+        lhs, rhs = (reduce(times, (value[ch] for ch in side)) for side in (ident.lhs, ident.rhs))
+        if lhs != rhs:
+            return value
+        count += 1
+    return count
+
+
+def _drawn_assignments(m: int, k: int, sample: int, seed: int, chunk: int):
+    """The seeded trials of ``brute_force_identity(sample=...)`` under a
+    chunk of ``chunk``: one ``default_rng(seed).integers`` call per chunk of
+    trials, one index per letter in sorted order, trial after trial."""
+    rng = np.random.default_rng(seed)
+    for start in range(0, sample, chunk):
+        size = min(chunk, sample - start)
+        draws = rng.integers(m, size=size * k, dtype=np.int32).tolist()
+        yield from (tuple(draws[t * k : (t + 1) * k]) for t in range(size))
+
+
+def criterion_bruteforce_products(
+    small_chunk: int = 7, sample: int = 100, seed: int = 2323
+) -> CheckOutcome:
+    """The brute-force oracle's broadcast fold against one product per
+    assignment (``multiply`` and ``index_of``, each product of two elements
+    formed once), on the corpus over catalanU(3), doubleCatalan(3), U(3) and
+    gossip(3): the same verdict, first counterexample and count, exhaustive
+    (every assignment in canonical order) and sampled (the seeded trials in
+    order), at the default ``_FOLD_CHUNK`` and at ``small_chunk``, whose
+    blocks cut letters' ranges."""
+    start = time.perf_counter()
+    targets = {
+        "catalanU(3)": family("catalanU", 3),
+        "doubleCatalan(3)": family("doubleCatalan", 3),
+        "U(3)": enumerate_unitriangular(3, BOOL),
+        "gossip(3)": family("gossip", 3),
+    }
+    idents = corpus()
+    rng = random.Random(seed)
+    seeds = [rng.getrandbits(32) for _ in idents]
+    default_chunk = monoids._FOLD_CHUNK
+    verdicts = defaultdict(int)
+    mismatched = []
+    for name, M in targets.items():
+        m = len(M)
+
+        @cache
+        def times(i, j, M=M):
+            return M.index_of(multiply(M.elements[i], M.elements[j]))
+
+        for ident, trials_seed in zip(idents, seeds):
+            k = len(ident.alphabet)
+            exhaustive = _first_failure_by_products(ident, iproduct(range(m), repeat=k), times)
+            for chunk in (default_chunk, small_chunk):
+                drawn = _drawn_assignments(m, k, sample, trials_seed, chunk)
+                sampled = _first_failure_by_products(ident, drawn, times)
+                monoids._FOLD_CHUNK = chunk
+                try:
+                    got = [
+                        brute_force_identity(ident, M),
+                        brute_force_identity(ident, M, sample=sample, seed=trials_seed),
+                    ]
+                finally:
+                    monoids._FOLD_CHUNK = default_chunk
+                for result, want in zip(got, (exhaustive, sampled)):
+                    verdicts[type(result).__name__] += 1
+                    if (
+                        result.assignment if isinstance(result, BruteForceFails)
+                        else result.assignments_checked
+                    ) != want:
+                        mismatched.append(f"{ident} over {name}, chunk {chunk}")
+    elapsed = time.perf_counter() - start
+    ok = not mismatched and len(verdicts) == 2 and elapsed < 60.0
+    return _outcome(
+        "bruteforce-vs-products",
+        ok,
+        f"{len(idents)} corpus identities over {', '.join(targets)}, exhaustive and "
+        f"{sample} seeded trials, chunks {default_chunk} and {small_chunk}; verdicts "
+        f"{dict(verdicts)}; {len(mismatched)} mismatches {mismatched[:3]}, {elapsed:.1f}s "
+        f"(limit 60s)",
+    )
+
+
 # -- module-level law suites --------------------------------------------------------
 
 
@@ -1437,6 +1533,7 @@ def suite_checker_equivalence():
     yield criterion_hull_vs_sampled()
     yield criterion_embedding_forms()
     yield criterion_ut_walk()
+    yield criterion_bruteforce_products()
 
 
 def suite_transfer_properties():

@@ -97,6 +97,7 @@ class ClosureResult:
         self.cayley_right = cayley_right
         self._index = {m: i for i, m in enumerate(elements)}
         self._table = None
+        self._flat = None
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -146,6 +147,20 @@ class ClosureResult:
                     table[:, j] = cayley[table[:, index_of_word[word[:-1]]], word[-1]]
             self._table = table
         return self._table
+
+    def _flat_table(self) -> np.ndarray:
+        """The raveled :meth:`mult_table` in the narrowest dtype that holds
+        its flat indices ``i * m + j``, built once: the brute-force fold
+        gathers from it.  That is a copy only for m ≤ 256 (uint8 or uint16,
+        whose gathers are faster) and past int32's reach."""
+        if self._flat is None:
+            m = len(self.elements)
+            flat = self.mult_table().ravel()
+            dtype = np.min_scalar_type(m * m - 1)
+            if dtype.itemsize == flat.itemsize and m * m <= 1 << 31:
+                dtype = flat.dtype
+            self._flat = flat.astype(dtype, copy=False)
+        return self._flat
 
 
 def bfs_closure(
@@ -651,20 +666,71 @@ class BruteForceFails:
     matrices: dict  # letter -> SMatrix
 
 
-# assignments folded per step: bounds the per-letter index columns in memory
+# assignments folded per block: bounds each block's index arrays in memory
 _FOLD_CHUNK = 1 << 18
 
 # assignments an exhaustive brute-force check may fold
 ASSIGNMENT_CAP = 10_000_000
 
 
-def _fold_word(table: np.ndarray, word: str, columns: dict, head=None) -> np.ndarray:
-    """The element indices of ``word`` per assignment, continued from the
-    indices ``head`` of a prefix when given."""
+def _fold_word(flat: np.ndarray, m: int, word: str, letters: dict, head=None):
+    """The element indices of ``word`` at every assignment of a block,
+    continued from the indices ``head`` of a prefix when given.  ``flat`` is
+    an m-element monoid's :meth:`ClosureResult._flat_table` and ``letters``
+    maps each letter to its element indices, arrays of ``flat``'s dtype that
+    broadcast against each other, so each step is one gather at
+    ``acc * m + column``."""
     acc = head
     for ch in word:
-        acc = columns[ch] if acc is None else table[acc, columns[ch]]
+        column = letters[ch]
+        acc = column if acc is None else flat.take(acc * m + column)
     return acc
+
+
+def _exhaustive_blocks(letters: list, m: int, dtype):
+    """Every assignment of ``letters`` to element indices, in canonical order,
+    as blocks of at most ``_FOLD_CHUNK`` assignments (at least one).  A
+    block's leading letters are fixed values, one letter runs over a range
+    of its values and the trailing letters over all m, each on its own axis
+    of the C-order block, the last letter fastest."""
+    k = len(letters)
+    split = 0
+    while m ** (k - 1 - split) > _FOLD_CHUNK:
+        split += 1
+    step = _FOLD_CHUNK // m ** (k - 1 - split)
+    shapes = [(-1,) + (1,) * (k - 1 - j) for j in range(k)]
+    trailing = {
+        ch: np.arange(m, dtype=dtype).reshape(shapes[j])
+        for j, ch in enumerate(letters) if j > split
+    }
+    ranges = [
+        np.arange(lo, min(lo + step, m), dtype=dtype).reshape(shapes[split])
+        for lo in range(0, m, step)
+    ]
+    for lead in iproduct(range(m), repeat=split):
+        for column in ranges:
+            yield {**dict(zip(letters, lead)), letters[split]: column, **trailing}
+
+
+def _sampled_blocks(letters: list, m: int, dtype, sample: int, seed: int):
+    """``sample`` seeded assignments, drawn one trial after another with one
+    element index per letter in sorted order, as blocks of at most
+    ``_FOLD_CHUNK`` trials."""
+    rng = np.random.default_rng(seed)
+    for start in range(0, sample, _FOLD_CHUNK):
+        size = min(_FOLD_CHUNK, sample - start)
+        draws = rng.integers(m, size=size * len(letters), dtype=np.int32)
+        columns = draws.reshape(size, len(letters)).T.astype(dtype, order="C")
+        yield dict(zip(letters, columns))
+
+
+def _entry_at(values, index: tuple) -> int:
+    """A letter's element index at ``index`` of its block.  ``values`` is a
+    fixed value or an index array; the array's axes are the block's last
+    ``values.ndim``, and only the first of them has more than one entry."""
+    if np.ndim(values) == 0:
+        return int(values)
+    return int(values.flat[index[len(index) - values.ndim]])
 
 
 def brute_force_identity(
@@ -682,53 +748,47 @@ def brute_force_identity(
     leftmost letter most significant.  Sampled assignments are drawn one
     trial after another, one element index per letter in sorted order, from
     ``numpy.random.default_rng(seed)``, and the first failing trial is
-    returned.  Both modes fold the words through ``M.mult_table()``,
-    ``_FOLD_CHUNK`` assignments at a time; the sides' common prefix is
-    folded once per chunk and each side continues from it.
+    returned.
+
+    Both modes fold each side through the raveled multiplication table
+    (:meth:`ClosureResult._flat_table`), one block of at most
+    ``_FOLD_CHUNK`` assignments at a time and one gather per letter.  An
+    exhaustive block gives each letter an index array on its own axis (see
+    :func:`_exhaustive_blocks`), so the sides broadcast to the block's
+    C-order tensor, whose order is canonical; a sampled block gives each
+    letter a column of its draws.  A block's first counterexample is the
+    first true entry of the sides' difference, unravelled.  The sides'
+    common prefix is folded once per block and each side continues from it.
     """
     if sample is not None and sample < 0:
         raise ValueError(f"sample must be >= 0, got {sample}")
     letters = sorted(set(ident.lhs) | set(ident.rhs))
     m = len(M.elements)
+    if sample is None and m ** len(letters) > ASSIGNMENT_CAP:
+        raise BudgetExceededError(
+            f"{m ** len(letters)} assignments exceed the cap {ASSIGNMENT_CAP}; "
+            "pass sample=... for a randomized check"
+        )
+    flat = M._flat_table()
     if sample is None:
-        total = m ** len(letters)
-        if total > ASSIGNMENT_CAP:
-            raise BudgetExceededError(
-                f"{total} assignments exceed the cap {ASSIGNMENT_CAP}; "
-                "pass sample=... for a randomized check"
-            )
-        radix = [m ** (len(letters) - 1 - k) for k in range(len(letters))]
+        blocks = _exhaustive_blocks(letters, m, flat.dtype)
     else:
-        total = sample
-        rng = np.random.default_rng(seed)
-    table = M.mult_table()
-    shared = 0  # the sides' common prefix, folded once per chunk
+        blocks = _sampled_blocks(letters, m, flat.dtype, sample, seed)
+    shared = 0  # the sides' common prefix, folded once per block
     while shared < min(len(ident.lhs), len(ident.rhs)) and ident.lhs[shared] == ident.rhs[shared]:
         shared += 1
     checked = 0
-    for start in range(0, total, _FOLD_CHUNK):
-        stop = min(start + _FOLD_CHUNK, total)
-        if sample is None:
-            flat = np.arange(start, stop, dtype=np.int64)
-            columns = {
-                ch: ((flat // radix[k]) % m).astype(np.int32)
-                for k, ch in enumerate(letters)
-            }
-        else:
-            draws = rng.integers(m, size=(stop - start) * len(letters), dtype=np.int32)
-            columns = {ch: draws[k :: len(letters)] for k, ch in enumerate(letters)}
-        head = _fold_word(table, ident.lhs[:shared], columns)
-        lhs = _fold_word(table, ident.lhs[shared:], columns, head)
-        rhs = _fold_word(table, ident.rhs[shared:], columns, head)
+    for block in blocks:
+        head = _fold_word(flat, m, ident.lhs[:shared], block)
+        lhs = _fold_word(flat, m, ident.lhs[shared:], block, head)
+        rhs = _fold_word(flat, m, ident.rhs[shared:], block, head)
         diff = lhs != rhs
-        checked += stop - start
         if diff.any():
-            first = int(np.argmax(diff))
-            assignment = {
-                ch: int(columns[ch][first]) for ch in letters
-            }
+            first = np.unravel_index(np.argmax(diff), diff.shape)
+            assignment = {ch: _entry_at(block[ch], first) for ch in letters}
             matrices = {ch: M.elements[i] for ch, i in assignment.items()}
             return BruteForceFails(assignment, matrices)
+        checked += diff.size
     return BruteForceHolds(checked)
 
 

@@ -98,6 +98,10 @@ def test_criterion_22_ut_walk():
     _report(22, acceptance.criterion_ut_walk())
 
 
+def test_criterion_23_bruteforce_vs_products():
+    _report(23, acceptance.criterion_bruteforce_products())
+
+
 def test_law_suites_hold():
     for outcome in [*acceptance.suite_semiring_axioms(), *acceptance.suite_word_oracles()]:
         status = "PASS" if outcome.ok else "FAIL"

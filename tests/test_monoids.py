@@ -1,4 +1,6 @@
 from fractions import Fraction
+from functools import cache, reduce
+from itertools import product as iproduct
 
 import numpy as np
 import pytest
@@ -356,6 +358,63 @@ def test_brute_force_results_are_pinned(text, name, n, sample, verdict, pinned):
         assert result == BruteForceHolds(pinned)
     else:
         assert isinstance(result, BruteForceFails) and result.assignment == pinned
+
+
+SMALL_MONOIDS = {
+    "gossip(3)": lambda: family("gossip", 3),
+    "catalanU(3)": lambda: family("catalanU", 3),
+    "doubleCatalan(3)": lambda: family("doubleCatalan", 3),
+    "U(3)": lambda: enumerate_unitriangular(3, BOOL),
+}
+
+# one to three letters, holds and fails, some with a common prefix
+FOLD_IDENTITIES = (
+    "x=xx", "xx=xxx", "xy=yx", "xyxy=yxyx", "xyz=zyx", "xyzxy=xyzyx", "zxyz=zyxz",
+)
+
+
+@cache
+def _small_monoid(key):
+    return SMALL_MONOIDS[key]()
+
+
+@cache
+def _first_failure_by_products(key, text):
+    """The first counterexample in canonical order, or the number of
+    assignments when there is none: ``itertools.product`` over element
+    indices, each side multiplied out with ``multiply`` and found back with
+    ``index_of``; no table."""
+    M = _small_monoid(key)
+    ident = Identity.parse(text)
+    letters = sorted(set(ident.lhs) | set(ident.rhs))
+    count = 0
+    for values in iproduct(range(len(M)), repeat=len(letters)):
+        image = {ch: M.elements[i] for ch, i in zip(letters, values)}
+        lhs, rhs = (reduce(multiply, (image[ch] for ch in side)) for side in (ident.lhs, ident.rhs))
+        if M.index_of(lhs) != M.index_of(rhs):
+            return dict(zip(letters, values))
+        count += 1
+    return count
+
+
+@pytest.mark.parametrize("chunk", ["1", "5", "m-1", "m+1"])
+@pytest.mark.parametrize("key", list(SMALL_MONOIDS))
+def test_brute_force_fold_matches_one_product_per_assignment(monkeypatch, key, chunk):
+    # m - 1 and m + 1 make blocks that cut one letter's range
+    M = _small_monoid(key)
+    m = len(M)
+    monkeypatch.setattr(monoids, "_FOLD_CHUNK", {"1": 1, "5": 5, "m-1": m - 1, "m+1": m + 1}[chunk])
+    verdicts = set()
+    for text in FOLD_IDENTITIES:
+        result = brute_force_identity(Identity.parse(text), M)
+        want = _first_failure_by_products(key, text)
+        if isinstance(want, int):
+            assert want == m ** len(set(text) - {"="})
+            assert result == BruteForceHolds(want), text
+        else:
+            assert isinstance(result, BruteForceFails) and result.assignment == want, text
+        verdicts.add(type(result))
+    assert verdicts == {BruteForceHolds, BruteForceFails}
 
 
 def test_brute_force_refuses_a_negative_sample():
