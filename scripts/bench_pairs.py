@@ -9,7 +9,8 @@ run has ``PYTHONDONTWRITEBYTECODE=1``.  For each workload and each seed of
 ``first_seed .. first_seed + pairs - 1``, both commits run their own
 ``benchmark/run.py --workload W --seed S --seconds T --trace 0``, unchanged,
 one after the other: the parent first when the seed is even, the change
-first when it is odd.
+first when it is odd.  The workloads and the run length T are the change's
+``BENCHMARK.json`` ``workloads`` and ``run_seconds``.
 
 The summary of a workload gives, per end-to-end metric of the change's
 ``BENCHMARK.json``, each side's median and inclusive quartiles, the pairs in
@@ -44,10 +45,6 @@ def parse_args(argv):
     parser.add_argument("--change", required=True, help="git revision of the change")
     parser.add_argument("--first-seed", required=True, type=int)
     parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--workload", action="append",
-                        help="workload to run (repeatable); every workload when left out")
-    parser.add_argument("--seconds", type=float,
-                        help="run length; BENCHMARK.json's run_seconds when left out")
     parser.add_argument("--out", required=True, type=Path)
     parser.add_argument("--claim", help="the gain claimed, as text")
     parser.add_argument("--note", help="what the pairs show, as text")
@@ -133,8 +130,8 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory(prefix="bench_pairs_") as work:
         checkouts = {side: extract(shas[side], Path(work) / side) for side in SIDES}
         config = json.loads((checkouts["change"] / "BENCHMARK.json").read_text())
-        seconds = args.seconds if args.seconds is not None else config["run_seconds"]
-        workloads = args.workload or [w["name"] for w in config["workloads"]]
+        seconds = config["run_seconds"]
+        workloads = [w["name"] for w in config["workloads"]]
         runs = {}
         for workload in workloads:
             runs[workload] = []

@@ -676,10 +676,10 @@ ASSIGNMENT_CAP = 10_000_000
 def _fold_word(flat: np.ndarray, m: int, word: str, letters: dict, head=None):
     """The element indices of ``word`` at every assignment of a block,
     continued from the indices ``head`` of a prefix when given.  ``flat`` is
-    an m-element monoid's :meth:`ClosureResult._flat_table` and ``letters``
-    maps each letter to its element indices, arrays of ``flat``'s dtype that
-    broadcast against each other, so each step is one gather at
-    ``acc * m + column``."""
+    an m-element monoid's :meth:`ClosureResult._flat_table`, ``m`` is m as a
+    scalar of ``flat``'s dtype and ``letters`` maps each letter to its
+    element indices, fixed values or arrays of that dtype that broadcast
+    against each other, so each step is one gather at ``acc * m + column``."""
     acc = head
     for ch in word:
         column = letters[ch]
@@ -689,27 +689,25 @@ def _fold_word(flat: np.ndarray, m: int, word: str, letters: dict, head=None):
 
 def _exhaustive_blocks(letters: list, m: int, dtype):
     """Every assignment of ``letters`` to element indices, in canonical order,
-    as blocks of at most ``_FOLD_CHUNK`` assignments (at least one).  A
-    block's leading letters are fixed values, one letter runs over a range
-    of its values and the trailing letters over all m, each on its own axis
-    of the C-order block, the last letter fastest."""
+    as blocks of at most ``_FOLD_CHUNK`` assignments (at least one).  Letter
+    ``j`` of ``k`` runs over ``arange(m)`` on axis ``j`` of the C-order block,
+    the last letter fastest: all of one block when m^k ≤ ``_FOLD_CHUNK``.
+    Otherwise a block's leading letters are fixed values, one letter runs
+    over a slice of its values and the trailing letters over all m."""
     k = len(letters)
+    axes = [np.arange(m, dtype=dtype).reshape((m,) + (1,) * (k - 1 - j)) for j in range(k)]
+    if m ** k <= _FOLD_CHUNK:
+        yield dict(zip(letters, axes))
+        return
     split = 0
     while m ** (k - 1 - split) > _FOLD_CHUNK:
         split += 1
     step = _FOLD_CHUNK // m ** (k - 1 - split)
-    shapes = [(-1,) + (1,) * (k - 1 - j) for j in range(k)]
-    trailing = {
-        ch: np.arange(m, dtype=dtype).reshape(shapes[j])
-        for j, ch in enumerate(letters) if j > split
-    }
-    ranges = [
-        np.arange(lo, min(lo + step, m), dtype=dtype).reshape(shapes[split])
-        for lo in range(0, m, step)
-    ]
+    trailing = dict(zip(letters[split + 1 :], axes[split + 1 :]))
     for lead in iproduct(range(m), repeat=split):
-        for column in ranges:
-            yield {**dict(zip(letters, lead)), letters[split]: column, **trailing}
+        fixed = dict(zip(letters, lead))
+        for lo in range(0, m, step):
+            yield {**fixed, letters[split]: axes[split][lo : lo + step], **trailing}
 
 
 def _sampled_blocks(letters: list, m: int, dtype, sample: int, seed: int):
@@ -778,10 +776,11 @@ def brute_force_identity(
     while shared < min(len(ident.lhs), len(ident.rhs)) and ident.lhs[shared] == ident.rhs[shared]:
         shared += 1
     checked = 0
+    width = flat.dtype.type(m)  # a Python int costs a conversion at every step
     for block in blocks:
-        head = _fold_word(flat, m, ident.lhs[:shared], block)
-        lhs = _fold_word(flat, m, ident.lhs[shared:], block, head)
-        rhs = _fold_word(flat, m, ident.rhs[shared:], block, head)
+        head = _fold_word(flat, width, ident.lhs[:shared], block)
+        lhs = _fold_word(flat, width, ident.lhs[shared:], block, head)
+        rhs = _fold_word(flat, width, ident.rhs[shared:], block, head)
         diff = lhs != rhs
         if diff.any():
             first = np.unravel_index(np.argmax(diff), diff.shape)

@@ -1,11 +1,11 @@
 from fractions import Fraction
-from functools import cache, reduce
+from functools import cache
 from itertools import product as iproduct
 
 import numpy as np
 import pytest
 
-from sgident import monoids
+from sgident import acceptance, monoids
 from sgident.errors import BudgetExceededError, ClosureCapExceeded
 from sgident.matrices import (
     all_ones,
@@ -381,29 +381,28 @@ def _small_monoid(key):
 @cache
 def _first_failure_by_products(key, text):
     """The first counterexample in canonical order, or the number of
-    assignments when there is none: ``itertools.product`` over element
-    indices, each side multiplied out with ``multiply`` and found back with
-    ``index_of``; no table."""
+    assignments when there is none, one product per assignment: criterion
+    23's reference, with each product formed by ``multiply`` and found back
+    with ``index_of``; no table."""
     M = _small_monoid(key)
     ident = Identity.parse(text)
-    letters = sorted(set(ident.lhs) | set(ident.rhs))
-    count = 0
-    for values in iproduct(range(len(M)), repeat=len(letters)):
-        image = {ch: M.elements[i] for ch, i in zip(letters, values)}
-        lhs, rhs = (reduce(multiply, (image[ch] for ch in side)) for side in (ident.lhs, ident.rhs))
-        if M.index_of(lhs) != M.index_of(rhs):
-            return dict(zip(letters, values))
-        count += 1
-    return count
+
+    def times(i, j):
+        return M.index_of(multiply(M.elements[i], M.elements[j]))
+
+    assignments = iproduct(range(len(M)), repeat=len(ident.alphabet))
+    return acceptance._first_failure_by_products(ident, assignments, times)
 
 
-@pytest.mark.parametrize("chunk", ["1", "5", "m-1", "m+1"])
+@pytest.mark.parametrize("chunk", ["default", "1", "5", "m-1", "m+1"])
 @pytest.mark.parametrize("key", list(SMALL_MONOIDS))
 def test_brute_force_fold_matches_one_product_per_assignment(monkeypatch, key, chunk):
-    # m - 1 and m + 1 make blocks that cut one letter's range
+    # the default chunk holds every assignment in one block; m - 1 and m + 1
+    # make blocks that cut one letter's range
     M = _small_monoid(key)
     m = len(M)
-    monkeypatch.setattr(monoids, "_FOLD_CHUNK", {"1": 1, "5": 5, "m-1": m - 1, "m+1": m + 1}[chunk])
+    if chunk != "default":
+        monkeypatch.setattr(monoids, "_FOLD_CHUNK", {"1": 1, "5": 5, "m-1": m - 1, "m+1": m + 1}[chunk])
     verdicts = set()
     for text in FOLD_IDENTITIES:
         result = brute_force_identity(Identity.parse(text), M)
