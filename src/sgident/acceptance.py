@@ -19,12 +19,17 @@ from math import comb
 import numpy as np
 
 from .checker import (
+    FAILS,
+    HOLDS,
+    CheckReport,
+    Verdict,
     assert_balanced_guard,
     check_Un,
     check_Un_idempotent,
     check_UT,
     corpus,
     path_morphism,
+    run_check,
 )
 from . import monoids
 from .errors import ClosureCapExceeded, InternalConsistencyError
@@ -1365,6 +1370,103 @@ def criterion_bruteforce_products(
     )
 
 
+# -- criterion 24 ----------------------------------------------------------------
+
+
+def _unchecked_fails(criterion: str, evidence: list, u: str, ident: Identity, n, S) -> Verdict:
+    """The fails verdict that the checker gives at u, its witness not
+    re-multiplied: the checker's re-check answers for both."""
+    phi = path_morphism(u, ident.alphabet, n, S)
+    return Verdict(FAILS, criterion, evidence, u, phi, (1, len(u) + 1))
+
+
+def report_by_subword_sets(monoid: str, ident: Identity, n: int, S: SemiringDescriptor) -> dict:
+    """The stable report of ``run_check(monoid, ident, n, S)`` for ``u``, and
+    for ``r`` with ``verify_samples=0``, as it was before the checks walked
+    :func:`~sgident.checker._embedding_us`: the u are the sorted union of the
+    two sides' :func:`~sgident.words.subword_set`; ``u`` compares their
+    :func:`~sgident.words.scattered_multiplicity` in turn, and ``r`` fails at
+    the least u of the symmetric difference.  The oracle of criterion 24."""
+    k = n - 1
+    left, right = subword_set(ident.lhs, k), subword_set(ident.rhs, k)
+    us = sorted(left | right, key=lambda u: (len(u), u))
+    if monoid == "u":
+        evidence = []
+        verdict = Verdict(HOLDS, "subword-multiplicities", evidence)
+        for u in us:
+            mw, mv = scattered_multiplicity(u, ident.lhs), scattered_multiplicity(u, ident.rhs)
+            equal = S.nat_embed(mw) == S.nat_embed(mv)
+            evidence.append(
+                {"u": u, "lhs_multiplicity": mw, "rhs_multiplicity": mv, "equal": equal}
+            )
+            if not equal:
+                verdict = _unchecked_fails("subword-multiplicities", evidence, u, ident, n, S)
+                break
+        us = [e["u"] for e in evidence]
+    else:
+        evidence = [{"lhs_subwords": len(left), "rhs_subwords": len(right), "k": k}]
+        if left == right or S._zero_payload == S._one_payload:
+            verdict = Verdict(HOLDS, "subword-sets-reflexive", evidence)
+        else:
+            u = min(left ^ right, key=lambda s: (len(s), s))
+            verdict = _unchecked_fails("subword-sets-reflexive", evidence, u, ident, n, S)
+    return CheckReport(ident, monoid, n, S.name, verdict, us, 0, 4096, 0.0).to_dict(stable=True)
+
+
+def _long_identities(seed: int) -> list:
+    """Per n = 6..8, a seeded word w of 10 to 30 letters over {a, b, c, d}
+    as w=w, against its reverse and against a second such word."""
+    rng = random.Random(seed)
+
+    def word():
+        return "".join(rng.choice("abcd") for _ in range(rng.randint(10, 30)))
+
+    cases = []
+    for n in (6, 7, 8):
+        w = word()
+        cases += [(Identity(w, w), n), (Identity(w, w[::-1]), n), (Identity(w, word()), n)]
+    return cases
+
+
+def criterion_u_r_walk(seed: int = 2424) -> CheckOutcome:
+    """The stable ``u`` and ``r`` reports, whose u come from one walk of the
+    trie of u, against :func:`report_by_subword_sets`: equal
+    ``to_dict(stable=True)``.  Inputs: the corpus at n = 2..6, ``u`` over
+    bool, nat, nat:2,3 and lattice:diamond and ``r`` (with
+    ``verify_samples=0``) over interval01 and minplus01inf; and seeded words
+    of 10 to 30 letters at n = 6..8 (:func:`_long_identities`), ``u`` over
+    bool and ``r`` over interval01."""
+    start = time.perf_counter()
+    nat23 = semiring_from_spec("nat:2,3")
+    plans = [
+        ("u", (BOOL, NAT, nat23, DIAMOND), [(i, n) for i in corpus() for n in range(2, 7)]),
+        ("r", (INTERVAL01, MINPLUS01INF), [(i, n) for i in corpus() for n in range(2, 7)]),
+        ("u", (BOOL,), _long_identities(seed)),
+        ("r", (INTERVAL01,), _long_identities(seed)),
+    ]
+    checks, mismatched = 0, []
+    outcomes = defaultdict(int)
+    for monoid, instances, cases in plans:
+        for S in instances:
+            for ident, n in cases:
+                got = run_check(monoid, ident, n, S, verify_samples=0).to_dict(stable=True)
+                checks += 1
+                outcomes[got["verdict"]["outcome"]] += 1
+                if got != report_by_subword_sets(monoid, ident, n, S):
+                    mismatched.append(f"{monoid} {ident} at n = {n} over {S.name}")
+    elapsed = time.perf_counter() - start
+    ok = not mismatched and len(outcomes) == 2 and elapsed < 20.0
+    return _outcome(
+        "u-r-walk",
+        ok,
+        f"{checks} u and r reports (corpus at n = 2..6, u over bool, nat, nat:2,3 and "
+        f"lattice:diamond, r over interval01 and minplus01inf; 9 seeded words of 10-30 "
+        f"letters at n = 6..8 as w=w, against the reverse and a second word), outcomes "
+        f"{dict(outcomes)}; {len(mismatched)} mismatches {mismatched[:3]}, {elapsed:.1f}s "
+        f"(limit 20s)",
+    )
+
+
 # -- module-level law suites --------------------------------------------------------
 
 
@@ -1534,6 +1636,7 @@ def suite_checker_equivalence():
     yield criterion_embedding_forms()
     yield criterion_ut_walk()
     yield criterion_bruteforce_products()
+    yield criterion_u_r_walk()
 
 
 def suite_transfer_properties():

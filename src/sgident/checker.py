@@ -1,15 +1,16 @@
 """Identity checkers for the triangular, unitriangular, and reflexive matrix
 monoids over a semiring, with explicit falsifying morphisms.
 
-Each checker reduces the identity to a finite combinatorial comparison:
+Each checker reduces the identity to a finite combinatorial comparison over
+the words u shorter than n that embed in a side, listed by one walk
+(:func:`_embedding_us`):
 
 * upper triangular: functional equivalence, over the instance, of the
-  embedding polynomials on both sides of every word u shorter than n that
-  embeds in a side (the others have two zero polynomials);
+  embedding polynomials on both sides of every such u;
 * unit diagonal: equality of the subword multiplicities of every such u,
   reduced through the instance's arithmetic of repeated sums of 1;
-* reflexive over an interval instance: equality of subword sets, i.e. Simon
-  congruence at level n-1.
+* reflexive over an interval instance: every such u embeds in both sides,
+  i.e. Simon congruence at level n-1.
 
 A ``fails`` verdict always carries a small canonical witness morphism (unit
 or assigned diagonal, a path of ones along the distinguishing u) which is
@@ -23,6 +24,7 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass, field
+from itertools import islice
 from typing import Optional
 
 import numpy as np
@@ -47,13 +49,9 @@ from .polynomials import (
     functionally_equivalent,
 )
 from .semirings import BOOL, Cyclic, SemiringDescriptor, SplitMix64
-from .words import (
-    Identity,
-    is_balanced,
-    scattered_multiplicity,
-    subword_set,
-    words_up_to,
-)
+from .words import Identity, is_balanced, scattered_multiplicity, words_up_to
+# no check calls it since they walk _embedding_us; kept as benchmark/tracing.py hooks it
+from .words import subword_set
 
 HOLDS = "holds"
 FAILS = "fails"
@@ -190,38 +188,32 @@ def _fails(
     )
 
 
-def _candidate_us(ident: Identity, k: int) -> list:
-    """The subwords of length at most k of either side, shortest first."""
-    return sorted(
-        subword_set(ident.lhs, k) | subword_set(ident.rhs, k),
-        key=lambda u: (len(u), u),
-    )
-
-
-def _embedding_us(forms: list, alphabet: str, n: int):
-    """The u shorter than n that embed in the side of either builder of
-    ``forms``, in :func:`~sgident.words.words_up_to` order, each as
-    ``(index, u, form, form)``: its index in
-    ``words_up_to(alphabet, n - 1, include_empty=True)`` and its forms in the
-    two sides.  The trie of u is walked level by level, children in letter
-    order, and a child is kept only when a side has a form for it: a u that
-    embeds in neither side has no extension that does.  Each u is yielded
-    as soon as its forms are built, so a caller that stops at a u has built
-    no form past it."""
-    lhs, rhs = forms
-    letters = sorted(alphabet)
-    yield 0, "", lhs.form(""), rhs.form("")
-    level = [(0, "")]  # the kept u of one length, with their ranks among all its words
+def _embedding_us(ident: Identity, n: int):
+    """The u shorter than n that embed in a side of ``ident``, in
+    :func:`~sgident.words.words_up_to` order, each as
+    ``(index, u, in_lhs, in_rhs)``: its index in
+    ``words_up_to(ident.alphabet, n - 1, include_empty=True)`` and whether
+    it embeds in each side.  The trie of u is walked level by level,
+    children in letter order, with the end of u's leftmost embedding in
+    each side; a child is kept when either side has its letter after that
+    end, since a u that embeds in neither side has no extension that does.
+    Each u is yielded as soon as it is reached."""
+    lhs, rhs = ident.lhs, ident.rhs
+    letters = sorted(ident.alphabet)
+    yield 0, "", True, True
+    # the kept u of one length: its rank among all its words, and the end of
+    # its leftmost embedding in each side, or -1 when it does not embed there
+    level = [(0, "", 0, 0)]
     offset = 1  # index of the first word of the next length
     for length in range(1, n):
         children = []
-        for rank, u in level:
+        for rank, u, left, right in level:
             for i, s in enumerate(letters, start=rank * len(letters)):
-                child = u + s
-                a, b = lhs.form(child), rhs.form(child)
-                if a is not None or b is not None:
-                    children.append((i, child))
-                    yield offset + i, child, a, b
+                a = lhs.find(s, left) if left >= 0 else -1
+                b = rhs.find(s, right) if right >= 0 else -1
+                if a >= 0 or b >= 0:
+                    children.append((i, u + s, a + 1 if a >= 0 else -1, b + 1 if b >= 0 else -1))
+                    yield offset + i, u + s, a >= 0, b >= 0
         level = children
         offset += len(letters) ** length
 
@@ -246,7 +238,8 @@ def check_UT(
     ``unembedded`` is the number of such u that ``words_up_to`` puts before
     the first failing u, or in all when none fails.  Each walked u first
     gets both sides' forms from lazy
-    :class:`~sgident.polynomials.EmbeddingForms` builders; equal forms settle
+    :class:`~sgident.polynomials.EmbeddingForms` builders (none past a
+    failing u); equal forms settle
     it as ``identical-form`` over any instance, and over a bitmask lattice
     equal antichains of minimal supports settle it as ``exhaustive``
     (:func:`~sgident.polynomials.equivalent_by_forms`).  Only the other u
@@ -292,12 +285,12 @@ def check_UT(
     failure = None
     inconclusive = []
     walked = 0
-    for index, u, a, b in _embedding_us(forms, alphabet, n):
+    for index, u, _, _ in _embedding_us(ident, n):
         walked += 1
         if u == "" and skip_empty:
             continue
         counters["u_examined"] += 1
-        result = equivalent_by_forms(a, b, S, forms[0])
+        result = equivalent_by_forms(forms[0].form(u), forms[1].form(u), S, forms[0])
         if result is not None:
             counters["settled_by_forms"] += 1
         else:
@@ -342,14 +335,15 @@ def check_UT(
 
 def check_Un(ident: Identity, n: int, S: SemiringDescriptor) -> Verdict:
     """Identity check for the unit-diagonal triangular monoid: the subword
-    multiplicities of every u of length below n must agree as sums of 1
+    multiplicities of every non-empty u of :func:`_embedding_us` (the other
+    u have none in either side) must agree, in walk order, as sums of 1
     (``S.nat_embed``), the instance's arithmetic of the multiplicative
     identity.  Always decisive."""
     if n < 2:
         raise ValueError("n must be >= 2")
     check_dimension(n)
     evidence = []
-    for u in _candidate_us(ident, n - 1):
+    for _, u, _, _ in islice(_embedding_us(ident, n), 1, None):  # past the empty u
         mw = scattered_multiplicity(u, ident.lhs)
         mv = scattered_multiplicity(u, ident.rhs)
         equal = S.nat_embed(mw) == S.nat_embed(mv)
@@ -365,9 +359,10 @@ def check_Un_idempotent(
     ident: Identity, n: int, S: SemiringDescriptor = BOOL
 ) -> Verdict:
     """Identity check for unit-diagonal matrices over an idempotent instance:
-    both sides must have the same subwords of length below n.  Over the
-    one-element semiring (zero equal to one) every matrix is the zero
-    matrix, and every identity holds."""
+    both sides must have the same subwords of length below n, so the first
+    u of :func:`_embedding_us` that embeds in one side only distinguishes
+    them.  Over the one-element semiring (zero equal to one) every matrix
+    is the zero matrix, and every identity holds."""
     if n < 2:
         raise ValueError("n must be >= 2")
     check_dimension(n)
@@ -375,16 +370,16 @@ def check_Un_idempotent(
         raise UnsupportedStructureError(
             f"{S.name} is not idempotent; use the multiplicity check instead"
         )
-    k = n - 1
-    left = subword_set(ident.lhs, k)
-    right = subword_set(ident.rhs, k)
-    evidence = [
-        {"lhs_subwords": len(left), "rhs_subwords": len(right), "k": k}
-    ]
-    if left == right or S._zero_payload == S._one_payload:
+    counts, first = [0, 0], None
+    for _, u, in_lhs, in_rhs in islice(_embedding_us(ident, n), 1, None):
+        counts[0] += in_lhs
+        counts[1] += in_rhs
+        if first is None and in_lhs != in_rhs:
+            first = u
+    evidence = [{"lhs_subwords": counts[0], "rhs_subwords": counts[1], "k": n - 1}]
+    if first is None or S._zero_payload == S._one_payload:
         return Verdict(HOLDS, "subword-sets", evidence)
-    u = min(left ^ right, key=lambda s: (len(s), s))
-    return _fails(ident, n, S, "subword-sets", evidence, u)
+    return _fails(ident, n, S, "subword-sets", evidence, first)
 
 
 # spot-check trials drawn and multiplied per step: bounds the (chunk, n, n, n)
@@ -420,7 +415,7 @@ def check_Rn(
 ) -> Verdict:
     """Identity check for the reflexive monoid over an interval instance.
 
-    Same subword-set criterion as the unit-diagonal idempotent case; a holds
+    Same subword-set criterion as :func:`check_Un_idempotent`; a holds
     verdict is additionally spot-checked against ``verify_samples`` seeded
     random reflexive morphisms, all of which must agree.  They are drawn
     from a seeded :class:`~sgident.semirings.SplitMix64` stream straight as
@@ -516,7 +511,7 @@ def run_check(
         us = [e["u"] for e in verdict.evidence]
     elif monoid == "r":
         verdict = check_Rn(ident, n, S, verify_samples=verify_samples, seed=seed)
-        us = _candidate_us(ident, n - 1)
+        us = [u for _, u, _, _ in islice(_embedding_us(ident, n), 1, None)]
     else:
         raise ValueError(f"unknown monoid kind {monoid!r}; use ut, u, or r")
     elapsed = (time.perf_counter() - start) * 1000.0

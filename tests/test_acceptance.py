@@ -102,6 +102,10 @@ def test_criterion_23_bruteforce_vs_products():
     _report(23, acceptance.criterion_bruteforce_products())
 
 
+def test_criterion_24_u_r_walk():
+    _report(24, acceptance.criterion_u_r_walk())
+
+
 def test_law_suites_hold():
     for outcome in [*acceptance.suite_semiring_axioms(), *acceptance.suite_word_oracles()]:
         status = "PASS" if outcome.ok else "FAIL"

@@ -30,7 +30,7 @@ from sgident.matrices import (
     random_reflexive_codes,
 )
 from sgident.monoids import BruteForceHolds, brute_force_identity, enumerate_unitriangular
-from sgident.polynomials import EmbeddingForms, build_f_canonical, functionally_equivalent
+from sgident.polynomials import build_f_canonical, functionally_equivalent
 from sgident.semirings import (
     BOOL,
     DIAMOND,
@@ -41,7 +41,7 @@ from sgident.semirings import (
     SplitMix64,
     semiring_from_spec,
 )
-from sgident.words import Identity, scattered_multiplicity, words_up_to
+from sgident.words import Identity, scattered_multiplicity, subword_set, words_up_to
 
 ABAB = Identity.parse("abab=abba")
 ADJAN = Identity.parse("xyyxxyxyyx=xyyxyxxyyx")
@@ -113,12 +113,32 @@ def test_ut_walk_gives_the_u_that_embed_in_a_side_in_words_up_to_order(identity_
     rng = random.Random(31)
     for ident in rng.sample(identity_corpus, 40):
         for n in (1, 2, 3, 4, 5):
-            width = max(len(ident.lhs), len(ident.rhs)).bit_length()
-            forms = [EmbeddingForms(w, ident.alphabet, n, width) for w in (ident.lhs, ident.rhs)]
-            walked = list(checker._embedding_us(forms, ident.alphabet, n))
+            walked = list(checker._embedding_us(ident, n))
             assert [u for _, u, _, _ in walked] == _embedding_us_oracle(ident, n), (ident, n)
             order = words_up_to(ident.alphabet, n - 1, include_empty=True)
             assert [index for index, *_ in walked] == [order.index(u) for _, u, _, _ in walked]
+            for _, u, *flags in walked:
+                sides = (ident.lhs, ident.rhs)
+                assert flags == [scattered_multiplicity(u, side) > 0 for side in sides]
+
+
+def test_u_evidence_and_r_report_list_the_subwords_of_either_side_shortest_first(
+    identity_corpus,
+):
+    # the order of the subword-set union that the walk replaced
+    for ident in identity_corpus:
+        for n in (2, 3, 4, 5):
+            k = n - 1
+            union = sorted(
+                subword_set(ident.lhs, k) | subword_set(ident.rhs, k),
+                key=lambda u: (len(u), u),
+            )
+            verdict = check_Un(ident, n, NAT)
+            us = [e["u"] for e in verdict.evidence]
+            assert us == union[: len(us)], (ident, n)
+            assert verdict.is_fails or us == union
+            report = run_check("r", ident, n, MINPLUS01INF, verify_samples=0)
+            assert report.u_words == union, (ident, n)
 
 
 @pytest.mark.parametrize("text, n, listed, unembedded", [
