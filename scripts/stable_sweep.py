@@ -83,7 +83,9 @@ def main(argv=None) -> int:
     for (label, old), (_, new) in zip(parent, change):
         if old != new:
             print(f"first differing report: {label}")
-            diff = difflib.unified_diff(old.splitlines(), new.splitlines(), "parent", "change")
+            diff = difflib.unified_diff(
+                old.splitlines(), new.splitlines(), "parent", "change", lineterm=""
+            )
             print("\n".join(list(diff)[:60]))
             return 1
     if len(parent) != len(change):
