@@ -1437,12 +1437,13 @@ def criterion_u_r_walk(seed: int = 2424) -> CheckOutcome:
     of 10 to 30 letters at n = 6..8 (:func:`_long_identities`), ``u`` over
     bool and ``r`` over interval01."""
     start = time.perf_counter()
-    nat23 = semiring_from_spec("nat:2,3")
+    short = [(ident, n) for ident in corpus() for n in range(2, 7)]
+    long = _long_identities(seed)
     plans = [
-        ("u", (BOOL, NAT, nat23, DIAMOND), [(i, n) for i in corpus() for n in range(2, 7)]),
-        ("r", (INTERVAL01, MINPLUS01INF), [(i, n) for i in corpus() for n in range(2, 7)]),
-        ("u", (BOOL,), _long_identities(seed)),
-        ("r", (INTERVAL01,), _long_identities(seed)),
+        ("u", (BOOL, NAT, semiring_from_spec("nat:2,3"), DIAMOND), short),
+        ("r", (INTERVAL01, MINPLUS01INF), short),
+        ("u", (BOOL,), long),
+        ("r", (INTERVAL01,), long),
     ]
     checks, mismatched = 0, []
     outcomes = defaultdict(int)
