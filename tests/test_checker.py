@@ -112,13 +112,13 @@ def _embedding_us_oracle(ident, n):
 def test_ut_walk_gives_the_u_that_embed_in_a_side_in_words_up_to_order(identity_corpus):
     rng = random.Random(31)
     for ident in rng.sample(identity_corpus, 40):
+        sides = (ident.lhs, ident.rhs)
         for n in (1, 2, 3, 4, 5):
             walked = list(checker._embedding_us(ident, n))
             assert [u for _, u, _, _ in walked] == _embedding_us_oracle(ident, n), (ident, n)
             order = words_up_to(ident.alphabet, n - 1, include_empty=True)
             assert [index for index, *_ in walked] == [order.index(u) for _, u, _, _ in walked]
             for _, u, *flags in walked:
-                sides = (ident.lhs, ident.rhs)
                 assert flags == [scattered_multiplicity(u, side) > 0 for side in sides]
 
 
