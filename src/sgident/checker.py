@@ -72,6 +72,9 @@ class Verdict:
     unembedded: Optional[int] = None
     # work counts of the check, reported outside --stable-output
     counters: Optional[dict] = field(default=None, compare=False)
+    # check_Un_idempotent: every non-empty u its walk reached, which the r
+    # report lists; not part of to_dict
+    walked: Optional[list] = field(default=None, compare=False)
 
     @property
     def is_holds(self) -> bool:
@@ -176,10 +179,11 @@ def _fails(
 ) -> Verdict:
     """The fails verdict for the distinguishing word u.  Its witness is the
     path morphism along u, re-multiplied on both sides and checked to differ
-    at entry (1, |u|+1) before it is returned."""
+    at entry (1, |u|+1) before it is returned; the re-multiplication carries
+    row 1 only (:meth:`~sgident.matrices.MorphismTable.image_entry`)."""
     phi = path_morphism(u, ident.alphabet, n, S, diagonal)
     entry = (1, len(u) + 1)
-    if phi.apply(ident.lhs).entry(*entry) == phi.apply(ident.rhs).entry(*entry):
+    if phi.image_entry(ident.lhs, *entry) == phi.image_entry(ident.rhs, *entry):
         raise InternalConsistencyError(
             f"constructed witness for {ident} does not distinguish entry {entry}"
         )
@@ -362,7 +366,8 @@ def check_Un_idempotent(
     both sides must have the same subwords of length below n, so the first
     u of :func:`_embedding_us` that embeds in one side only distinguishes
     them.  Over the one-element semiring (zero equal to one) every matrix
-    is the zero matrix, and every identity holds."""
+    is the zero matrix, and every identity holds.  The verdict's ``walked``
+    lists every non-empty u of the walk."""
     if n < 2:
         raise ValueError("n must be >= 2")
     check_dimension(n)
@@ -370,20 +375,24 @@ def check_Un_idempotent(
         raise UnsupportedStructureError(
             f"{S.name} is not idempotent; use the multiplicity check instead"
         )
-    counts, first = [0, 0], None
+    counts, first, walked = [0, 0], None, []
     for _, u, in_lhs, in_rhs in islice(_embedding_us(ident, n), 1, None):
+        walked.append(u)
         counts[0] += in_lhs
         counts[1] += in_rhs
         if first is None and in_lhs != in_rhs:
             first = u
     evidence = [{"lhs_subwords": counts[0], "rhs_subwords": counts[1], "k": n - 1}]
     if first is None or S._zero_payload == S._one_payload:
-        return Verdict(HOLDS, "subword-sets", evidence)
-    return _fails(ident, n, S, "subword-sets", evidence, first)
+        verdict = Verdict(HOLDS, "subword-sets", evidence)
+    else:
+        verdict = _fails(ident, n, S, "subword-sets", evidence, first)
+    verdict.walked = walked
+    return verdict
 
 
-# spot-check trials drawn and multiplied per step: bounds the (chunk, n, n, n)
-# entry products in memory whatever the trial count
+# spot-check trials drawn and multiplied per step: bounds the (chunk,
+# |alphabet|, n, n) draws in memory whatever the trial count (1000 was no faster)
 _TRIAL_CHUNK = 250
 
 
@@ -511,7 +520,7 @@ def run_check(
         us = [e["u"] for e in verdict.evidence]
     elif monoid == "r":
         verdict = check_Rn(ident, n, S, verify_samples=verify_samples, seed=seed)
-        us = [u for _, u, _, _ in islice(_embedding_us(ident, n), 1, None)]
+        us = verdict.walked
     else:
         raise ValueError(f"unknown monoid kind {monoid!r}; use ut, u, or r")
     elapsed = (time.perf_counter() - start) * 1000.0

@@ -112,19 +112,20 @@ def multiply(a: SMatrix, b: SMatrix) -> SMatrix:
     if a.n != b.n:
         raise ValueError(f"dimension mismatch: {a.n} vs {b.n}")
     S = a.semiring
+    return SMatrix(S, tuple(_row_times(S, row, b.rows) for row in a.rows))
+
+
+def _row_times(S: SemiringDescriptor, row: tuple, rows: tuple) -> tuple:
+    """The row vector ``row`` times the matrix ``rows``, payloads of ``S``."""
     add, mul, zero = S._add, S._mul, S._zero_payload
-    columns = range(a.n)
+    terms = [(p, brow) for p, brow in zip(row, rows) if p != zero]
     out = []
-    for row in a.rows:
-        terms = [(p, brow) for p, brow in zip(row, b.rows) if p != zero]
-        orow = []
-        for j in columns:
-            acc = zero
-            for p, brow in terms:
-                acc = add(acc, mul(p, brow[j]))
-            orow.append(_normalize(acc))
-        out.append(tuple(orow))
-    return SMatrix(S, tuple(out))
+    for j in range(len(rows)):
+        acc = zero
+        for p, brow in terms:
+            acc = add(acc, mul(p, brow[j]))
+        out.append(_normalize(acc))
+    return tuple(out)
 
 
 def product(factors) -> SMatrix:
@@ -248,6 +249,15 @@ class MorphismTable:
         for ch in word:
             result = multiply(result, self.image(ch))
         return result
+
+    def image_entry(self, word: str, i: int, j: int) -> Val:
+        """Entry (i, j) of ``apply(word)``, 1-based: row i of the identity
+        carried through the letters' images, n^2 entry products a letter."""
+        S = self.semiring
+        row = identity_matrix(self.n, S).rows[i - 1]
+        for ch in word:
+            row = _row_times(S, row, self.image(ch).rows)
+        return S._wrap(row[j - 1])
 
     def __eq__(self, other):
         return isinstance(other, MorphismTable) and self.images == other.images

@@ -316,11 +316,11 @@ def _coded_encoding(generators, element_cap) -> Optional[_Encoding]:
     payload = cache(codes.payload)  # one payload object per code
 
     def step(level):
-        # one product call per generator keeps the (F, n, n, n) intermediate
-        # a level's size, not G times that
+        # one product call per generator, each g broadcast against the level:
+        # a single (F, G, n, n) call would hold several level-times-G arrays
         products = np.empty((len(level), count, n, n), dtype=coded.dtype)
         for gi, g in enumerate(coded):
-            products[:, gi] = codes.product(level, np.broadcast_to(g, level.shape))
+            products[:, gi] = codes.product(level, g)
         return products.reshape(-1, n, n)
 
     def keys(products):

@@ -192,8 +192,12 @@ class IntegerCodes(NamedTuple):
         return np.int64 if bound < (INF_CODE if self.saturating else 2**63) else object
 
     def product(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Per trial, the product of (T, n, n) code stacks, clamped if saturating."""
-        out = self.add.reduce(self.mul(a[:, :, :, None], b[:, None, :, :]), axis=2)
+        """The products of (..., n, n) code stacks whose leading axes
+        broadcast, clamped if saturating.  The inner index is summed one k at
+        a time, so no (..., n, n, n) array of entry products is formed."""
+        out = self.mul(a[..., :, :1], b[..., :1, :])
+        for k in range(1, a.shape[-1]):
+            self.add(out, self.mul(a[..., :, k : k + 1], b[..., k : k + 1, :]), out=out)
         if self.saturating:
             np.minimum(out, INF_CODE, out=out)
         return out
@@ -275,11 +279,11 @@ class FiniteTables:
         return self.code_dtype
 
     def product(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Per trial, the product of (T, n, n) code stacks, by table gathers."""
-        terms = self.mul[a[:, :, :, None], b[:, None, :, :]]
-        out = terms[:, :, 0]
-        for k in range(1, a.shape[2]):
-            out = self.add[out, terms[:, :, k]]
+        """The products of (..., n, n) code stacks whose leading axes
+        broadcast, by table gathers, one inner index k at a time."""
+        out = self.mul[a[..., :, :1], b[..., :1, :]]
+        for k in range(1, a.shape[-1]):
+            out = self.add[out, self.mul[a[..., :, k : k + 1], b[..., k : k + 1, :]]]
         return out
 
 

@@ -123,9 +123,15 @@ def test_ut_walk_gives_the_u_that_embed_in_a_side_in_words_up_to_order(identity_
 
 
 def test_u_evidence_and_r_report_list_the_subwords_of_either_side_shortest_first(
-    identity_corpus,
+    identity_corpus, monkeypatch,
 ):
-    # the order of the subword-set union that the walk replaced
+    # the order of the subword-set union that the walk replaced; the r report
+    # takes its list from the verdict's walk, so an r check walks once
+    walks = []
+    embedding_us = checker._embedding_us
+    monkeypatch.setattr(
+        checker, "_embedding_us", lambda *args: walks.append(args) or embedding_us(*args)
+    )
     for ident in identity_corpus:
         for n in (2, 3, 4, 5):
             k = n - 1
@@ -137,8 +143,10 @@ def test_u_evidence_and_r_report_list_the_subwords_of_either_side_shortest_first
             us = [e["u"] for e in verdict.evidence]
             assert us == union[: len(us)], (ident, n)
             assert verdict.is_fails or us == union
+            walks.clear()
             report = run_check("r", ident, n, MINPLUS01INF, verify_samples=0)
             assert report.u_words == union, (ident, n)
+            assert walks == [(ident, n)]
 
 
 @pytest.mark.parametrize("text, n, listed, unembedded", [
@@ -182,6 +190,26 @@ def test_fails_witnesses_reverify_by_multiplication():
         phi = verdict.witness
         i, j = verdict.witness_entry
         assert phi.apply(ident.lhs).entry(i, j) != phi.apply(ident.rhs).entry(i, j)
+
+
+def test_one_row_witness_entry_is_the_entry_of_the_full_image(identity_corpus):
+    # the re-check in _fails carries row 1 only; over every failing u and r
+    # check of the corpus its entry is that of the full n x n image
+    failing = 0
+    for n in range(2, 7):
+        for ident in identity_corpus:
+            for verdict in (
+                check_Un(ident, n, NAT),
+                check_Rn(ident, n, INTERVAL01, verify_samples=0),
+            ):
+                if not verdict.is_fails:
+                    continue
+                failing += 1
+                phi, (i, j) = verdict.witness, verdict.witness_entry
+                assert (i, j) == (1, len(verdict.distinguishing_u) + 1)
+                for side in (ident.lhs, ident.rhs):
+                    assert phi.image_entry(side, i, j) == phi.apply(side).entry(i, j)
+    assert failing > 1000
 
 
 def test_unitriangular_witness_lands_in_the_unit_diagonal_monoid():

@@ -406,6 +406,72 @@ def test_batched_agreement_matches_one_product_per_morphism(S):
     assert coded_agreement(S, empty, "ab", "ba").size == 0
 
 
+KERNEL_INSTANCES = [BOOL, DIAMOND, semiring_from_spec("nat:2,3"), HALVES, MINPLUS01INF, INTERVAL01]
+
+
+def _lifted(S, m, k):
+    """The codes of the matrix ``m`` as a product of k codes carries them:
+    payloads times weight(k) // weight(1) under the degree law."""
+    codes = S.codes
+    lift = codes.weight(k) // codes.weight(1)
+    return [[codes.encode(p * lift if lift > 1 else p) for p in row] for row in m.rows]
+
+
+@pytest.mark.parametrize("S", KERNEL_INSTANCES, ids=lambda S: S.name)
+def test_code_products_are_the_products_of_the_decoded_matrices(S):
+    """``codes.product`` against ``multiply`` on the decoded matrices, trial
+    by trial: stacks of two and of three factors, and a stack times one
+    unbroadcast (n, n) factor, as the closure step passes its generators."""
+    codes = S.codes
+    for n in range(1, 6):
+        a, b, c = codes.draw(SplitMix64(n), (3, 5, n, n)).astype(codes.dtype(3))
+        if S is MINPLUS01INF and n > 2:
+            assert (a == INF_CODE).any() and (b == INF_CODE).any()
+        ab = codes.product(a, b)
+        abc = codes.product(ab, c)
+        ab0 = codes.product(a, b[0])
+        assert ab.shape == abc.shape == ab0.shape == (5, n, n)
+        phi = [_decoded(S, {"a": a, "b": b, "c": c}, t) for t in range(5)]
+        for t, m in enumerate(phi):
+            assert ab[t].tolist() == _lifted(S, m.apply("ab"), 2)
+            assert abc[t].tolist() == _lifted(S, m.apply("abc"), 3)
+            assert ab0[t].tolist() == _lifted(S, multiply(m.image("a"), phi[0].image("b")), 2)
+
+
+def test_min_plus_code_products_saturate_at_the_infinite_code():
+    # inf + inf and inf + x stay INF_CODE, and a finite entry of an
+    # infinite row or column is no product's minimum
+    codes = MINPLUS01INF.codes
+    inf = np.full((1, 3, 3), INF_CODE, dtype=np.int64)
+    finite = np.arange(9, dtype=np.int64).reshape(1, 3, 3) * 12
+    assert (codes.product(inf, inf) == INF_CODE).all()
+    assert (codes.product(inf, finite) == INF_CODE).all()
+    assert (codes.product(finite, inf[0]) == INF_CODE).all()
+    mixed = finite.copy()
+    mixed[0, 0, 0] = mixed[0, 2] = INF_CODE
+    assert codes.product(mixed, finite)[0].tolist() == [
+        [min(min(x + y for x, y in zip(row, col)), INF_CODE) for col in finite[0].T.tolist()]
+        for row in mixed[0].tolist()
+    ]
+
+
+def test_ten_letter_interval_code_products_run_on_python_ints():
+    # 120^10 passes 2^63: the codes of a 10-letter word are Python ints, and
+    # each trial's product is the product of its decoded letters
+    codes = INTERVAL01.codes
+    assert codes.dtype(10) is object
+    word = "abaabbbaba"
+    images = random_reflexive_codes(INTERVAL01, 4, "ab", 3, SplitMix64(10))
+    coded = {s: a.astype(object) for s, a in images.items()}
+    acc = coded[word[0]]
+    for ch in word[1:]:
+        acc = codes.product(acc, coded[ch])
+    assert acc.dtype == object
+    for t in range(3):
+        want = _lifted(INTERVAL01, _decoded(INTERVAL01, images, t).apply(word), 10)
+        assert acc[t].tolist() == want
+
+
 def test_coded_images_carry_the_instance_scale():
     third, quarter, half = Fraction(1, 3), Fraction(3, 4), Fraction(1, 2)
 
