@@ -392,7 +392,7 @@ def check_Un_idempotent(
 
 
 # spot-check trials drawn and multiplied per step: bounds the (chunk,
-# |alphabet|, n, n) draws in memory whatever the trial count (1000 was no faster)
+# |alphabet|, n, n) draws in memory whatever the trial count (1000 was slower)
 _TRIAL_CHUNK = 250
 
 
