@@ -12,7 +12,15 @@ json --stable-output`` prints for it (seed 0, the default budget and
   nat:2,3, maxplus and minplus01inf;
 * ``u`` on the corpus at n = 2..6 over bool, nat, nat:2,3 and
   lattice:diamond;
-* ``r`` on the corpus at n = 2..6 over interval01 and minplus01inf.
+* ``r`` on the corpus at n = 2..6 over interval01 and minplus01inf;
+
+and seeded long words (``long_words``), past the corpus's 8 letters:
+
+* ``u`` over nat and nat:2,3 at n = 6..8 on a 40-letter ``w=w`` and
+  ``w=rev(w)``;
+* ``ut`` over bool and lattice:diamond at n = 5 on
+  ``a(abc)^e c=a(abc)^(e+1) c`` for e = 7, 8;
+* ``r`` over minplus01inf at n = 6 on a 160-letter ``w=w``.
 
 Prints the number of reports and the first that differs, and exits 1 when
 one does.
@@ -22,6 +30,7 @@ import argparse
 import difflib
 import json
 import os
+import random
 import subprocess
 import sys
 import tempfile
@@ -36,6 +45,21 @@ PLAN = (
 )
 
 
+def long_words() -> tuple:
+    """The long-word cases as ``(monoid, specs, ns, identities)``; the
+    words over {a, b, c, d} are drawn from ``random.Random(40)``."""
+    from sgident.words import Identity
+
+    rng = random.Random(40)
+    w40, w160 = ("".join(rng.choice("abcd") for _ in range(k)) for k in (40, 160))
+    laws = [Identity("a" + "abc" * e + "c", "a" + "abc" * (e + 1) + "c") for e in (7, 8)]
+    return (
+        ("u", ("nat", "nat:2,3"), range(6, 9), [Identity(w40, w40), Identity(w40, w40[::-1])]),
+        ("ut", ("bool", "lattice:diamond"), (5,), laws),
+        ("r", ("minplus01inf",), (6,), [Identity(w160, w160)]),
+    )
+
+
 def emit() -> None:
     """Print the plan's reports as one JSON list of ``[label, text]``, with
     the sgident found first on ``sys.path``."""
@@ -43,10 +67,11 @@ def emit() -> None:
     from sgident.semirings import semiring_from_spec
 
     out = []
-    for monoid, specs, ns in PLAN:
+    cases = [(monoid, specs, ns, corpus()) for monoid, specs, ns in PLAN]
+    for monoid, specs, ns, identities in cases + list(long_words()):
         for spec in specs:
             S = semiring_from_spec(spec)
-            for ident in corpus():
+            for ident in identities:
                 for n in ns:
                     report = run_check(monoid, ident, n, S)
                     payload = json.dumps(report.to_dict(stable=True), indent=2, sort_keys=True)

@@ -3,14 +3,14 @@ monoids over a semiring, with explicit falsifying morphisms.
 
 Each checker reduces the identity to a finite combinatorial comparison over
 the words u shorter than n that embed in a side, listed by one walk
-(:func:`_embedding_us`):
+(:func:`_embedding_us`) that builds each side's row of every such u:
 
 * upper triangular: functional equivalence, over the instance, of the
-  embedding polynomials on both sides of every such u;
-* unit diagonal: equality of the subword multiplicities of every such u,
+  embedding polynomials on both sides (rows of exponent vectors);
+* unit diagonal: equality of the subword multiplicities (count rows),
   reduced through the instance's arithmetic of repeated sums of 1;
-* reflexive over an interval instance: every such u embeds in both sides,
-  i.e. Simon congruence at level n-1.
+* reflexive over an interval instance: every such u embeds in both sides
+  (presence rows), i.e. Simon congruence at level n-1.
 
 A ``fails`` verdict always carries a small canonical witness morphism (unit
 or assigned diagonal, a path of ones along the distinguishing u) which is
@@ -49,9 +49,9 @@ from .polynomials import (
     functionally_equivalent,
 )
 from .semirings import BOOL, Cyclic, SemiringDescriptor, SplitMix64
-from .words import Identity, is_balanced, scattered_multiplicity, words_up_to
-# no check calls it since they walk _embedding_us; kept as benchmark/tracing.py hooks it
-from .words import subword_set
+from .words import CountRows, Identity, PresenceRows, is_balanced, words_up_to
+# no check calls these since they walk _embedding_us; kept as benchmark/tracing.py hooks them
+from .words import scattered_multiplicity, subword_set
 
 HOLDS = "holds"
 FAILS = "fails"
@@ -192,34 +192,32 @@ def _fails(
     )
 
 
-def _embedding_us(ident: Identity, n: int):
+def _embedding_us(ident: Identity, n: int, rows):
     """The u shorter than n that embed in a side of ``ident``, in
-    :func:`~sgident.words.words_up_to` order, each as
-    ``(index, u, in_lhs, in_rhs)``: its index in
-    ``words_up_to(ident.alphabet, n - 1, include_empty=True)`` and whether
-    it embeds in each side.  The trie of u is walked level by level,
-    children in letter order, with the end of u's leftmost embedding in
-    each side; a child is kept when either side has its letter after that
-    end, since a u that embeds in neither side has no extension that does.
-    Each u is yielded as soon as it is reached."""
-    lhs, rhs = ident.lhs, ident.rhs
+    :func:`~sgident.words.words_up_to` order, each as ``(index, u, lhs_row,
+    rhs_row)``: its index in ``words_up_to(ident.alphabet, n - 1,
+    include_empty=True)`` and its row in each side, from the ``rows`` of that
+    side (:class:`~sgident.words.PresenceRows`), or None where it does not
+    embed.  The trie of u is walked level by level, children in letter
+    order; a child is kept when either side has a row for it, since a u that
+    embeds in neither side has no extension that does.  Each u is yielded
+    as soon as its rows are built, so none is built past where the caller stops."""
     letters = sorted(ident.alphabet)
-    yield 0, "", True, True
-    # the kept u of one length: its rank among all its words, and the end of
-    # its leftmost embedding in each side, or -1 when it does not embed there
-    level = [(0, "", 0, 0)]
-    offset = 1  # index of the first word of the next length
+    (left, lchild), (right, rchild) = ((side.root, side.child) for side in rows)
+    # the kept u of one length, but for the last; in the order of all words,
+    # u + letters[i] comes at len(letters)·(the index of u) + 1 + i
+    level = [(0, "", left, right)]
+    yield level[0]
     for length in range(1, n):
         children = []
-        for rank, u, left, right in level:
-            for i, s in enumerate(letters, start=rank * len(letters)):
-                a = lhs.find(s, left) if left >= 0 else -1
-                b = rhs.find(s, right) if right >= 0 else -1
-                if a >= 0 or b >= 0:
-                    children.append((i, u + s, a + 1 if a >= 0 else -1, b + 1 if b >= 0 else -1))
-                    yield offset + i, u + s, a >= 0, b >= 0
+        for index, u, left, right in level:
+            for i, s in enumerate(letters, start=index * len(letters) + 1):
+                a = None if left is None else lchild(left, s, length)
+                b = None if right is None else rchild(right, s, length)
+                if a is not None or b is not None:
+                    children.append((i, u + s, a, b))
+                    yield children[-1] if length < n - 1 else children.pop()
         level = children
-        offset += len(letters) ** length
 
 
 # -- checkers ---------------------------------------------------------------------------
@@ -240,10 +238,9 @@ def check_UT(
     (:func:`_embedding_us`).  A u that embeds in neither side has two zero
     polynomials and says nothing, so it is only counted: the verdict's
     ``unembedded`` is the number of such u that ``words_up_to`` puts before
-    the first failing u, or in all when none fails.  Each walked u first
-    gets both sides' forms from lazy
-    :class:`~sgident.polynomials.EmbeddingForms` builders (none past a
-    failing u); equal forms settle
+    the first failing u, or in all when none fails.  Each walked u carries
+    both sides' forms, the last entries of its rows from two
+    :class:`~sgident.polynomials.EmbeddingForms`; equal forms settle
     it as ``identical-form`` over any instance, and over a bitmask lattice
     equal antichains of minimal supports settle it as ``exhaustive``
     (:func:`~sgident.polynomials.equivalent_by_forms`).  Only the other u
@@ -289,12 +286,12 @@ def check_UT(
     failure = None
     inconclusive = []
     walked = 0
-    for index, u, _, _ in _embedding_us(ident, n):
+    for index, u, left, right in _embedding_us(ident, n, forms):
         walked += 1
         if u == "" and skip_empty:
             continue
         counters["u_examined"] += 1
-        result = equivalent_by_forms(forms[0].form(u), forms[1].form(u), S, forms[0])
+        result = equivalent_by_forms(left and left[1][-1], right and right[1][-1], S, forms[0])
         if result is not None:
             counters["settled_by_forms"] += 1
         else:
@@ -339,17 +336,17 @@ def check_UT(
 
 def check_Un(ident: Identity, n: int, S: SemiringDescriptor) -> Verdict:
     """Identity check for the unit-diagonal triangular monoid: the subword
-    multiplicities of every non-empty u of :func:`_embedding_us` (the other
-    u have none in either side) must agree, in walk order, as sums of 1
-    (``S.nat_embed``), the instance's arithmetic of the multiplicative
-    identity.  Always decisive."""
+    multiplicities of every non-empty u of :func:`_embedding_us` (the other u
+    have none in either side), read off count rows, must agree, in walk
+    order, as sums of 1 (``S.nat_embed``), the instance's arithmetic of the
+    multiplicative identity.  Always decisive."""
     if n < 2:
         raise ValueError("n must be >= 2")
     check_dimension(n)
     evidence = []
-    for _, u, _, _ in islice(_embedding_us(ident, n), 1, None):  # past the empty u
-        mw = scattered_multiplicity(u, ident.lhs)
-        mv = scattered_multiplicity(u, ident.rhs)
+    counts = (CountRows(ident.lhs), CountRows(ident.rhs))
+    for _, u, left, right in islice(_embedding_us(ident, n, counts), 1, None):  # past the empty u
+        mw, mv = (0 if row is None else row[1][-1] for row in (left, right))
         equal = S.nat_embed(mw) == S.nat_embed(mv)
         evidence.append(
             {"u": u, "lhs_multiplicity": mw, "rhs_multiplicity": mv, "equal": equal}
@@ -376,11 +373,12 @@ def check_Un_idempotent(
             f"{S.name} is not idempotent; use the multiplicity check instead"
         )
     counts, first, walked = [0, 0], None, []
-    for _, u, in_lhs, in_rhs in islice(_embedding_us(ident, n), 1, None):
+    presence = (PresenceRows(ident.lhs), PresenceRows(ident.rhs))
+    for _, u, left, right in islice(_embedding_us(ident, n, presence), 1, None):
         walked.append(u)
-        counts[0] += in_lhs
-        counts[1] += in_rhs
-        if first is None and in_lhs != in_rhs:
+        counts[0] += left is not None
+        counts[1] += right is not None
+        if first is None and (left is None) != (right is None):
             first = u
     evidence = [{"lhs_subwords": counts[0], "rhs_subwords": counts[1], "k": n - 1}]
     if first is None or S._zero_payload == S._one_payload:

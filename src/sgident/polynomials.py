@@ -15,12 +15,14 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate
 from typing import NamedTuple, Optional
 
 import numpy as np
 
 from .errors import AlgebraError, InternalConsistencyError
 from .semirings import SemiringDescriptor, Val
+from .words import PresenceRows
 
 
 class Variable(NamedTuple):
@@ -95,11 +97,11 @@ def build_f_canonical(u: str, w: str) -> FormalPolynomial:
     return EmbeddingForms(w, w + u, len(u) + 1).polynomial(u)
 
 
-class EmbeddingForms:
+class EmbeddingForms(PresenceRows):
     """The embedding polynomials f_{u,w} for the words u over ``alphabet``
-    shorter than n, each built when first asked for, from the row of u[:-1].
-    This is the only constructor of f_{u,w}: :func:`build_f_canonical` and
-    :func:`build_f` decode its forms.
+    shorter than n, as :class:`~sgident.words.PresenceRows` whose entries
+    are sets of exponent vectors.  This is the only constructor of f_{u,w}:
+    :func:`build_f_canonical` and :func:`build_f` decode its forms.
 
     :meth:`form` gives the set of exponent vectors of f_{u,w}, or None when
     u does not embed in w, and :meth:`polynomial` decodes it.  That set is
@@ -116,67 +118,44 @@ class EmbeddingForms:
 
         row_u[j+1] = row_u[j]·x(w_j, |u|+1) ∪ [w_j = last letter of u]·row_{u[:-1]}[j]
 
-    and f_{u,w} is the last entry.  The entries before the end of the
-    leftmost embedding are empty and are skipped: a u whose last letter does
-    not occur after the leftmost embedding of u[:-1] gets None with no set
-    built, and so does every u whose prefix got None.  Rows are kept for
-    the last two lengths built, which is all that a level-by-level walk of
-    the trie of u (shortest first, as ``check_UT`` walks it) reads again;
-    ``built`` counts the rows built."""
+    and f_{u,w} is the last entry.  ``check_UT`` reads the rows that its
+    walk of the trie of u builds with :meth:`child`; :meth:`form` folds
+    :meth:`child` over the prefixes of u."""
 
     def __init__(self, w: str, alphabet: str, n: int, width: Optional[int] = None):
-        self.w, self.n = w, n
+        self.n = n
         self.width = len(w).bit_length() if width is None else width
         if len(w) >= 1 << self.width:
             raise ValueError(f"width {self.width} cannot hold exponents up to {len(w)}")
         self._rank = rank = {s: i for i, s in enumerate(sorted(set(alphabet)))}
+        outside = sorted(set(w) - set(rank))
+        if outside:
+            raise ValueError(f"letters {''.join(outside)!r} of w are outside the alphabet {alphabet!r}")
         # the field of x(s, v) is that of x(s, 1) moved by (v - 1)·|alphabet|
         self._vertex = self.width * len(rank)
         self._units = [1 << (self.width * rank[s]) for s in w]
         self._low = sum(1 << (self.width * i) for i in range(n * len(rank)))
-        entries, acc = [frozenset([0])], 0
-        for unit in self._units:
-            acc += unit
-            entries.append(frozenset([acc]))
-        self._empty = (0, entries)  # (index of the first non-empty entry, entries)
-        self._rows = {}
-        self._length = 0
-        self.built = 1
+        super().__init__(w, [frozenset([acc]) for acc in accumulate(self._units, initial=0)])
 
-    def _row(self, u: str) -> Optional[tuple]:
-        if not u:
-            return self._empty
-        if u in self._rows:
-            return self._rows[u]
-        parent = self._row(u[:-1])
-        row = None
-        if parent is not None:
-            last = u[-1]
-            first = self.w.find(last, parent[0])
-            if first >= 0:
-                below, shift = parent[1], self._vertex * len(u)
-                entries = [frozenset()] * (first + 1)
-                entry = set()
-                for j in range(first, len(self.w)):
-                    step = self._units[j] << shift
-                    entry = {m + step for m in entry}
-                    if self.w[j] == last:
-                        entry |= below[j]
-                    entries.append(entry)
-                entries[-1] = frozenset(entry)
-                row = (first + 1, entries)
-                self.built += 1
-        if len(u) > self._length:
-            self._length = len(u)
-            self._rows = {v: r for v, r in self._rows.items() if len(v) >= len(u) - 1}
-        self._rows[u] = row
-        return row
+    def _entries(self, below, first, last, length):
+        shift, entry = self._vertex * length, set()
+        entries = [frozenset()] * (first + 1)
+        for j in range(first, len(self.w)):
+            step = self._units[j] << shift
+            entry = {m + step for m in entry}
+            if self.w[j] == last:
+                entry |= below[j]
+            entries.append(entry)
+        entries[-1] = frozenset(entry)
+        return entries
 
     def form(self, u: str) -> Optional[frozenset]:
         if len(u) >= self.n:
             raise ValueError(f"|u|={len(u)} exceeds n-1={self.n - 1}")
-        row = self._row(u)
-        return None if row is None else row[1][-1]
+        row = self.root
+        for length, last in enumerate(u, start=1):
+            row = row and self.child(row, last, length)
+        return row and row[1][-1]
 
     def polynomial(self, u: str) -> FormalPolynomial:
         """f_{u,w} decoded from :meth:`form`, its monomials sorted as

@@ -1,11 +1,12 @@
-"""Words over a-z, identities, occurrence counts, and Simon congruence."""
+"""Words over a-z, identities, occurrence counts and rows, Simon congruence."""
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import product
+from itertools import accumulate, product
+from operator import mul
 
 ALPHABET = "abcdefghijklmnopqrstuvwxyz"
 
@@ -68,6 +69,31 @@ def scattered_multiplicity(u: str, w: str) -> int:
             if u[j - 1] == ch:
                 counts[j] += counts[j - 1]
     return counts[len(u)]
+
+
+class PresenceRows:
+    """Rows of w along the trie of u, reduced to presence: u's row is
+    ``(start, entries)``, start the end of u's leftmost embedding in w, or
+    None.  Subclasses fill entries, entry j over w[:j], with ``_entries``."""
+
+    def __init__(self, w: str, root_entries=None):
+        self.w, self.root = w, (0, root_entries)
+
+    def child(self, row, last: str, length: int):
+        first = self.w.find(last, row[0])
+        return None if first < 0 else (first + 1, row[1] and self._entries(row[1], first, last, length))
+
+
+class CountRows(PresenceRows):
+    """Entry j of u's row is the number of embeddings of u into w[:j]:
+    ``row_u[j+1] = row_u[j] + [w_j = last]·row_{u[:-1]}[j]``."""
+
+    def __init__(self, w: str):
+        super().__init__(w, [1] * (len(w) + 1))
+        self._is = {s: [int(c == s) for c in w] for s in set(w)}
+
+    def _entries(self, below, first, last, length):
+        return [0] * (first + 1) + list(accumulate(map(mul, below[first:-1], self._is[last][first:])))
 
 
 @lru_cache(maxsize=16384)

@@ -30,7 +30,7 @@ from sgident.matrices import (
     random_reflexive_codes,
 )
 from sgident.monoids import BruteForceHolds, brute_force_identity, enumerate_unitriangular
-from sgident.polynomials import build_f_canonical, functionally_equivalent
+from sgident.polynomials import EmbeddingForms, build_f_canonical, functionally_equivalent
 from sgident.semirings import (
     BOOL,
     DIAMOND,
@@ -41,7 +41,14 @@ from sgident.semirings import (
     SplitMix64,
     semiring_from_spec,
 )
-from sgident.words import Identity, scattered_multiplicity, subword_set, words_up_to
+from sgident.words import (
+    CountRows,
+    Identity,
+    PresenceRows,
+    scattered_multiplicity,
+    subword_set,
+    words_up_to,
+)
 
 ABAB = Identity.parse("abab=abba")
 ADJAN = Identity.parse("xyyxxyxyyx=xyyxyxxyyx")
@@ -110,23 +117,29 @@ def _embedding_us_oracle(ident, n):
 
 
 def test_ut_walk_gives_the_u_that_embed_in_a_side_in_words_up_to_order(identity_corpus):
+    # every reduction walks the same u, and a side's row is None exactly
+    # where u does not embed in that side
     rng = random.Random(31)
     for ident in rng.sample(identity_corpus, 40):
         sides = (ident.lhs, ident.rhs)
         for n in (1, 2, 3, 4, 5):
-            walked = list(checker._embedding_us(ident, n))
-            assert [u for _, u, _, _ in walked] == _embedding_us_oracle(ident, n), (ident, n)
-            order = words_up_to(ident.alphabet, n - 1, include_empty=True)
-            assert [index for index, *_ in walked] == [order.index(u) for _, u, _, _ in walked]
-            for _, u, *flags in walked:
-                assert flags == [scattered_multiplicity(u, side) > 0 for side in sides]
+            for rows in (PresenceRows, CountRows, lambda w: EmbeddingForms(w, ident.alphabet, n)):
+                walked = list(checker._embedding_us(ident, n, [rows(side) for side in sides]))
+                assert [u for _, u, _, _ in walked] == _embedding_us_oracle(ident, n), (ident, n)
+                order = words_up_to(ident.alphabet, n - 1, include_empty=True)
+                assert [index for index, *_ in walked] == [order.index(u) for _, u, _, _ in walked]
+                for _, u, *found in walked:
+                    assert [row is not None for row in found] == [
+                        scattered_multiplicity(u, side) > 0 for side in sides
+                    ]
 
 
 def test_u_evidence_and_r_report_list_the_subwords_of_either_side_shortest_first(
     identity_corpus, monkeypatch,
 ):
     # the order of the subword-set union that the walk replaced; the r report
-    # takes its list from the verdict's walk, so an r check walks once
+    # takes its list from the verdict's walk, so an r check walks once (the
+    # walk's third argument is its pair of row builders)
     walks = []
     embedding_us = checker._embedding_us
     monkeypatch.setattr(
@@ -146,7 +159,7 @@ def test_u_evidence_and_r_report_list_the_subwords_of_either_side_shortest_first
             walks.clear()
             report = run_check("r", ident, n, MINPLUS01INF, verify_samples=0)
             assert report.u_words == union, (ident, n)
-            assert walks == [(ident, n)]
+            assert [args[:2] for args in walks] == [(ident, n)]
 
 
 @pytest.mark.parametrize("text, n, listed, unembedded", [

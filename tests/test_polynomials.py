@@ -156,15 +156,23 @@ def test_embedding_forms_are_the_polynomials():
             assert forms.polynomial(u) == build_f_canonical(u, w) == poly(*counts)
     with pytest.raises(ValueError):
         EmbeddingForms("aabb", "ab", 3, width=2)  # 4 does not fit in 2 bits
+    with pytest.raises(ValueError, match="'c'"):
+        EmbeddingForms("abc", "ab", 3)  # c has no field
 
 
 def test_failing_ut_check_builds_no_rows_past_its_first_failing_u(monkeypatch):
-    asked, builders = [], []
+    asked, built = [], []
 
     class Recording(EmbeddingForms):
         def __init__(self, *args):
             super().__init__(*args)
-            builders.append(self)
+            built.append(0)
+            self.index = len(built) - 1
+
+        def child(self, row, last, length):
+            out = super().child(row, last, length)
+            built[self.index] += out is not None
+            return out
 
         def form(self, u):
             asked.append(u)
@@ -177,9 +185,13 @@ def test_failing_ut_check_builds_no_rows_past_its_first_failing_u(monkeypatch):
     assert verdict.is_fails and len(verdict.distinguishing_u) == 2
     order = words_up_to("ab", 2, include_empty=True)
     last = order.index(verdict.distinguishing_u)
-    assert asked == [u for u in order[: last + 1] for _ in range(2)]
-    # one row per u asked at most, the empty word's included
-    assert all(forms.built <= last + 1 for forms in builders)
+    # the u up to the failing one are compared in order, their forms read off
+    # the walk's rows, not asked for again
+    assert [e["u"] for e in verdict.evidence] == order[: last + 1]
+    assert asked == []
+    # one row per non-empty u up to the failing one, in each side, and none
+    # past it: each of those u embeds in both sides
+    assert built == [last, last]
 
 
 def test_evaluate_examples():

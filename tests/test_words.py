@@ -1,3 +1,4 @@
+import random
 from itertools import combinations
 from math import comb
 
@@ -5,8 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sgident import checker
+from sgident.checker import check_Un
+from sgident.semirings import NAT
 from sgident.words import (
+    CountRows,
     Identity,
+    PresenceRows,
     beta,
     content,
     is_balanced,
@@ -62,6 +68,53 @@ def test_multiplicity_matches_enumeration_exhaustively():
     for w in words_up_to("ab", 8):
         for u in words_up_to("ab", 4):
             assert scattered_multiplicity(u, w) == count_by_enumeration(u, w), (u, w)
+
+
+def _row(rows, u):
+    """u's row, folded from the root along the prefixes of u."""
+    row = rows.root
+    for length, last in enumerate(u, start=1):
+        row = row and rows.child(row, last, length)
+    return row
+
+
+def test_count_and_presence_rows_follow_their_definitions():
+    rng = random.Random(44)
+    words = ["".join(rng.choice("abc") for _ in range(rng.randint(1, 10))) for _ in range(60)]
+    for w in words:
+        counts, presence = CountRows(w), PresenceRows(w)
+        for u in words_up_to("abc", 3, include_empty=True):
+            row = _row(counts, u)
+            want = [scattered_multiplicity(u, w[:j]) for j in range(len(w) + 1)]
+            if row is None:
+                assert not any(want), (u, w)
+            else:
+                assert row[1] == want, (u, w)
+            # the end of u's leftmost embedding: the shortest prefix that holds u
+            end = next((j for j, m in enumerate(want) if m), None)
+            assert _row(presence, u) == (None if end is None else (end, None)), (u, w)
+            assert row is None or row[0] == end
+
+
+def test_failing_u_check_builds_count_rows_up_to_its_distinguishing_u(monkeypatch):
+    built = []
+
+    class Recording(CountRows):
+        def child(self, row, last, length):
+            out = super().child(row, last, length)
+            built.append(out is not None)
+            return out
+
+    monkeypatch.setattr(checker, "CountRows", Recording)
+    rng = random.Random(40)
+    w = "".join(rng.choice("abcd") for _ in range(40))
+    verdict = check_Un(Identity(w, w[::-1]), 8, NAT)
+    assert verdict.is_fails
+    # a row for each side that holds a non-empty u up to the distinguishing
+    # one, and none past it
+    us = [e["u"] for e in verdict.evidence]
+    assert us[-1] == verdict.distinguishing_u
+    assert sum(built) == sum(scattered_multiplicity(u, side) > 0 for u in us for side in (w, w[::-1]))
 
 
 def test_subword_set_examples():
