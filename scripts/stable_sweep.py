@@ -9,7 +9,9 @@ json --stable-output`` prints for it (seed 0, the default budget and
 ``verify_samples``).  The plan:
 
 * ``ut`` on the identity corpus at n = 2..4 over bool, lattice:diamond,
-  nat:2,3, maxplus and minplus01inf;
+  nat, nat:2,3, maxplus, minplus01inf and interval01 (over nat the u that
+  the forms leave open are sampled, over interval01 a fails takes its
+  witness from the hull as a max-times point);
 * ``u`` on the corpus at n = 2..6 over bool, nat, nat:2,3 and
   lattice:diamond;
 * ``r`` on the corpus at n = 2..6 over interval01 and minplus01inf;
@@ -39,7 +41,8 @@ from pathlib import Path
 from bench_pairs import extract, git
 
 PLAN = (
-    ("ut", ("bool", "lattice:diamond", "nat:2,3", "maxplus", "minplus01inf"), range(2, 5)),
+    ("ut", ("bool", "lattice:diamond", "nat", "nat:2,3", "maxplus", "minplus01inf", "interval01"),
+     range(2, 5)),
     ("u", ("bool", "nat", "nat:2,3", "lattice:diamond"), range(2, 7)),
     ("r", ("interval01", "minplus01inf"), range(2, 7)),
 )

@@ -44,13 +44,13 @@ from .polynomials import (
     Equivalent,
     NotEquivalent,
     Variable,
-    build_f_canonical,
     equivalent_by_forms,
     functionally_equivalent,
 )
 from .semirings import BOOL, Cyclic, SemiringDescriptor, SplitMix64
 from .words import CountRows, Identity, PresenceRows, is_balanced, words_up_to
-# no check calls these since they walk _embedding_us; kept as benchmark/tracing.py hooks them
+# no check calls these (they read _embedding_us rows); kept as benchmark/tracing.py hooks them
+from .polynomials import build_f_canonical
 from .words import scattered_multiplicity, subword_set
 
 HOLDS = "holds"
@@ -244,8 +244,9 @@ def check_UT(
     it as ``identical-form`` over any instance, and over a bitmask lattice
     equal antichains of minimal supports settle it as ``exhaustive``
     (:func:`~sgident.polynomials.equivalent_by_forms`).  Only the other u
-    build both polynomials with ``build_f_canonical`` (decoded from forms of
-    its own) and go to :func:`~sgident.polynomials.functionally_equivalent`,
+    decode both polynomials from those forms
+    (:meth:`~sgident.polynomials.EmbeddingForms.polynomial`) and go to
+    :func:`~sgident.polynomials.functionally_equivalent`,
     which would answer the same for the settled ones; so the first failing
     u, its witness and every evidence entry are what building every walked
     u would give.  The verdict's ``counters`` count the u examined, those the
@@ -291,14 +292,15 @@ def check_UT(
         if u == "" and skip_empty:
             continue
         counters["u_examined"] += 1
-        result = equivalent_by_forms(left and left[1][-1], right and right[1][-1], S, forms[0])
+        a, b = left and left[1][-1], right and right[1][-1]
+        result = equivalent_by_forms(a, b, S, forms[0])
         if result is not None:
             counters["settled_by_forms"] += 1
         else:
             counters["polynomials_built"] += 2
             result = functionally_equivalent(
-                build_f_canonical(u, ident.lhs),
-                build_f_canonical(u, ident.rhs),
+                forms[0].polynomial(a, len(u)),
+                forms[1].polynomial(b, len(u)),
                 S,
                 variables=universes[len(u)], budget=budget, seed=seed,
             )
@@ -464,7 +466,7 @@ def assert_balanced_guard(
     ident: Identity,
     n: int,
     S: SemiringDescriptor,
-    verdict: Optional[Verdict] = None,
+    verdict: Verdict,
     monoid: str = "ut",
 ) -> None:
     """Raise if a holds verdict violates the balancedness consequence.
@@ -477,8 +479,6 @@ def assert_balanced_guard(
         return
     if monoid == "u" and isinstance(S.monogenic, Cyclic):
         return
-    if verdict is None:
-        verdict = check_UT(ident, n, S) if monoid == "ut" else check_Un(ident, n, S)
     if verdict.is_holds and not is_balanced(ident):
         raise InternalConsistencyError(
             f"unbalanced identity {ident} reported as holding over {S.name} (n={n})"

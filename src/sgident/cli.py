@@ -50,8 +50,12 @@ def _default_seed() -> int:
 
 def _emit(text: str, output):
     if output:
-        with open(output, "w", encoding="utf-8") as fh:
-            fh.write(text if text.endswith("\n") else text + "\n")
+        try:
+            with open(output, "w", encoding="utf-8") as fh:
+                fh.write(text if text.endswith("\n") else text + "\n")
+        except OSError as exc:
+            # a usage error, not exit 1, which would say the identity fails
+            raise ValueError(f"cannot write {output}: {exc.strerror or exc}") from None
         return
     try:
         print(text, flush=True)

@@ -69,11 +69,11 @@ class ClosureResult:
     ``elements[0]`` is the identity matrix for generated closures, and
     ``cayley_right`` is an int32 array whose entry ``[i, g]`` is the index
     of ``elements[i]`` times generator ``g``; :meth:`mult_table` builds the
-    full table from these rows.  The order of ``elements`` is BFS discovery
-    order whichever path built them (see :func:`bfs_closure`).  Families
-    produced by direct enumeration rather than generation, and a closure cut
-    off by its element cap, carry no Cayley rows, so their table takes one
-    matrix product per entry.
+    full table, the closure's only one, from these rows.  The order of
+    ``elements`` is BFS discovery order whichever path built them (see
+    :func:`bfs_closure`).  Families produced by direct enumeration rather
+    than generation, and a closure cut off by its element cap, carry no
+    Cayley rows, so their table takes one matrix product per entry.
     """
 
     def __init__(
@@ -97,7 +97,6 @@ class ClosureResult:
         self.cayley_right = cayley_right
         self._index = {m: i for i, m in enumerate(elements)}
         self._table = None
-        self._flat = None
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -117,7 +116,10 @@ class ClosureResult:
         return " ".join(self.generator_labels[g] for g in word)
 
     def mult_table(self) -> np.ndarray:
-        """Full element-by-element multiplication table (indices), built once.
+        """Full element-by-element multiplication table (indices), built once
+        in the narrowest dtype that holds the flat indices ``i * m + j``,
+        ``np.min_scalar_type(m * m - 1)``: the brute-force fold gathers from
+        its ravel in that dtype (uint8 and uint16 gathers are the faster).
 
         With Cayley rows, column 0 is the identity and column ``j`` is one
         gather through the rows: element ``j`` was discovered as
@@ -129,7 +131,7 @@ class ClosureResult:
         """
         if self._table is None:
             m = len(self.elements)
-            table = np.empty((m, m), dtype=np.int32)
+            table = np.empty((m, m), dtype=np.min_scalar_type(m * m - 1))
             if self.cayley_right is None:
                 try:
                     for i, a in enumerate(self.elements):
@@ -141,26 +143,12 @@ class ClosureResult:
             else:
                 cayley = self.cayley_right
                 index_of_word = {word: i for i, word in enumerate(self.witness_words)}
-                table[:, 0] = np.arange(m, dtype=np.int32)
+                table[:, 0] = np.arange(m)
                 for j in range(1, m):
                     word = self.witness_words[j]
                     table[:, j] = cayley[table[:, index_of_word[word[:-1]]], word[-1]]
             self._table = table
         return self._table
-
-    def _flat_table(self) -> np.ndarray:
-        """The raveled :meth:`mult_table` in the narrowest dtype that holds
-        its flat indices ``i * m + j``, built once: the brute-force fold
-        gathers from it.  That is a copy only for m ≤ 256 (uint8 or uint16,
-        whose gathers are faster) and past int32's reach."""
-        if self._flat is None:
-            m = len(self.elements)
-            flat = self.mult_table().ravel()
-            dtype = np.min_scalar_type(m * m - 1)
-            if dtype.itemsize == flat.itemsize and m * m <= 1 << 31:
-                dtype = flat.dtype
-            self._flat = flat.astype(dtype, copy=False)
-        return self._flat
 
 
 def bfs_closure(
@@ -676,9 +664,9 @@ ASSIGNMENT_CAP = 10_000_000
 def _fold_word(flat: np.ndarray, m: int, word: str, letters: dict, head=None):
     """The element indices of ``word`` at every assignment of a block,
     continued from the indices ``head`` of a prefix when given.  ``flat`` is
-    an m-element monoid's :meth:`ClosureResult._flat_table`, ``m`` is m as a
-    scalar of ``flat``'s dtype and ``letters`` maps each letter to its
-    element indices, fixed values or arrays of that dtype that broadcast
+    an m-element monoid's raveled :meth:`ClosureResult.mult_table`, ``m``
+    is m as a scalar of ``flat``'s dtype and ``letters`` maps each letter to
+    its element indices, fixed values or arrays of that dtype that broadcast
     against each other, so each step is one gather at ``acc * m + column``."""
     acc = head
     for ch in word:
@@ -749,7 +737,7 @@ def brute_force_identity(
     returned.
 
     Both modes fold each side through the raveled multiplication table
-    (:meth:`ClosureResult._flat_table`), one block of at most
+    (:meth:`ClosureResult.mult_table`), one block of at most
     ``_FOLD_CHUNK`` assignments at a time and one gather per letter.  An
     exhaustive block gives each letter an index array on its own axis (see
     :func:`_exhaustive_blocks`), so the sides broadcast to the block's
@@ -767,7 +755,7 @@ def brute_force_identity(
             f"{m ** len(letters)} assignments exceed the cap {ASSIGNMENT_CAP}; "
             "pass sample=... for a randomized check"
         )
-    flat = M._flat_table()
+    flat = M.mult_table().ravel()
     if sample is None:
         blocks = _exhaustive_blocks(letters, m, flat.dtype)
     else:

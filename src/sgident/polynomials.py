@@ -94,17 +94,19 @@ def build_f(u: str, rho: tuple, w: str, n: int) -> FormalPolynomial:
 def build_f_canonical(u: str, w: str) -> FormalPolynomial:
     """build_f along the initial-segment path (1, 2, ..., |u|+1), decoded from
     the :class:`EmbeddingForms` of w."""
-    return EmbeddingForms(w, w + u, len(u) + 1).polynomial(u)
+    forms = EmbeddingForms(w, w + u, len(u) + 1)
+    return forms.polynomial(forms.form(u), len(u))
 
 
 class EmbeddingForms(PresenceRows):
     """The embedding polynomials f_{u,w} for the words u over ``alphabet``
     shorter than n, as :class:`~sgident.words.PresenceRows` whose entries
     are sets of exponent vectors.  This is the only constructor of f_{u,w}:
-    :func:`build_f_canonical` and :func:`build_f` decode its forms.
+    ``check_UT``, :func:`build_f_canonical` and :func:`build_f` decode its
+    forms.
 
     :meth:`form` gives the set of exponent vectors of f_{u,w}, or None when
-    u does not embed in w, and :meth:`polynomial` decodes it.  That set is
+    u does not embed in w, and :meth:`polynomial` decodes such a set.  It is
     the whole polynomial: an embedding's segment lengths fix its positions,
     so no two embeddings give one monomial and every coefficient is 1.  A
     vector is packed into one int, ``width`` bits per variable x(s, v), at
@@ -119,7 +121,8 @@ class EmbeddingForms(PresenceRows):
         row_u[j+1] = row_u[j]·x(w_j, |u|+1) ∪ [w_j = last letter of u]·row_{u[:-1]}[j]
 
     and f_{u,w} is the last entry.  ``check_UT`` reads the rows that its
-    walk of the trie of u builds with :meth:`child`; :meth:`form` folds
+    walk of the trie of u builds with :meth:`child`, and decodes the last
+    entry of a u that the forms leave open; :meth:`form` folds
     :meth:`child` over the prefixes of u."""
 
     def __init__(self, w: str, alphabet: str, n: int, width: Optional[int] = None):
@@ -157,8 +160,9 @@ class EmbeddingForms(PresenceRows):
             row = row and self.child(row, last, length)
         return row and row[1][-1]
 
-    def polynomial(self, u: str) -> FormalPolynomial:
-        """f_{u,w} decoded from :meth:`form`, its monomials sorted as
+    def polynomial(self, form: Optional[frozenset], length: int) -> FormalPolynomial:
+        """The polynomial of ``form``, f_{u,w} for the form of a u of
+        ``length`` letters (None for zero), its monomials sorted as
         :meth:`FormalPolynomial.from_monomials` sorts them."""
         mask = (1 << self.width) - 1
         # per variable x(s, v), in Variable's order: its field and the factors
@@ -166,11 +170,11 @@ class EmbeddingForms(PresenceRows):
         fields = [
             ((v - 1) * self._vertex + self.width * self._rank[s],
              [None] + [(Variable(s, v), e) for e in range(1, self.w.count(s) + 1)])
-            for s in sorted(set(self.w)) for v in range(1, len(u) + 2)
+            for s in sorted(set(self.w)) for v in range(1, length + 2)
         ]
         return FormalPolynomial(tuple(sorted(
             tuple([factors[e] for shift, factors in fields if (e := m >> shift & mask)])
-            for m in self.form(u) or ()
+            for m in form or ()
         )))
 
     def minimal_supports(self, form: Optional[frozenset]) -> frozenset:

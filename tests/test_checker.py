@@ -25,6 +25,7 @@ from sgident.checker import (
 from sgident.errors import InternalConsistencyError, UnsupportedStructureError
 from sgident.matrices import (
     MorphismTable,
+    format_matrix,
     is_unitriangular,
     matrix_from_payloads,
     random_reflexive_codes,
@@ -188,6 +189,31 @@ def test_ut_fails_counts_the_unembedded_u_up_to_the_failing_one():
     assert verdict.unembedded == 1
     report = run_check("ut", Identity.parse("yxyy=yyxy"), 4, BOOL).to_dict(stable=True)
     assert (report["u_words_examined"], report["u_words_unembedded"]) == (["", "x", "y", "xy"], 1)
+
+
+@pytest.mark.parametrize("text, n, spec, outcome, method", [
+    ("abba=baab", 3, "nat", "fails", None),  # sampled
+    ("xyyxxyxyyx=xyyxyxxyyx", 2, "maxplus", "holds", "hull"),
+    ("aabaaa=aaabaa", 3, "nat:2,3", "fails", None),  # tensor
+    ("xyx=xxy", 3, "bool", "fails", None),  # minimal supports
+])
+def test_ut_decodes_the_open_u_from_its_walk_rows(text, n, spec, outcome, method, monkeypatch):
+    ident, S = Identity.parse(text), semiring_from_spec(spec)
+    before = check_UT(ident, n, S)
+
+    def refuse(u, w):
+        raise AssertionError(f"check_UT built f_({u},{w}) a second time")
+
+    monkeypatch.setattr(checker, "build_f_canonical", refuse)
+    monkeypatch.setattr(sgident.polynomials, "build_f_canonical", refuse)
+    after = check_UT(ident, n, S)
+    assert after.counters["polynomials_built"] > 0
+    assert after.outcome == outcome
+    assert (after.to_dict(), after.unembedded) == (before.to_dict(), before.unembedded)
+    if method is not None:
+        assert {e["method"] for e in after.evidence} == {method}
+    if spec == "nat":
+        assert format_matrix(after.witness.images["b"]) == "4 0 0; 0 23565 0; 0 0 1"
 
 
 def test_fails_witnesses_reverify_by_multiplication():

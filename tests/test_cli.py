@@ -1,3 +1,4 @@
+import errno
 import importlib.resources
 import json
 import os
@@ -428,6 +429,21 @@ def test_output_file(tmp_path, capsys):
     )
     assert code == 0 and out == ""
     assert json.loads(target.read_text())["verdict"]["outcome"] == "holds"
+
+
+@pytest.mark.parametrize("argv", [
+    ("check", "--monoid", "u", "--n", "3", "--semiring", "bool", "ab=ab"),
+    ("closure", "--family", "gossip", "--n", "2"),
+])
+@pytest.mark.parametrize("where, reason", [
+    ("no/such/dir/x.json", errno.ENOENT), ("", errno.EISDIR),
+])
+def test_unwritable_output_is_a_usage_error(argv, where, reason, tmp_path, capsys):
+    # exit 1 would say the identity fails; this one holds
+    target = str(tmp_path / where)
+    code, out, err = run_cli(capsys, *argv, "--output", target)
+    assert (code, out) == (2, "")
+    assert err == f"error: cannot write {target}: {os.strerror(reason)}\n"
 
 
 def test_verify_subcommand(capsys):

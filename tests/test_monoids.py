@@ -162,6 +162,17 @@ def test_mult_table_equals_entry_by_entry_products(case):
     M = TABLE_CASES[case]()
     by_products = [[M.index_of(multiply(a, b)) for b in M.elements] for a in M.elements]
     assert M.mult_table().tolist() == by_products
+    # the one table is in the dtype the brute-force fold gathers in
+    assert M.mult_table().dtype == np.min_scalar_type(len(M) ** 2 - 1)
+
+
+def test_mult_table_of_one_way_gossip_4_equals_products_at_seeded_entries():
+    M = family("oneWayGossip", 4)
+    table = M.mult_table()
+    assert (len(M), table.dtype) == (3769, np.uint32)
+    rng = np.random.default_rng(45)
+    for i, j in rng.integers(len(M), size=(1000, 2)).tolist():
+        assert table[i, j] == M.index_of(multiply(M.elements[i], M.elements[j])), (i, j)
 
 
 def test_closure_cap_carries_a_partial_result():

@@ -153,7 +153,7 @@ def test_embedding_forms_are_the_polynomials():
                 packed("ab", 3, *((var.letter, var.vertex, e) for var, e in m)) for m in counts
             }
             assert forms.form(u) == (want or None)
-            assert forms.polynomial(u) == build_f_canonical(u, w) == poly(*counts)
+            assert forms.polynomial(forms.form(u), len(u)) == build_f_canonical(u, w) == poly(*counts)
     with pytest.raises(ValueError):
         EmbeddingForms("aabb", "ab", 3, width=2)  # 4 does not fit in 2 bits
     with pytest.raises(ValueError, match="'c'"):
