@@ -155,6 +155,9 @@ def test_sampled_checks_keep_their_bytes(golden, expected, argv, capsys):
             "--family", "oneWayGossip_S", "--n", "3", "--semiring", "lattice:diamond",
             "--index-bound", "n-1",
         )),
+        ("closure_gossipS3_interval01.txt", (
+            "--family", "gossip_S", "--n", "3", "--semiring", "interval01",
+        )),
     ],
 )
 def test_closures_keep_their_bytes(golden, argv, capsys):
@@ -334,22 +337,29 @@ def test_closure_weighted_family(capsys):
     assert "s_sample=0,1" in header and "semiring=minplus01inf" in header
 
 
-# weights that min-plus codes cannot hold (1/5 is no multiple of 1/12, and
-# 2^59 has no finite code below INF_CODE) take the product path; pinned
+# weights that the codes cannot hold take the product path; pinned: 1/5 is
+# no multiple of min-plus's 1/12, 2^59 has no finite code below INF_CODE, and
+# 1/3 is no power of 1/2
 @pytest.mark.parametrize(
-    "weight", ["1/5", "576460752303423488"],
+    "semiring, unit, zero, weight",
+    [
+        ("minplus01inf", "0", "inf", "1/5"),
+        ("minplus01inf", "0", "inf", "576460752303423488"),
+        ("interval01", "1", "0", "1/3"),
+    ],
+    ids=["1/5", "576460752303423488", "interval01-1/3"],
 )
-def test_closure_over_weights_without_codes_keeps_its_bytes(weight, capsys):
+def test_closure_over_weights_without_codes_keeps_its_bytes(semiring, unit, zero, weight, capsys):
     code, out, _ = run_cli(
         capsys, "closure", "--family", "gossip_S", "--n", "2",
-        "--semiring", "minplus01inf", "--s-sample", f"0,{weight}",
+        "--semiring", semiring, "--s-sample", f"{unit},{weight}",
     )
     assert code == 0
     assert out == (
-        f"family=gossip_S n=2 semiring=minplus01inf s_sample=0,{weight} count=3\n"
-        "0 inf; inf 0\t-\n"
-        "0 0; 0 0\t1<>2:0\n"
-        f"0 {weight}; {weight} 0\t1<>2:{weight}\n"
+        f"family=gossip_S n=2 semiring={semiring} s_sample={unit},{weight} count=3\n"
+        f"{unit} {zero}; {zero} {unit}\t-\n"
+        f"{unit} {unit}; {unit} {unit}\t1<>2:{unit}\n"
+        f"{unit} {weight}; {weight} {unit}\t1<>2:{weight}\n"
     )
 
 
