@@ -22,7 +22,7 @@ and seeded long words (``long_words``), past the corpus's 8 letters:
   ``w=rev(w)``;
 * ``ut`` over bool and lattice:diamond at n = 5 on
   ``a(abc)^e c=a(abc)^(e+1) c`` for e = 7, 8;
-* ``r`` over minplus01inf at n = 6 on a 160-letter ``w=w``.
+* ``r`` over minplus01inf and interval01 at n = 6 on a 160-letter ``w=w``.
 
 Prints the number of reports and the first that differs, and exits 1 when
 one does.
@@ -59,7 +59,7 @@ def long_words() -> tuple:
     return (
         ("u", ("nat", "nat:2,3"), range(6, 9), [Identity(w40, w40), Identity(w40, w40[::-1])]),
         ("ut", ("bool", "lattice:diamond"), (5,), laws),
-        ("r", ("minplus01inf",), (6,), [Identity(w160, w160)]),
+        ("r", ("minplus01inf", "interval01"), (6,), [Identity(w160, w160)]),
     )
 
 

@@ -301,34 +301,26 @@ def _coded_word(codes, images: dict, word: str, head=None):
 def coded_images(S: SemiringDescriptor, images: dict, word: str) -> np.ndarray:
     """The (T, n, n) codes of the images of a non-empty ``word`` under the
     coded morphisms ``images`` (see :func:`random_reflexive_codes`), in
-    ``S.codes.dtype(len(word))``; scaled codes carry the word's weight (see
-    :class:`~sgident.semirings.IntegerCodes`)."""
+    ``S.codes.dtype``."""
     if not word:
         raise ValueError("the empty word has no coded image; use identity_matrix")
     codes = S.codes
-    return _coded_word(codes, _code_stacks(images, codes.dtype(len(word))), word)
+    return _coded_word(codes, _code_stacks(images, codes.dtype), word)
 
 
 def coded_agreement(S: SemiringDescriptor, images: dict, w: str, v: str) -> np.ndarray:
     """Per trial, whether the non-empty words w and v have the same image
-    under the coded morphisms ``images``.  A common prefix is multiplied
-    once.  When the sides' weights differ, the lighter side is multiplied up
-    to the heavier one: ``N_w * d**(|v|-|w|) == N_v`` under the degree law,
-    which keeps every code below d**max(|w|, |v|)."""
+    under the coded morphisms ``images``: whether their codes are equal.  A
+    common prefix is multiplied once."""
     if not (w and v):
         raise ValueError("both sides need at least one letter")
     codes = S.codes
-    images = _code_stacks(images, codes.dtype(max(len(w), len(v))))
+    images = _code_stacks(images, codes.dtype)
     k = 0
     while k < min(len(w), len(v)) and w[k] == v[k]:
         k += 1
     head = _coded_word(codes, images, w[:k])
     a, b = _coded_word(codes, images, w[k:], head), _coded_word(codes, images, v[k:], head)
-    weight_w, weight_v = codes.weight(len(w)), codes.weight(len(v))
-    if weight_w < weight_v:
-        a = a * (weight_v // weight_w)
-    elif weight_v < weight_w:
-        b = b * (weight_w // weight_v)
     return (a == b).all(axis=(1, 2))
 
 

@@ -18,14 +18,14 @@ encodings.  Boolean elements are row bitmasks: a generator maps a row
 bitmask to its image row through a 2^n-entry table, so a whole level's
 products are one gather per generator, and each element packs into one
 ``uint64`` key, one byte per row.  Every other instance whose code object
-``S.codes`` holds the generators exactly, with a constant weight (the
-finite carriers and ``minplus01inf``), keeps elements as code arrays: a
-level's products are ``codes.product`` calls, and the key is the bytes of
-the codes.  A level's new elements are taken in (parent, generator) order,
+``S.codes`` holds the generators exactly (the finite carriers,
+``minplus01inf``, and ``interval01`` with weights 0 and powers of 1/2, its
+default sample among them) keeps elements as code arrays: a level's
+products are ``codes.product`` calls, and the key is the bytes of the
+codes.  A level's new elements are taken in (parent, generator) order,
 first occurrence only, which is the order one product at a time would
-discover them in.  ``nat``, ``maxplus``, ``interval01`` (whose codes follow
-the degree law) and generators the codes cannot hold take that per-product
-path.
+discover them in.  ``nat``, ``maxplus`` and generators the codes cannot
+hold (``interval01`` with the weight 1/3, say) take that per-product path.
 """
 
 from __future__ import annotations
@@ -281,24 +281,23 @@ def _coded_encoding(generators, element_cap) -> Optional[_Encoding]:
     """Elements as ``(F, n, n)`` arrays of ``S.codes``, keyed by the bytes of
     their codes, or None when the codes cannot hold the closure exactly.
 
-    That needs a constant ``weight`` (no degree law), every generator entry
-    encoded, and, under min-plus saturation, no finite code reaching
-    ``INF_CODE``: the finite codes of an element at depth d are sums of at
-    most d generator codes, and no product the BFS forms is deeper than
-    ``element_cap``."""
+    That needs every generator entry encoded and, over integer codes, no
+    finite code reaching ``INF_CODE``: the finite codes of an element at
+    depth d are sums of at most d generator codes, and no product the BFS
+    forms is deeper than ``element_cap``."""
     S, n, count = generators[0].semiring, generators[0].n, len(generators)
     try:
         codes = S.codes
         coded = np.array(
             [[[codes.encode(p) for p in row] for row in m.rows]
              for m in (identity_matrix(n, S), *generators)],
-            dtype=codes.dtype(1),
+            dtype=codes.dtype,
         )
     except (UnsupportedStructureError, AlgebraError, KeyError, ValueError, OverflowError):
         return None
     start, coded = coded[:1], coded[1:]
     widest = int(np.abs(coded[coded < INF_CODE]).max(initial=0))
-    if codes.weight(1) != codes.weight(2) or element_cap * widest >= INF_CODE:
+    if element_cap * widest >= INF_CODE:
         return None
     key_type = np.dtype((np.void, n * n * coded.itemsize))
     payload = cache(codes.payload)  # one payload object per code

@@ -265,15 +265,15 @@ def _not_equivalent(p, q, S, witness: dict, found: str) -> NotEquivalent:
 
 def _eval_codes(p: FormalPolynomial, codes: dict, S) -> np.ndarray:
     """The codes of p over a finite carrier at the assignments held as one
-    code array per variable (of the tables' ``code_dtype``), broadcast against each other: aranges on
+    code array per variable (of the tables' ``dtype``), broadcast against each other: aranges on
     their own axes give every assignment (:func:`_by_tensor`), columns of
     drawn codes a chunk of samples (:func:`_sampled`).  A monomial is built
     from its own variables' arrays only; adding it into the total broadcasts
     it over the rest."""
     tables = S.tables
     shape = np.broadcast_shapes(*(a.shape for a in codes.values()))
-    total = np.full(shape, tables.zero_code, dtype=tables.code_dtype)
-    unit = tables.code_dtype(tables.code[S._one_payload])
+    total = np.full(shape, tables.zero_code, dtype=tables.dtype)
+    unit = tables.dtype(tables.code[S._one_payload])
     for mono in p.terms:
         acc = unit
         for var, e in mono:
@@ -286,7 +286,7 @@ def _by_tensor(p, q, S, variables):
     """Both sides' codes at all c^k assignments (:func:`_eval_codes`), one
     axis per variable; the witness is the first differing entry in C order."""
     c, k = S.tables.size, len(variables)
-    axis = np.arange(c, dtype=S.tables.code_dtype)
+    axis = np.arange(c, dtype=S.tables.dtype)
     codes = {
         v: axis.reshape((1,) * i + (c,) + (1,) * (k - i - 1)) for i, v in enumerate(variables)
     }
@@ -401,7 +401,7 @@ def _sampled(p, q, S, variables, budget, seed):
     while done < budget:
         size = min(size, budget - done)
         drawn = [rng.randrange(tables.size) for _ in range(size * width)]
-        table = np.array(drawn, dtype=tables.code_dtype).reshape(size, width)
+        table = np.array(drawn, dtype=tables.dtype).reshape(size, width)
         codes = {v: table[:, j] for j, v in enumerate(variables)}
         diff = _eval_codes(p, codes, S) != _eval_codes(q, codes, S)
         if diff.any():

@@ -134,73 +134,74 @@ class SplitMix64:
         return drawn.astype(np.int64).reshape(shape) + low
 
 
-# The code that stands for the formal infinity of a saturating instance
-# (min-plus); two of them still add up within int64.
+# Every integer code from INF_CODE up stands for the min-plus infinity (inf
+# over minplus01inf, 0 over interval01); two such codes still add up within
+# int64.
 INF_CODE = 2**61
 
 
 class IntegerCodes(NamedTuple):
     """An infinite carrier's seeded sampler drawn as exact integer codes, for
-    numpy kernels.  A code is a payload times ``scale``; under ``saturating``
-    every code from ``INF_CODE`` up stands for the formal infinity, so
-    ``encode`` refuses a finite payload whose code would reach it.
-    ``draw(gen, shape)`` returns int64 codes from one ``gen.integers`` call
-    on a :class:`SplitMix64` stream.  ``add`` and ``mul`` are numpy ufuncs
-    acting on codes as the instance's operations act on payloads, up to the
-    scale.  ``top`` bounds every finite code drawn, the unit's included.
-
-    The scaling law: without ``degree``, x -> scale*x is an automorphism of
-    the rational payloads (min-plus: it respects min and +), so a product of
-    codes is the code of the product.  With ``degree`` it respects addition
-    and the order, but a product of k codes is scale^k times the product of
-    the payloads (max-times).  :meth:`weight` gives that factor."""
+    numpy kernels, which multiply them as min-plus: a sum of codes is their
+    ``np.minimum``, a product their ``np.add``, and every code from
+    ``INF_CODE`` up stands for the formal infinity.  A code is a payload
+    times ``scale``, and x -> scale*x respects min and +, so a product of
+    codes is the code of the product; ``encode`` refuses a finite payload
+    whose code would reach ``INF_CODE``.  ``draw(gen, shape)`` returns
+    int64 codes from one ``gen.integers`` call on a :class:`SplitMix64`
+    stream.  Products clamp at ``INF_CODE`` and two codes up to it add
+    within int64, so every product is ``dtype``, int64, whatever its
+    length."""
 
     draw: Callable[[SplitMix64, tuple], np.ndarray]
-    scale: int
-    add: np.ufunc
-    mul: np.ufunc
-    top: int
-    saturating: bool = False
-    degree: bool = False
+    scale: int = 1
+
+    dtype = np.int64
 
     def encode(self, payload: Payload) -> int:
-        if self.saturating and payload == INF:
+        if payload == INF:
             return INF_CODE
         code = Fraction(payload) * self.scale
         if code.denominator != 1:
             raise ValueError(f"{payload} is no multiple of 1/{self.scale}")
-        if self.saturating and code >= INF_CODE:
+        if code >= INF_CODE:
             raise ValueError(f"{payload} is finite but its code reaches INF_CODE")
         return code.numerator
 
     def payload(self, code: int) -> Payload:
-        if self.saturating and code >= INF_CODE:
+        if code >= INF_CODE:
             return INF
         return _normalize(Fraction(code, self.scale))
 
-    def weight(self, k: int) -> int:
-        """The payloads' factor in a product of k codes: scale**k under
-        ``degree``, else scale."""
-        return self.scale**k if self.degree else self.scale
-
-    def dtype(self, length: int):
-        """The dtype of products of up to ``length`` codes, which are below
-        top**length under ``degree``, else top*length: int64 while that is
-        below 2^63 (``INF_CODE`` under ``saturating``, so that a finite code
-        and the infinite one still add within int64), else Python ints."""
-        bound = self.top**length if self.degree else self.top * length
-        return np.int64 if bound < (INF_CODE if self.saturating else 2**63) else object
-
     def product(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """The products of (..., n, n) code stacks whose leading axes
-        broadcast, clamped if saturating.  The inner index is summed one k at
-        a time, so no (..., n, n, n) array of entry products is formed."""
-        out = self.mul(a[..., :, :1], b[..., :1, :])
+        broadcast, clamped at ``INF_CODE``.  The inner index is summed one k
+        at a time, so no (..., n, n, n) array of entry products is formed."""
+        out = a[..., :, :1] + b[..., :1, :]
         for k in range(1, a.shape[-1]):
-            self.add(out, self.mul(a[..., :, k : k + 1], b[..., k : k + 1, :]), out=out)
-        if self.saturating:
-            np.minimum(out, INF_CODE, out=out)
-        return out
+            np.minimum(out, a[..., :, k : k + 1] + b[..., k : k + 1, :], out=out)
+        return np.minimum(out, INF_CODE, out=out)
+
+
+class DyadicCodes(IntegerCodes):
+    """Integer codes of D = {0} ∪ {2^-k : k >= 0} under max and ×: code k
+    for 2^-k and ``INF_CODE`` for 0.  x -> -log2(x) maps D onto the
+    naturals with infinity, max onto min and × onto +, so the min-plus
+    kernels multiply these codes as they are; ``scale`` is not read.
+    ``encode`` refuses a payload outside D."""
+
+    __slots__ = ()
+
+    def encode(self, payload: Payload) -> int:
+        if payload == 0:
+            return INF_CODE
+        k = Fraction(payload).denominator.bit_length() - 1
+        if payload != Fraction(1, 1 << k):
+            raise ValueError(f"{payload} is neither 0 nor a power of 1/2")
+        return k
+
+    def payload(self, code: int) -> Payload:
+        return 0 if code >= INF_CODE else _normalize(Fraction(1, 1 << int(code)))
 
 
 class TropicalShape(NamedTuple):
@@ -232,25 +233,25 @@ class FiniteTables:
     bulk evaluation: the sum of codes a and b is ``add[a, b]``, and arrays of
     codes index a table as they are, broadcast against each other (a flat
     index a * c + b would be one more array, of intp, 8 bytes per entry).
-    Codes are ``code_dtype``: uint8 up to 256 values, uint16 up to 2^16."""
+    Codes are ``dtype``: uint8 up to 256 values, uint16 up to 2^16."""
 
     def __init__(self, S: SemiringDescriptor):
         payloads = list(S.carrier.values)
         c = len(payloads)
         if c > 1 << 16:
             raise AlgebraError("finite carrier too large for coded evaluation")
-        self.code_dtype = np.uint8 if c <= 1 << 8 else np.uint16
+        self.dtype = np.uint8 if c <= 1 << 8 else np.uint16
         self.payloads = payloads
         self.code = {p: i for i, p in enumerate(payloads)}
-        self.add = np.zeros((c, c), dtype=self.code_dtype)
-        self.mul = np.zeros((c, c), dtype=self.code_dtype)
+        self.add = np.zeros((c, c), dtype=self.dtype)
+        self.mul = np.zeros((c, c), dtype=self.dtype)
         for i, a in enumerate(payloads):
             for j, b in enumerate(payloads):
                 self.add[i, j] = self.code[_normalize(S._add(a, b))]
                 self.mul[i, j] = self.code[_normalize(S._mul(a, b))]
         self.zero_code = self.code[S._zero_payload]
         self.size = c
-        self.powers = {1: np.arange(c, dtype=self.code_dtype)}
+        self.powers = {1: np.arange(c, dtype=self.dtype)}
 
     def power(self, exponent: int) -> np.ndarray:
         """The codes of x^exponent for x = 0..c-1."""
@@ -264,19 +265,13 @@ class FiniteTables:
 
     def draw(self, gen: SplitMix64, shape: tuple) -> np.ndarray:
         """Uniform codes, as :meth:`SemiringDescriptor.sample_payload` draws."""
-        return gen.integers(0, self.size, shape).astype(self.code_dtype)
+        return gen.integers(0, self.size, shape).astype(self.dtype)
 
     def encode(self, payload: Payload) -> int:
         return self.code[payload]
 
     def payload(self, code: int) -> Payload:
         return _normalize(self.payloads[code])
-
-    def weight(self, k: int) -> int:
-        return 1
-
-    def dtype(self, length: int):
-        return self.code_dtype
 
     def product(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """The products of (..., n, n) code stacks whose leading axes
@@ -299,9 +294,9 @@ class SemiringDescriptor:
     coded evaluation lives here too: :attr:`tables` (coded tables of a
     finite carrier) and :attr:`is_bitmask_lattice` (read off those tables),
     both built on first use.  So does :attr:`codes`, the code object that
-    the spot-check draws and multiplies with: the :attr:`tables`, or an
-    infinite carrier's :class:`IntegerCodes`, which also hold its scaling
-    law.  Descriptors are immutable after construction and may be shared
+    the spot-check draws and multiplies with and the weighted closures run
+    on: the :attr:`tables`, or an infinite carrier's :class:`IntegerCodes`.
+    Descriptors are immutable after construction and may be shared
     freely across workers.
     """
 
@@ -531,7 +526,7 @@ class SemiringDescriptor:
     def codes(self) -> Union[FiniteTables, IntegerCodes]:
         """The spot-check's code object: :attr:`tables`, else the declared
         :class:`IntegerCodes`; both answer ``draw``, ``encode``,
-        ``payload``, ``dtype``, ``weight`` and ``product``."""
+        ``payload``, ``dtype`` and ``product``."""
         if self.is_finite:
             return self.tables
         if self.carrier.codes is None:
@@ -628,13 +623,11 @@ def _interval01_sampler(rng: random.Random) -> Payload:
     return Fraction(rng.randrange(0, den + 1), den)
 
 
-def _interval01_codes(gen: SplitMix64, shape: tuple) -> np.ndarray:
-    # _interval01_sampler's distribution from one draw in 0..1079 per entry:
-    # the denominator, then a numerator in 0..den (180 is a multiple of each
-    # den + 1)
-    r = gen.integers(0, 1080, shape)
-    den = np.array((1, 2, 3, 4, 5, 8))[r // 180]
-    return (r % 180) * (den + 1) // 180 * (120 // den)
+def _dyadic_codes(gen: SplitMix64, shape: tuple) -> np.ndarray:
+    # 2^0 .. 2^-7 and 0 as DyadicCodes, each from one of nine equally likely
+    # draws per entry
+    drawn = gen.integers(0, 9, shape)
+    return np.where(drawn == 8, INF_CODE, drawn)
 
 
 # a float payload of max-plus can only be -inf, and of min-plus only +inf:
@@ -712,7 +705,7 @@ MINPLUS01INF = SemiringDescriptor(
     interval=True,
     carrier=InfiniteCarrier(
         _minplus_sampler,
-        IntegerCodes(_minplus_codes, 12, np.minimum, np.add, top=288, saturating=True),
+        IntegerCodes(_minplus_codes, 12),
     ),
     monogenic=Cyclic(1, 1),
     free_rank1=1,
@@ -731,10 +724,9 @@ INTERVAL01 = SemiringDescriptor(
     1,
     idempotent=True,
     interval=True,
-    carrier=InfiniteCarrier(
-        _interval01_sampler,
-        IntegerCodes(_interval01_codes, 120, np.maximum, np.multiply, top=120, degree=True),
-    ),
+    # the codes draw from D = {0} ∪ {2^-k}: closed under max and ×, with 1
+    # the top, so R_n(D) generates J_{n-1} as R_n([0, 1]) does
+    carrier=InfiniteCarrier(_interval01_sampler, DyadicCodes(_dyadic_codes)),
     monogenic=Cyclic(1, 1),
     free_rank1=Fraction(1, 2),
     contains=lambda p: _is_rational(p) and 0 <= p <= 1,

@@ -91,7 +91,7 @@ def test_triangular_check_over_truncated_naturals_with_256_values_or_more(spec):
     S = semiring_from_spec(spec)
     verdict = check_UT(Identity.parse("ab=ba"), 2, S)
     assert verdict.is_fails and verdict.distinguishing_u == "a"
-    assert S.tables.code_dtype == (np.uint8 if S.tables.size <= 256 else np.uint16)
+    assert S.tables.dtype == (np.uint8 if S.tables.size <= 256 else np.uint16)
 
 
 def test_triangular_check_over_the_tropical_instance():

@@ -328,8 +328,10 @@ def _coded(S, letters):
     }
 
 
-# random_reflexive_codes(S, 3, "ab", 4, SplitMix64(0)) per letter, as the
-# spot-check drew it before its code format moved behind S.codes
+# random_reflexive_codes(S, 3, "ab", 4, SplitMix64(0)) per letter: over bool
+# as the spot-check drew it before its code format moved behind S.codes, over
+# interval01 as it draws in log coordinates
+Z = INF_CODE
 PINNED_DRAWS = {
     "bool": {
         "a": [[[1, 0, 0], [1, 1, 0], [0, 1, 1]], [[1, 1, 1], [1, 1, 0], [1, 1, 1]],
@@ -337,15 +339,12 @@ PINNED_DRAWS = {
         "b": [[[1, 0, 1], [1, 1, 1], [1, 0, 1]], [[1, 1, 1], [1, 1, 0], [0, 1, 1]],
               [[1, 0, 0], [0, 1, 1], [1, 0, 1]], [[1, 0, 0], [0, 1, 0], [1, 1, 1]]],
     },
+    # Z is INF_CODE, the code of 0; code k stands for 2^-k
     "interval01": {
-        "a": [[[120, 80, 0], [105, 120, 120], [0, 72, 120]],
-              [[120, 0, 15], [120, 120, 120], [15, 60, 120]],
-              [[120, 60, 80], [120, 120, 0], [0, 0, 120]],
-              [[120, 90, 0], [120, 120, 48], [75, 0, 120]]],
-        "b": [[[120, 40, 72], [0, 120, 24], [0, 120, 120]],
-              [[120, 120, 75], [75, 120, 0], [0, 120, 120]],
-              [[120, 60, 40], [120, 120, 45], [30, 120, 120]],
-              [[120, 120, 60], [60, 120, 0], [90, 75, 120]]],
+        "a": [[[0, 3, 0], [Z, 0, 2], [1, 6, 0]], [[0, 7, 7], [5, 0, 2], [7, 5, 0]],
+              [[0, 2, 3], [2, 0, 0], [0, 0, 0]], [[0, 5, 1], [7, 0, 6], [Z, 3, 0]]],
+        "b": [[[0, 3, 6], [4, 0, 6], [4, 4, 0]], [[0, 5, Z], [Z, 0, 0], [0, 7, 0]],
+              [[0, 2, 3], [4, 0, Z], [7, 1, 0]], [[0, 1, 2], [2, 0, 1], [5, Z, 0]]],
     },
 }
 
@@ -362,23 +361,16 @@ def test_code_object_round_trips_multiplies_and_keeps_its_draws(S):
         assert codes is S.tables
         payloads = list(S.carrier.values)
     else:
-        rng = random.Random(5)
-        payloads = [S.sample_payload(rng) for _ in range(200)]
+        payloads = [codes.payload(c) for c in codes.draw(SplitMix64(5), (200,)).tolist()]
     assert [codes.payload(codes.encode(p)) for p in payloads] == payloads
     if not S.is_finite:
         with pytest.raises(ValueError):
-            codes.encode(Fraction(1, 7))  # no multiple of 1/scale
+            codes.encode(Fraction(1, 7))  # no multiple of 1/12, no power of 1/2
     # one trial of two plain draws: the kernel's product against multiply on
-    # the decoded matrices, whose payloads a 2-letter product carries times
-    # weight(2) // weight(1) under the degree law
-    a, b = codes.draw(SplitMix64(2), (2, 1, 3, 3)).astype(codes.dtype(2))
+    # the decoded matrices
+    a, b = codes.draw(SplitMix64(2), (2, 1, 3, 3)).astype(codes.dtype)
     phi = _decoded(S, {"a": a, "b": b}, 0)
-    lift = codes.weight(2) // codes.weight(1)
-    want = [
-        [codes.encode(p * lift if lift > 1 else p) for p in row]
-        for row in multiply(phi.image("a"), phi.image("b")).rows
-    ]
-    assert codes.product(a, b)[0].tolist() == want
+    assert codes.product(a, b)[0].tolist() == _encoded(S, multiply(phi.image("a"), phi.image("b")))
     if S.name in PINNED_DRAWS:
         drawn = random_reflexive_codes(S, 3, "ab", 4, SplitMix64(0))
         assert {s: d.tolist() for s, d in drawn.items()} == PINNED_DRAWS[S.name]
@@ -409,12 +401,9 @@ def test_batched_agreement_matches_one_product_per_morphism(S):
 KERNEL_INSTANCES = [BOOL, DIAMOND, semiring_from_spec("nat:2,3"), HALVES, MINPLUS01INF, INTERVAL01]
 
 
-def _lifted(S, m, k):
-    """The codes of the matrix ``m`` as a product of k codes carries them:
-    payloads times weight(k) // weight(1) under the degree law."""
-    codes = S.codes
-    lift = codes.weight(k) // codes.weight(1)
-    return [[codes.encode(p * lift if lift > 1 else p) for p in row] for row in m.rows]
+def _encoded(S, m):
+    """The codes of the matrix ``m``, row by row."""
+    return [[S.codes.encode(p) for p in row] for row in m.rows]
 
 
 @pytest.mark.parametrize("S", KERNEL_INSTANCES, ids=lambda S: S.name)
@@ -424,8 +413,8 @@ def test_code_products_are_the_products_of_the_decoded_matrices(S):
     unbroadcast (n, n) factor, as the closure step passes its generators."""
     codes = S.codes
     for n in range(1, 6):
-        a, b, c = codes.draw(SplitMix64(n), (3, 5, n, n)).astype(codes.dtype(3))
-        if S is MINPLUS01INF and n > 2:
+        a, b, c = codes.draw(SplitMix64(n), (3, 5, n, n)).astype(codes.dtype)
+        if not S.is_finite and n > 2:
             assert (a == INF_CODE).any() and (b == INF_CODE).any()
         ab = codes.product(a, b)
         abc = codes.product(ab, c)
@@ -433,9 +422,9 @@ def test_code_products_are_the_products_of_the_decoded_matrices(S):
         assert ab.shape == abc.shape == ab0.shape == (5, n, n)
         phi = [_decoded(S, {"a": a, "b": b, "c": c}, t) for t in range(5)]
         for t, m in enumerate(phi):
-            assert ab[t].tolist() == _lifted(S, m.apply("ab"), 2)
-            assert abc[t].tolist() == _lifted(S, m.apply("abc"), 3)
-            assert ab0[t].tolist() == _lifted(S, multiply(m.image("a"), phi[0].image("b")), 2)
+            assert ab[t].tolist() == _encoded(S, m.apply("ab"))
+            assert abc[t].tolist() == _encoded(S, m.apply("abc"))
+            assert ab0[t].tolist() == _encoded(S, multiply(m.image("a"), phi[0].image("b")))
 
 
 def test_min_plus_code_products_saturate_at_the_infinite_code():
@@ -455,25 +444,19 @@ def test_min_plus_code_products_saturate_at_the_infinite_code():
     ]
 
 
-def test_ten_letter_interval_code_products_run_on_python_ints():
-    # 120^10 passes 2^63: the codes of a 10-letter word are Python ints, and
+def test_forty_letter_interval_code_products_stay_on_int64():
+    # the codes of a 40-letter word are int64, as those of one letter, and
     # each trial's product is the product of its decoded letters
-    codes = INTERVAL01.codes
-    assert codes.dtype(10) is object
-    word = "abaabbbaba"
+    word = "abaabbbaba" * 4
     images = random_reflexive_codes(INTERVAL01, 4, "ab", 3, SplitMix64(10))
-    coded = {s: a.astype(object) for s, a in images.items()}
-    acc = coded[word[0]]
-    for ch in word[1:]:
-        acc = codes.product(acc, coded[ch])
-    assert acc.dtype == object
+    got = coded_images(INTERVAL01, images, word)
+    assert got.dtype == np.int64
     for t in range(3):
-        want = _lifted(INTERVAL01, _decoded(INTERVAL01, images, t).apply(word), 10)
-        assert acc[t].tolist() == want
+        assert got[t].tolist() == _encoded(INTERVAL01, _decoded(INTERVAL01, images, t).apply(word))
 
 
 def test_coded_images_carry_the_instance_scale():
-    third, quarter, half = Fraction(1, 3), Fraction(3, 4), Fraction(1, 2)
+    eighth, quarter, half = Fraction(1, 8), Fraction(1, 4), Fraction(1, 2)
 
     def images(S, a, b):
         return _coded(S, {
@@ -481,20 +464,18 @@ def test_coded_images_carry_the_instance_scale():
             "b": [[S.one.payload, S.zero.payload], [b, S.one.payload]],
         })
 
-    # max-times: codes are payloads times 120, an L-fold product carries 120^L
-    cases = [images(INTERVAL01, third, 1), images(INTERVAL01, 0, quarter),
-             images(INTERVAL01, half, 0)]
+    # max-times in log coordinates: the code of 2^-k is k, of 0 INF_CODE,
+    # and products stay on int64 whatever the length
+    cases = [images(INTERVAL01, half, 1), images(INTERVAL01, 0, quarter),
+             images(INTERVAL01, eighth, 0)]
+    assert cases[0]["a"].tolist() == [[[0, 1], [INF_CODE, 0]]]
     for coded in cases:
         phi = _decoded(INTERVAL01, coded, 0)
-        got = coded_images(INTERVAL01, coded, "aba")
-        assert got.dtype == np.int64
-        assert got[0].tolist() == [[p * 120**3 for p in row] for row in phi.apply("aba").rows]
-        # nine letters stay on int64, ten go over to Python ints
-        assert coded_images(INTERVAL01, coded, "ab" * 4 + "a").dtype == np.int64
-        ten = coded_images(INTERVAL01, coded, "ab" * 5)
-        assert ten.dtype == object and all(type(x) is int for x in ten.flat)
-        assert ten[0].tolist() == [[p * 120**10 for p in row] for row in phi.apply("ab" * 5).rows]
-    # sides of different lengths compare after cross-multiplying
+        for word in ("aba", "ab" * 5, "ab" * 20):
+            got = coded_images(INTERVAL01, coded, word)
+            assert got.dtype == np.int64
+            assert got[0].tolist() == _encoded(INTERVAL01, phi.apply(word))
+    # sides of different lengths compare code for code
     expected = [_decoded(INTERVAL01, c, 0).apply("ab") == _decoded(INTERVAL01, c, 0).apply("a")
                 for c in cases]
     assert expected == [False, False, True]

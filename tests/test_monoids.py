@@ -227,8 +227,8 @@ PRODUCTS = ["_coded_encoding", "_bfs_products"]  # the codes declined
 
 @pytest.mark.parametrize(
     "S, paths",
-    # max-times codes follow the degree law: one product at a time
-    [(BOOL, ["_bitmask_encoding"]), (DIAMOND, CODED), (MINPLUS01INF, CODED), (INTERVAL01, PRODUCTS)],
+    # interval01's default sample (1, 1/2, 1/16) is all powers of 1/2
+    [(BOOL, ["_bitmask_encoding"]), (DIAMOND, CODED), (MINPLUS01INF, CODED), (INTERVAL01, CODED)],
     ids=["bool", "lattice:diamond", "minplus01inf", "interval01"],
 )
 def test_each_interval_instance_takes_its_closure_path(S, paths, closure_paths):
@@ -236,12 +236,21 @@ def test_each_interval_instance_takes_its_closure_path(S, paths, closure_paths):
     assert closure_paths == paths
 
 
-@pytest.mark.parametrize("weight", [Fraction(1, 5), 2**59])
-def test_weights_the_codes_cannot_hold_take_the_product_path(weight, closure_paths):
-    # 1/5 is no multiple of min-plus's 1/12; 2^59 has no finite code
-    result = bfs_closure([one_way_call(1, 2, 2, MINPLUS01INF, w) for w in (0, weight)])
+@pytest.mark.parametrize(
+    "S, weight",
+    [
+        pytest.param(MINPLUS01INF, Fraction(1, 5), id="weight0"),
+        pytest.param(MINPLUS01INF, 2**59, id="576460752303423488"),
+        pytest.param(INTERVAL01, Fraction(1, 3), id="interval01-1/3"),
+    ],
+)
+def test_weights_the_codes_cannot_hold_take_the_product_path(S, weight, closure_paths):
+    # 1/5 is no multiple of min-plus's 1/12; 2^59 has no finite code; 1/3 is
+    # no power of 1/2
+    one = S._one_payload
+    result = bfs_closure([one_way_call(1, 2, 2, S, w) for w in (one, weight)])
     assert closure_paths == PRODUCTS
-    assert [m.rows[0][1] for m in result.elements] == [INF, 0, weight]
+    assert [m.rows[0][1] for m in result.elements] == [S._zero_payload, one, weight]
 
 
 @pytest.mark.parametrize("cap, paths", [(3, CODED), (4, PRODUCTS)], ids=["coded", "products"])

@@ -26,7 +26,6 @@ from sgident.semirings import (
     Cyclic,
     FiniteCarrier,
     Free,
-    IntegerCodes,
     SemiringDescriptor,
     SplitMix64,
     _mp_mul,
@@ -293,7 +292,9 @@ class _EveryDraw:
 
 
 def _sampler_law(name):
-    """The exact distribution of the payload sampler, payload -> probability."""
+    """The exact distribution of the code draws, payload -> probability: the
+    payload sampler's over minplus01inf, and over interval01 the nine values
+    1, 1/2, ..., 1/128 and 0 alike."""
     law = {}
     if name == "minplus01inf":
         law[INF] = Fraction(1, 8)
@@ -302,10 +303,8 @@ def _sampler_law(name):
                 p = Fraction(num, den)
                 law[p] = law.get(p, 0) + Fraction(7, 8) / 25 / 5
     else:
-        for den in (1, 2, 3, 4, 5, 8):
-            for num in range(den + 1):
-                p = Fraction(num, den)
-                law[p] = law.get(p, 0) + Fraction(1, 6) / (den + 1)
+        for p in [Fraction(1, 2**k) for k in range(8)] + [0]:
+            law[p] = Fraction(1, 9)
     return law
 
 
@@ -319,21 +318,14 @@ def test_code_draws_follow_the_payload_sampler(name):
         p = S.codes.payload(c)
         law[p] = law.get(p, 0) + Fraction(1, len(codes))
     assert law == _sampler_law(name)
-    assert S.carrier.codes.top == max(c for c in codes if S.codes.payload(c) != INF)
-    # numpy's operations on codes are the instance's on payloads
-    rng = SplitMix64(9)
-    a, b = S.codes.draw(rng, (2, 500))
-    scale = S.carrier.codes.scale
-    added, multiplied = S.carrier.codes.add(a, b), S.carrier.codes.mul(a, b)
-    if S.carrier.codes.saturating:
-        multiplied = np.minimum(multiplied, INF_CODE)
+    # min and + on codes, clamped at INF_CODE, are the instance's operations
+    # on payloads
+    a, b = S.codes.draw(SplitMix64(9), (2, 500))
+    added, multiplied = np.minimum(a, b), np.minimum(a + b, INF_CODE)
     for x, y, s, m in zip(a.tolist(), b.tolist(), added.tolist(), multiplied.tolist()):
         px, py = S.codes.payload(x), S.codes.payload(y)
         assert S.codes.payload(s) == S._add(px, py)
-        if S.carrier.codes.degree:  # a product of two codes carries scale^2
-            assert Fraction(m, scale**2) == S._mul(px, py)
-        else:
-            assert S.codes.payload(m) == S._mul(px, py)
+        assert S.codes.payload(m) == S._mul(px, py)
 
 
 @pytest.mark.parametrize("name", sorted(ALL_INSTANCES))
@@ -353,9 +345,8 @@ def test_finite_code_draws_are_the_table_codes(name):
 
 # -- coded arithmetic ------------------------------------------------------------
 
-# whether each instance with integer codes declares the degree law; the
-# others have none
-DEGREE_LAW = {"interval01": True, "minplus01inf": False}
+# the instances with integer codes; the others have none
+INTEGER_CODES = ("interval01", "minplus01inf")
 
 
 @pytest.mark.parametrize("name", sorted(ALL_INSTANCES))
@@ -371,46 +362,41 @@ def test_batch_arithmetic_is_built_once(name):
 
 @pytest.mark.parametrize("name", sorted(ALL_INSTANCES))
 def test_scaled_batch_follows_the_declared_law(name):
-    # a product of k drawn codes is the code of the payloads' product times
-    # weight(k): scale**k under the degree law, scale under an automorphism
+    # a product of k drawn codes, their sum clamped at INF_CODE, is the code
+    # of the payloads' product, in int64
     S = ALL_INSTANCES[name]
     codes = None if S.is_finite else S.carrier.codes
-    if name not in DEGREE_LAW:
+    if name not in INTEGER_CODES:
         assert codes is None
         return
-    assert codes.degree == DEGREE_LAW[name]
+    assert codes.dtype is np.int64
     drawn = S.codes.draw(SplitMix64(11), (3, 200))
+    assert drawn.dtype == np.int64
     for k in (1, 2, 3):
-        products = codes.mul.reduce(drawn[:k], axis=0)
-        if codes.saturating:
-            products = np.minimum(products, INF_CODE)
+        products = np.minimum(drawn[:k].sum(axis=0), INF_CODE)
         for column, code in zip(drawn[:k].T.tolist(), products.tolist()):
             want = functools.reduce(S._mul, [S.codes.payload(c) for c in column])
-            if want == INF:
-                assert code == INF_CODE
-            else:
-                assert Fraction(code, codes.weight(k)) == want
-    assert codes.weight(5) == (codes.scale**5 if codes.degree else codes.scale)
-    assert codes.weight(0) == (1 if codes.degree else codes.scale)
+            assert S.codes.payload(code) == want
+            assert code == S.codes.encode(want)
 
 
 @pytest.mark.parametrize(
     "S, payloads, expected",
     [
         # (the payloads' codes, the code of their product)
-        (INTERVAL01, [Fraction(1, 2), Fraction(2, 3), 1], ([60, 80, 120], 576000)),
+        (INTERVAL01, [Fraction(1, 2), Fraction(1, 8), 1], ([1, 3, 0], 4)),
         (MINPLUS01INF, [INF, Fraction(3, 2), 0], ([INF_CODE, 18, 0], INF_CODE)),
         (MINPLUS01INF, [Fraction(3, 2), Fraction(1, 3), 0], ([18, 4, 0], 22)),
-        (INTERVAL01, [], ([], 1)),
+        (INTERVAL01, [0, Fraction(1, 4), Fraction(1, 2)], ([INF_CODE, 2, 1], INF_CODE)),
     ],
 )
 def test_scaled_batch_examples(S, payloads, expected):
-    codes = S.carrier.codes
+    codes = S.codes
     want_codes, want_product = expected
-    assert [INF_CODE if p == INF else p * codes.scale for p in payloads] == want_codes
-    assert [S.codes.payload(c) for c in want_codes] == payloads
-    product = int(codes.mul.reduce(np.array(want_codes, dtype=np.int64)))
-    assert (min(product, INF_CODE) if codes.saturating else product) == want_product
+    assert [codes.encode(p) for p in payloads] == want_codes
+    assert [codes.payload(c) for c in want_codes] == payloads
+    assert min(sum(want_codes), INF_CODE) == want_product
+    assert codes.payload(want_product) == functools.reduce(S._mul, payloads)
 
 
 def test_scaled_batch_leaves_a_user_instance_without_a_law_untouched():
@@ -421,10 +407,21 @@ def test_scaled_batch_leaves_a_user_instance_without_a_law_untouched():
     )
     assert halves.codes.draw(_EveryDraw(), None).tolist() == [0, 1, 2]
     assert [halves.codes.payload(k) for k in range(3)] == list(halves.carrier.values)
-    # integer codes declared without the degree law weigh every product alike
-    codes = IntegerCodes(lambda gen, shape: gen.integers(0, 9, shape), 4, np.maximum, np.add, 8)
-    assert not codes.degree
-    assert [codes.weight(k) for k in range(4)] == [4, 4, 4, 4]
+    assert halves.codes.dtype is np.uint8
+
+
+@pytest.mark.parametrize("payload", [Fraction(1, 3), Fraction(2, 5), Fraction(3, 4), 2, Fraction(-1, 2)])
+def test_interval_codes_refuse_payloads_other_than_zero_and_powers_of_one_half(payload):
+    with pytest.raises(ValueError, match="power of 1/2"):
+        INTERVAL01.codes.encode(payload)
+
+
+def test_interval_codes_of_zero_and_powers_of_one_half_round_trip():
+    codes = INTERVAL01.codes
+    payloads = [0] + [Fraction(1, 2**k) for k in range(61)]
+    assert [codes.encode(p) for p in payloads] == [INF_CODE] + list(range(61))
+    assert [codes.payload(codes.encode(p)) for p in payloads] == payloads
+    assert codes.payload(INF_CODE + 5) == 0 and codes.payload(np.int64(3)) == Fraction(1, 8)
 
 
 def _finite(name, add, mul, carrier, zero, one):
