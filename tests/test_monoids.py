@@ -28,7 +28,7 @@ from sgident.monoids import (
     family,
     structural_checks,
 )
-from sgident.semirings import BOOL, DIAMOND, INF, INF_CODE, INTERVAL01, MAXPLUS, MINPLUS01INF, NAT
+from sgident.semirings import BOOL, DIAMOND, INF_CODE, INTERVAL01, MAXPLUS, MINPLUS01INF, NAT
 from sgident.words import Identity
 
 # element counts frozen from the enumeration itself; the Catalan column is
