@@ -222,7 +222,9 @@ class TropicalShape(NamedTuple):
 @dataclass(frozen=True)
 class InfiniteCarrier:
     """A seeded sampler over a fixed countable subset of the carrier, and
-    optionally the same distribution drawn as integer codes."""
+    optionally integer codes, which the spot-check draws: with the
+    sampler's distribution over ``minplus01inf``, and from the dyadic subset
+    D of the carrier over ``interval01`` (see :class:`DyadicCodes`)."""
 
     sample: Callable[[random.Random], Payload]
     codes: Optional[IntegerCodes] = None
